@@ -56,7 +56,7 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_apsp", "_apsp_f32")
+    __slots__ = ("n", "edges", "adj", "_apsp")
 
     def __init__(self, n: int, edge_list=()):
         n = int(n)
@@ -89,7 +89,6 @@ class Graph:
         self.edges = edges
         self.adj = adj
         self._apsp = None
-        self._apsp_f32 = None
 
     @property
     def m(self) -> int:
@@ -112,16 +111,6 @@ class Graph:
         if self._apsp is None:
             self._apsp = _apsp_tables(self)
         return self._apsp
-
-    def apsp_f32(self) -> np.ndarray:
-        """Cached float32 view of the weight table with inf for unreachable."""
-        if self._apsp_f32 is None:
-            w = self.apsp()[0]
-            f = w.astype(np.float32)
-            f[w == INF] = np.inf
-            f.setflags(write=False)
-            self._apsp_f32 = f
-        return self._apsp_f32
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

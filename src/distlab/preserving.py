@@ -21,9 +21,11 @@ on graphs that contain 0-weight edges, which the degree-reduction transform
 introduces.  On all-unit-weight graphs hop distance equals weighted distance.
 
 Decoders see only the two labels: every label embeds the node count and all
-per-level parameters.  Encoding costs n shortest-path runs per level (oracle
-grade); that is deliberate and fine at desk scale.  All decode functions are
-pure and thread-safe; encoding touches only immutable graph state.
+per-level parameters.  Encoding reads the cached all-pairs tables and runs
+one bit-parallel certification pass over the shortest-path DAG per level and
+sampling attempt (oracle grade, O(n^2) memory); that is deliberate and fine
+at desk scale.  All decode functions are pure and thread-safe; encoding
+touches only immutable graph state.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .bits import BitCursor, BitWriter, Bits, pack_values
 from .errors import EncodingFailure, GraphError, LabelError
@@ -102,11 +104,8 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
 # Shortest-route certificates.
 #
 # A landmark w certifies the pair (u, v) when weight(u,w) + weight(w,v) equals
-# weight(u,v), i.e. w lies on some minimum-weight path.  Arithmetic is done in
-# float with inf so that INF + x == INF saturates: a disconnected pair is
-# certified by any landmark (there is no route to repair).
-
-_MINPLUS_BUDGET = 5e8  # element ops; above this the layered-Dijkstra route wins
+# weight(u,v), i.e. w lies on some minimum-weight path.  A disconnected pair
+# counts as certified by any landmark set (there is no route to repair).
 
 
 def _minplus_pairs(T: np.ndarray) -> np.ndarray:
@@ -123,62 +122,67 @@ def _minplus_pairs(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _via_landmarks(g: Graph, landmarks: list[int]) -> np.ndarray:
-    """Matrix of min over w in landmarks of d(u,w) + d(w,v), float32 with inf."""
+def _landmark_ids(g: Graph, landmarks) -> list[int]:
+    """Sorted distinct landmark ids, each checked to name a node of g."""
+    ids = sorted({int(w) for w in landmarks})
+    if ids and not (0 <= ids[0] and ids[-1] < g.n):
+        raise GraphError(f"landmark ids {ids[0]}..{ids[-1]} out of range 0..{g.n - 1}")
+    return ids
+
+
+def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
+    """Boolean matrix: True where some landmark lies on a minimum-weight u-v
+    path, or where v is unreachable from u.
+
+    Members of one 0-weight component share a weight row, so the question is
+    answered on the contracted unit-weight graph.  For each node v, F[v] is a
+    bitset over sources s: "a landmark lies on a shortest s-v path".  It holds
+    at v's own component when that component has a landmark, and otherwise
+    flows along shortest-path DAG edges x -> v with d(s,x) + 1 = d(s,v), one
+    distance level at a time (Brandes-style source-DAG accumulation, 64
+    sources per machine word).
+    """
     n = g.n
     if n == 0:
-        return np.zeros((0, 0), dtype=np.float32)
-    if not landmarks:
-        return np.full((n, n), np.inf, dtype=np.float32)
-    if n * n * len(landmarks) <= _MINPLUS_BUDGET:
-        T = np.ascontiguousarray(g.apsp_f32()[np.asarray(landmarks, dtype=np.intp)])
-        out = np.empty((n, n), dtype=np.float32)
-        buf = np.empty_like(T)
-        for u in range(n):
-            np.add(T, T[:, u][:, None], out=buf)
-            buf.min(axis=0, out=out[u])
-        return out
-    return _via_landmarks_layered(g, landmarks)
+        return np.zeros((0, 0), dtype=bool)
+    weight = g.apsp()[0]
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
+    zero = e[e[:, 2] == 0]
+    ncomp, comp = connected_components(
+        csr_matrix((np.ones(len(zero)), (zero[:, 0], zero[:, 1])), shape=(n, n)),
+        directed=False,
+    )
+    rep = np.zeros(ncomp, dtype=np.intp)
+    rep[comp] = np.arange(n)  # any member: all share one weight row
+    words = (ncomp + 63) // 64
+    wc = np.full((ncomp, 64 * words), INF, dtype=np.int64)  # sources padded to words
+    wc[:, :ncomp] = weight[np.ix_(rep, rep)]
+    one = e[e[:, 2] == 1]
+    a, b = comp[one[:, 0]], comp[one[:, 1]]
+    adj = csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(ncomp, ncomp))
+    has_nbr = np.diff(adj.indptr) > 0
+    starts = adj.indptr[:-1][has_nbr]  # reduceat misreads empty rows; skip them
 
-
-def _via_landmarks_layered(g: Graph, landmarks: list[int]) -> np.ndarray:
-    # Two copies of the graph; crossing from copy A to copy B is only possible
-    # at a landmark, so dist(A_u, B_v) is exactly the best route through the
-    # landmark set.  The crossing edge costs one phantom hop, subtracted when
-    # the packed big*weight + hops cost is decoded.  Cost is independent of
-    # the landmark count, which the plain min-plus product is not.
-    n = g.n
-    big = 2 * n + 2
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for u, v, w in g.edges:
-        c = float(big * w + 1)
-        rows += (u, v, n + u, n + v)
-        cols += (v, u, n + v, n + u)
-        data += (c, c, c, c)
-    for w_ in landmarks:
-        rows.append(w_)
-        cols.append(n + w_)
-        data.append(1.0)
-    mat = csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
-    out = np.empty((n, n), dtype=np.float32)
-    chunk = max(1, min(n, (1 << 23) // max(n, 1)))  # ~128 MB of float64 per sweep
-    for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        res = np.atleast_2d(_sp_dijkstra(mat, directed=True, indices=idx))[:, n:]
-        fin = np.isfinite(res)
-        blk = np.full(res.shape, np.inf, dtype=np.float32)
-        blk[fin] = np.floor((res[fin] - 1.0) / big).astype(np.float32)
-        out[lo : lo + idx.size] = blk
-    return out
+    F = np.zeros((ncomp, words), dtype=np.uint64)
+    F[comp[landmarks]] = ~np.uint64(0)
+    # row v: bitset of the sources s with d(s, v) = t, source s at bit s % 64
+    # of word s // 64
+    prev = np.packbits(wc == 0, axis=1, bitorder="little").view(np.uint64)
+    # a finite distance >= 1 needs a unit edge, so `starts` is non-empty here
+    for t in range(1, int(wc[wc < INF].max(initial=0)) + 1):
+        cur = np.packbits(wc == t, axis=1, bitorder="little").view(np.uint64)
+        reach = np.bitwise_or.reduceat((F & prev)[adj.indices], starts, axis=0)
+        F[has_nbr] |= reach & cur[has_nbr]
+        prev = cur
+    cc = np.unpackbits(F.view(np.uint8), axis=1, count=ncomp, bitorder="little").astype(bool)
+    # cc[v, s] is "covered from source s"; the relation is symmetric
+    return cc.T[np.ix_(comp, comp)] | (weight == INF)
 
 
 def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.ndarray]:
     """Sick node ids plus the boolean uncovered matrix for threshold D."""
     _, hops = g.apsp()
-    covered = _via_landmarks(g, landmarks) == g.apsp_f32()
-    unc = ~covered & (hops >= D)
+    unc = ~_covered(g, landmarks) & (hops >= D)
     counts = unc.sum(axis=1)
     return [int(u) for u in np.flatnonzero(counts > g.n / D)], unc
 
@@ -191,8 +195,7 @@ def classify_nodes(g: Graph, landmarks, D: int) -> tuple[set[int], dict[int, lis
     than n/D uncovered peers is sick.  Returns the sick set and the full
     uncovered map.
     """
-    landmarks = sorted({int(w) for w in landmarks})
-    sick, unc = _classify(g, landmarks, D)
+    sick, unc = _classify(g, _landmark_ids(g, landmarks), D)
     uc = {u: [int(v) for v in np.flatnonzero(unc[u])] for u in range(g.n)}
     return set(sick), uc
 
@@ -357,20 +360,18 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
     if n == 0:
         return LabelSet("warmup", 0, {"D": p.D, "landmarks": 0}, [])
     weight = g.apsp()[0]
-    wf = g.apsp_f32()
     draws = 0
     attempts = 0
     if landmarks is not None:
-        chosen = sorted({int(x) for x in landmarks})
+        chosen = _landmark_ids(g, landmarks)
     else:
         draws = _warmup_draws(n, p.D, p.c)
-        need = wf >= p.D
+        need = weight >= p.D
         chosen = []
         for attempt in range(p.resample_cap):
             chosen = sample_landmarks(g, draws, _mix(p.seed, attempt))
             attempts = attempt + 1
-            covered = _via_landmarks(g, chosen) == wf
-            if bool((covered | ~need).all()):
+            if bool((_covered(g, chosen) | ~need).all()):
                 break
         else:
             raise EncodingFailure(
@@ -481,11 +482,12 @@ class FullLabel:
     levels: list[MediumLevel]
 
 
-def encode_full(g: Graph, p: PreservingParams) -> LabelSet:
+def encode_full(g: Graph, p: PreservingParams, *, _count=None) -> LabelSet:
     """Concatenated medium levels for thresholds D * 2^i, i = 0..floor(lg(n/D)).
 
     Exact for every pair with hop distance >= D.  For D <= 1 this routes to
-    encode_trivial, which is exact everywhere.
+    encode_trivial, which is exact everywhere.  `_count` (internal) writes
+    only the labels of nodes 0.._count-1; levels are still built on all of g.
     """
     if p.D <= 1:
         return encode_trivial(g)
@@ -500,7 +502,7 @@ def encode_full(g: Graph, p: PreservingParams) -> LabelSet:
         levels.append(lvl)
         metas.append(meta)
     labels = []
-    for u in range(n):
+    for u in range(n if _count is None else _count):
         w = BitWriter()
         w.write_gamma(n + 1)
         w.write_gamma(u + 1)

@@ -9,7 +9,7 @@ answers close pairs, the threshold label answers everything else, so the
 combined scheme is exact for all pairs.
 
 The sparse wrapper picks the split parameter k = max(ceil(m/n), 3), labels
-the transformed graph with degree bound k, and keeps only the labels of the
+the transformed graph with degree bound k, and writes only the labels of the
 first copies, which reuse the original node ids.
 """
 
@@ -117,9 +117,13 @@ class BoundedLabel:
     full: FullLabel
 
 
-def encode_bounded_degree(g: Graph, delta: int, seed: int = 0) -> LabelSet:
+def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -> LabelSet:
     """Near table (hop-radius D-1 ball, true weighted distances) plus a
-    threshold-D label.  Exact for all pairs on graphs of max degree <= delta."""
+    threshold-D label.  Exact for all pairs on graphs of max degree <= delta.
+
+    `_count` (internal) writes only the labels of nodes 0.._count-1; the
+    threshold levels are still certified on all of g.
+    """
     if delta < 0:
         raise GraphError("degree bound must be >= 0")
     for u in range(g.n):
@@ -128,11 +132,11 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0) -> LabelSet:
     n = g.n
     D = bounded_degree_threshold(n, delta)
     weight, hops = g.apsp()
-    full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(seed, 71)))
+    full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(seed, 71)), _count=_count)
     near_width = max(1, (D - 1).bit_length() + 1)
     labels = []
     near_sizes = []
-    for u in range(n):
+    for u in range(n if _count is None else _count):
         ids = np.flatnonzero(hops[u] <= D - 1)
         near_sizes.append(int(ids.size))
         w = BitWriter()
@@ -201,14 +205,14 @@ def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
         return LabelSet("sparse", 0, {"delta": 3, "D": 2, "k": 3}, [])
     k = max(math.ceil(g.m / g.n), 3)
     split = split_transform(g, k)
-    inner = encode_bounded_degree(split.gprime, k, seed)
+    inner = encode_bounded_degree(split.gprime, k, seed, _count=g.n)
     params = {"delta": k, "D": inner.params["D"], "k": k}
     meta = {
         "split_nodes": split.gprime.n,
         "split_edges": split.gprime.m,
         "inner": inner.meta,
     }
-    return LabelSet("sparse", g.n, params, inner.labels[: g.n], meta=meta)
+    return LabelSet("sparse", g.n, params, inner.labels, meta=meta)
 
 
 decode_sparse = decode_bounded_degree

@@ -27,6 +27,7 @@ from distlab import (
     gen_lower_bound_family,
     gen_path,
     sample_landmarks,
+    split_transform,
     decode_matrix,
     PreservingParams,
 )
@@ -148,10 +149,28 @@ def test_classify_no_landmarks_path_start_sick():
     assert 0 in sick  # 3 uncovered > n/D = 2.5
 
 
-def test_classify_matches_bruteforce_predicate():
-    g = gen_cycle(16)
-    D = 4
-    landmarks = [0]
+def _split_chains():
+    # degree-3 split of a denser graph: many 0-weight chains
+    return split_transform(gen_gnm(24, 60, seed=3), 3).gprime
+
+
+@pytest.mark.parametrize(
+    "make, D, pick",
+    [
+        (lambda: gen_cycle(16), 4, lambda g: [0]),
+        (_split_chains, 3, lambda g: sample_landmarks(g, 8, 1)),
+        (_split_chains, 2, lambda g: []),
+        (_split_chains, 2, lambda g: list(range(g.n))),
+        (lambda: gen_gnm(40, 30, seed=4), 2, lambda g: sample_landmarks(g, 10, 2)),
+        (lambda: gen_gnm(40, 30, seed=4), 2, lambda g: []),
+    ],
+    ids=["cycle16", "split-chains", "split-empty", "split-full", "disconnected",
+         "disconnected-empty"],
+)
+def test_classify_matches_bruteforce_predicate(make, D, pick):
+    g = make()
+    n = g.n
+    landmarks = pick(g)
     sick, uc = classify_nodes(g, landmarks, D=D)
     w, h = all_pairs_with_hops(g)
 
@@ -161,11 +180,23 @@ def test_classify_matches_bruteforce_predicate():
             for x in landmarks
         ) or w[u, v] == INF
     expect = {
-        u: [v for v in range(16) if h[u, v] >= D and h[u, v] != INF and not covered(u, v)]
-        for u in range(16)
+        u: [v for v in range(n) if h[u, v] >= D and h[u, v] != INF and not covered(u, v)]
+        for u in range(n)
     }
     assert uc == expect
-    assert sick == {u for u in range(16) if len(expect[u]) > 16 / D}
+    assert sick == {u for u in range(n) if len(expect[u]) > n / D}
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_classify_rejects_out_of_range_landmarks(bad):
+    with pytest.raises(GraphError, match="out of range"):
+        classify_nodes(gen_cycle(16), [0, bad], D=4)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_warmup_rejects_out_of_range_landmarks(bad):
+    with pytest.raises(GraphError, match="out of range"):
+        encode_warmup(gen_cycle(16), PreservingParams(D=4), landmarks=[bad])
 
 
 # --- medium ---------------------------------------------------------------------
