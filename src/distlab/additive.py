@@ -35,7 +35,9 @@ from .errors import GraphError, LabelError
 from .graph import INF, Graph, distances_from
 from .labels import LabelSet
 from . import preserving
-from .preserving import FullLabel, PreservingParams, _full_pair, _mix, full_matrix
+from .preserving import (
+    FullLabel, PreservingParams, _full_pair, _min_scatter, _minplus, _mix, full_matrix,
+)
 
 __all__ = [
     "AdditiveParams",
@@ -257,8 +259,12 @@ def parse_additive(bits: Bits) -> AdditiveLabel:
     return AdditiveLabel(n, ident, r, t, D, high, dom, ball, FullLabel(full_n, full_id, levels))
 
 
+def _encoding(a: AdditiveLabel) -> tuple:
+    return a.n, a.r, a.t, a.D, a.dom.size
+
+
 def _additive_pair(a: AdditiveLabel, b: AdditiveLabel) -> int:
-    if (a.n, a.r, a.t, a.D, a.dom.size) != (b.n, b.r, b.t, b.D, b.dom.size):
+    if _encoding(a) != _encoding(b):
         raise LabelError("additive labels come from different encodings")
     best = INF
     hit = a.ball.get(b.id)
@@ -283,27 +289,10 @@ def decode_additive(a: Bits, b: Bits) -> int:
 
 
 def additive_matrix(parsed: list[AdditiveLabel]) -> np.ndarray:
-    count = len(parsed)
-    if count == 0:
+    if not parsed:
         return np.zeros((0, 0), dtype=np.int64)
+    if any(_encoding(p) != _encoding(parsed[0]) for p in parsed):
+        raise LabelError("additive labels come from different encodings")
     out = full_matrix([p.full for p in parsed])
-    rows = np.stack([p.dom for p in parsed])
-    if rows.shape[1]:
-        f = rows.astype(np.float32)
-        f[rows == INF] = np.inf
-        dom = preserving._to_int_matrix(preserving._minplus_pairs(f))
-        np.minimum(out, dom, out=out)
-    us, vs, vals = [], [], []
-    for u, p in enumerate(parsed):
-        for i, dist in p.ball.items():
-            if i < count:
-                us.append(u)
-                vs.append(i)
-                vals.append(dist)
-    if us:
-        ua = np.asarray(us)
-        va = np.asarray(vs)
-        da = np.asarray(vals, dtype=np.int64)
-        np.minimum.at(out, (ua, va), da)
-        np.minimum.at(out, (va, ua), da)
-    return out
+    np.minimum(out, _minplus(np.stack([p.dom for p in parsed])), out=out)
+    return _min_scatter(out, enumerate(p.ball for p in parsed))

@@ -108,20 +108,6 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
 # counts as certified by any landmark set (there is no route to repair).
 
 
-def _minplus_pairs(T: np.ndarray) -> np.ndarray:
-    """Pairwise min-plus: out[u, v] = min over columns l of T[u, l] + T[v, l]."""
-    count, width = T.shape
-    out = np.empty((count, count), dtype=np.float32)
-    if width == 0:
-        out.fill(np.inf)
-        return out
-    buf = np.empty_like(T)
-    for u in range(count):
-        np.add(T, T[u], out=buf)
-        buf.min(axis=1, out=out[u])
-    return out
-
-
 def _landmark_ids(g: Graph, landmarks) -> list[int]:
     """Sorted distinct landmark ids, each checked to name a node of g."""
     ids = sorted({int(w) for w in landmarks})
@@ -227,14 +213,16 @@ class MediumLevel:
 class _LevelData:
     """Encoder-side view of one level, shared by all nodes."""
 
-    __slots__ = ("D", "rs", "sick", "table", "window")
+    __slots__ = ("D", "rs", "sick", "table", "window", "weight")
 
-    def __init__(self, D, rs, sick, table, window):
+    def __init__(self, D, rs, sick, table, window, weight):
         self.D = D
         self.rs = rs
         self.sick = sick
         self.table = table
+        # (starts, cols): u's uncovered peers within hop 2D are cols[starts[u]:starts[u + 1]]
         self.window = window
+        self.weight = weight
 
 
 def _build_level(g: Graph, D: int, seed: int, cap: int):
@@ -261,15 +249,8 @@ def _build_level(g: Graph, D: int, seed: int, cap: int):
     sick = np.zeros(n, dtype=bool)
     sick[sick_ids] = True
     table = np.ascontiguousarray(weight[:, rs])
-    win_mask = unc & (hops <= 2 * D)
-    window = []
-    empty = np.zeros(0, dtype=np.int64)
-    for u in range(n):
-        if sick[u]:
-            window.append((empty, empty))
-        else:
-            ids = np.flatnonzero(win_mask[u])
-            window.append((ids, weight[u, ids]))
+    rows, cols = np.nonzero(unc & (hops <= 2 * D))
+    window = (np.searchsorted(rows, np.arange(n + 1)), cols)
     meta = {
         "draws": draws,
         "attempts": len(history),
@@ -277,7 +258,7 @@ def _build_level(g: Graph, D: int, seed: int, cap: int):
         "landmarks": landmarks,
         "sick": sick_ids,
     }
-    return _LevelData(D, rs, sick, table, window), meta
+    return _LevelData(D, rs, sick, table, window, weight), meta
 
 
 def _write_level_body(w: BitWriter, lvl: _LevelData, u: int) -> None:
@@ -293,9 +274,10 @@ def _write_level_body(w: BitWriter, lvl: _LevelData, u: int) -> None:
     val, width = pack_values(row[present], _w2d(D))
     w.write(val, width)
     if not lvl.sick[u]:
-        ids, dists = lvl.window[u]
+        starts, cols = lvl.window
+        ids = cols[starts[u]:starts[u + 1]]
         w.write_id_set([int(i) for i in ids])
-        val, width = pack_values(dists, _w2d(D))
+        val, width = pack_values(lvl.weight[u, ids], _w2d(D))
         w.write(val, width)
 
 
@@ -595,66 +577,93 @@ def decode_trivial(a: Bits, b: Bits) -> int:
 # ---------------------------------------------------------------------------
 # Bulk (all-pairs) decoders.  These compute exactly what the per-pair
 # decoders compute, as matrix operations; the test suite pins the
-# equivalence.  Entries on the diagonal are whatever the candidate rules
-# give and are not part of any contract.
+# equivalence.  Every landmark or dominator route goes through one min-plus
+# kernel: the levels of a multi-level label are concatenated column-wise
+# first, since the min over levels of the min over a level's columns is the
+# min over all columns.  Entries on the diagonal are whatever the candidate
+# rules give and are not part of any contract.
 
 
-def _to_int_matrix(f: np.ndarray) -> np.ndarray:
-    out = np.full(f.shape, INF, dtype=np.int64)
-    fin = np.isfinite(f)
-    out[fin] = f[fin].astype(np.int64)
+def _minplus(T: np.ndarray) -> np.ndarray:
+    """out[u, v] = min over columns l of T[u, l] + T[v, l], for an int64
+    table with INF entries; INF where the smallest sum reaches INF (no column
+    is finite in both rows, or there is no column), as the pair decoders read
+    it.
+
+    The table is cast to the narrowest dtype whose sentinel exceeds the sum
+    of any two finite entries and whose doubled sentinel does not wrap.  The
+    result is symmetric, so only v >= u is computed and then mirrored.
+    """
+    count = len(T)
+    top = int(T.max(initial=0, where=T < INF))
+    if top < 64:
+        dtype, inf = np.uint8, 127
+    elif top < 16384:
+        dtype, inf = np.uint16, 32767
+    else:
+        dtype, inf = np.int64, INF
+    A = np.empty(T.shape, dtype)
+    np.minimum(T, inf, out=A, casting="unsafe")  # every result fits: no int64 copy
+    R = np.full((count, count), inf, dtype=dtype)
+    for u in range(count):
+        R[u, u:] = (A[u:] + A[u]).min(axis=1, initial=inf)
+    R = np.minimum(R, R.T)
+    out = R.astype(np.int64)
+    out[R >= inf] = INF
     return out
 
 
-def _float_table(t: np.ndarray) -> np.ndarray:
-    f = t.astype(np.float32)
-    f[t == INF] = np.inf
-    return f
+def _min_scatter(out: np.ndarray, hits) -> np.ndarray:
+    """Lower out[u, i] and out[i, u] to d for every (u, {i: d}) in `hits`.
+    Ids beyond the matrix (split copies past the labelled range) are skipped."""
+    count = len(out)
+    us, vs, vals = [], [], []
+    for u, table in hits:
+        for i, dist in table.items():
+            if i < count:
+                us.append(u)
+                vs.append(i)
+                vals.append(dist)
+    if us:
+        ua = np.asarray(us)
+        va = np.asarray(vs)
+        da = np.asarray(vals, dtype=np.int64)
+        np.minimum.at(out, (ua, va), da)
+        np.minimum.at(out, (va, ua), da)
+    return out
 
 
 def warmup_matrix(parsed: list[WarmupLabel]) -> np.ndarray:
     if not parsed:
         return np.zeros((0, 0), dtype=np.int64)
-    rows = np.stack([p.row for p in parsed])
-    return _to_int_matrix(_minplus_pairs(_float_table(rows)))
+    if any(p.n != parsed[0].n or p.row.size != parsed[0].row.size for p in parsed):
+        raise LabelError("warmup labels have mismatched landmark tables")
+    return _minplus(np.stack([p.row for p in parsed]))
 
 
 def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
     if not parsed:
         return np.zeros((0, 0), dtype=np.int64)
+    if any(p.n != parsed[0].n for p in parsed):
+        raise LabelError("trivial labels describe different graphs")
     rows = np.stack([p.row for p in parsed])
     return np.minimum(rows, rows.T)
 
 
 def _levels_matrix(level_lists: list[list[MediumLevel]]) -> np.ndarray:
-    count = len(level_lists)
-    if count == 0:
+    if not level_lists:
         return np.zeros((0, 0), dtype=np.int64)
     nlev = len(level_lists[0])
     if any(len(lv) != nlev for lv in level_lists):
         raise LabelError("labels have mismatched level counts")
-    acc = np.full((count, count), np.inf, dtype=np.float32)
     for li in range(nlev):
-        levels = [lab[li] for lab in level_lists]
-        d0, s0 = levels[0].D, levels[0].size
-        if any(lv.D != d0 or lv.size != s0 for lv in levels):
+        d0, s0 = level_lists[0][li].D, level_lists[0][li].size
+        if any(lab[li].D != d0 or lab[li].size != s0 for lab in level_lists):
             raise LabelError("labels come from different encodings (level mismatch)")
-        rows = np.stack([lv.lm for lv in levels])
-        np.minimum(acc, _minplus_pairs(_float_table(rows)), out=acc)
-        us, vs, vals = [], [], []
-        for u, lv in enumerate(levels):
-            for i, dist in lv.uc.items():
-                if i < count:
-                    us.append(u)
-                    vs.append(i)
-                    vals.append(dist)
-        if us:
-            ua = np.asarray(us)
-            va = np.asarray(vs)
-            da = np.asarray(vals, dtype=np.float32)
-            np.minimum.at(acc, (ua, va), da)
-            np.minimum.at(acc, (va, ua), da)
-    return _to_int_matrix(acc)
+    T = np.empty((len(level_lists), sum(lv.size for lv in level_lists[0])), np.int64)
+    for u, lab in enumerate(level_lists):
+        np.concatenate([lv.lm for lv in lab], out=T[u])
+    return _min_scatter(_minplus(T), ((u, lv.uc) for u, lab in enumerate(level_lists) for lv in lab))
 
 
 def medium_matrix(parsed: list[MediumLabel]) -> np.ndarray:

@@ -25,7 +25,9 @@ from .errors import GraphError, LabelError
 from .graph import INF, Graph
 from .labels import LabelSet
 from . import preserving
-from .preserving import FullLabel, PreservingParams, _full_pair, _mix, full_matrix
+from .preserving import (
+    FullLabel, PreservingParams, _full_pair, _min_scatter, _mix, full_matrix,
+)
 
 __all__ = [
     "SplitResult",
@@ -221,21 +223,4 @@ decode_sparse = decode_bounded_degree
 def bounded_matrix(parsed: list[BoundedLabel]) -> np.ndarray:
     """All-pairs bulk decode over the labelled nodes (near tables may mention
     split copies beyond the labelled range; those entries never match)."""
-    count = len(parsed)
-    if count == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    out = full_matrix([p.full for p in parsed])
-    us, vs, vals = [], [], []
-    for u, p in enumerate(parsed):
-        for i, dist in p.near.items():
-            if i < count:
-                us.append(u)
-                vs.append(i)
-                vals.append(dist)
-    if us:
-        ua = np.asarray(us)
-        va = np.asarray(vs)
-        da = np.asarray(vals, dtype=np.int64)
-        np.minimum.at(out, (ua, va), da)
-        np.minimum.at(out, (va, ua), da)
-    return out
+    return _min_scatter(full_matrix([p.full for p in parsed]), enumerate(p.near for p in parsed))

@@ -21,8 +21,10 @@ from distlab import (
     high_degree_set,
     ball_in_induced,
     power_graph,
+    verify_labels,
 )
 from distlab.errors import GraphError, LabelError
+from distlab.labels import LabelSet
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -232,6 +234,18 @@ def test_additive_incompatible_labels():
     b = encode_additive(g, AdditiveParams(r=4, t=8, D=2, seed=9))
     with pytest.raises(LabelError):
         decode_additive(a.labels[0], b.labels[1])
+    # dominator tables of different lengths: the bulk decoder must refuse the
+    # mix with a typed error, and verify must report it, not crash
+    g = gen_gnm(32, 64, seed=1)
+    a = encode_additive(g, AdditiveParams(r=2, t=3, D=2, seed=1))
+    b = encode_additive(g, AdditiveParams(r=2, t=8, D=2, seed=1))
+    assert a.params["dominators"] != b.params["dominators"]
+    mixed = LabelSet("additive", g.n, a.params, a.labels[:16] + b.labels[16:])
+    with pytest.raises(LabelError):
+        decode_matrix(mixed)
+    rep = verify_labels(g, mixed)
+    assert rep.violation_count == 1
+    assert rep.violations[0][4].startswith("decode error")
 
 
 def test_additive_matrix_matches_pair_decoder():

@@ -29,9 +29,12 @@ from distlab import (
     sample_landmarks,
     split_transform,
     decode_matrix,
+    verify_labels,
     PreservingParams,
 )
 from distlab.errors import GraphError, LabelError
+from distlab.labels import LabelSet
+from distlab.preserving import _minplus
 
 from conftest import random_01_graph
 
@@ -130,6 +133,12 @@ def test_warmup_table_length_mismatch_rejected():
     b = encode_warmup(g, PreservingParams(D=2), landmarks=[0, 3])
     with pytest.raises(LabelError):
         decode_warmup(a.labels[0], b.labels[1])
+    mixed = LabelSet("warmup", g.n, a.params, a.labels[:3] + b.labels[3:])
+    with pytest.raises(LabelError):
+        decode_matrix(mixed)
+    rep = verify_labels(g, mixed)
+    assert rep.violation_count == 1
+    assert rep.violations[0][4].startswith("decode error")
 
 
 # --- classification -----------------------------------------------------------
@@ -403,6 +412,20 @@ def test_trivial_label_size_formula():
     assert row_bits <= ls.max_bits <= row_bits + 4 * math.ceil(math.log2(n + 2))
 
 
+def test_trivial_mixed_graphs_rejected():
+    g = gen_path(6)
+    a = encode_trivial(g)
+    b = encode_trivial(gen_path(8))
+    with pytest.raises(LabelError):
+        decode_trivial(a.labels[0], b.labels[1])
+    mixed = LabelSet("trivial", g.n, a.params, a.labels[:3] + b.labels[3:6])
+    with pytest.raises(LabelError):
+        decode_matrix(mixed)
+    rep = verify_labels(g, mixed)
+    assert rep.violation_count == 1
+    assert rep.violations[0][4].startswith("decode error")
+
+
 def test_trivial_complete_graph():
     g = gen_gnm(4, 6, seed=0)
     ls = encode_trivial(g)
@@ -448,3 +471,38 @@ def test_matrix_decoder_matches_pair_decoder(scheme):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert dec[u, v] == ls.decode(u, v), (scheme, u, v)
+
+
+@pytest.mark.parametrize("scheme", ["warmup", "full"])
+def test_matrix_decoder_matches_pair_decoder_long_path(scheme):
+    # stored values reach 99 >= 64, so the kernel takes its uint16 path
+    g = gen_path(100)
+    ls = {"warmup": encode_warmup, "full": encode_full}[scheme](g, PreservingParams(D=3, seed=5))
+    dec = decode_matrix(ls)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert dec[u, v] == ls.decode(u, v), (scheme, u, v)
+
+
+def _minplus_reference(T):
+    out = (T[:, None, :] + T[None, :, :]).min(axis=2, initial=INF)
+    out[out >= INF] = INF
+    return out
+
+
+@pytest.mark.parametrize("top", [0, 63, 64, 16383, 16384, 10**6])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (7, 0), (1, 1), (9, 4), (40, 31)])
+def test_minplus_matches_bruteforce(top, shape):
+    rng = np.random.default_rng(top + shape[0] * 131 + shape[1])
+    T = rng.integers(0, top + 1, size=shape, dtype=np.int64)
+    T[rng.random(shape) < 0.3] = INF
+    if T.size:
+        T[0] = INF
+        T[0, 0] = top  # out[0, 0] = 2 * top, the largest finite sum
+    if shape[0] > 2:
+        T[1] = INF  # a row with no finite entry
+    if shape[1] > 2:
+        T[:, 2] = INF  # a column with no finite entry
+    got = _minplus(T)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _minplus_reference(T))
