@@ -294,5 +294,5 @@ def additive_matrix(parsed: list[AdditiveLabel]) -> np.ndarray:
     if any(_encoding(p) != _encoding(parsed[0]) for p in parsed):
         raise LabelError("additive labels come from different encodings")
     out = full_matrix([p.full for p in parsed])
-    np.minimum(out, _minplus(np.stack([p.dom for p in parsed])), out=out)
+    np.minimum(out, _minplus([[p.dom] for p in parsed]), out=out)
     return _min_scatter(out, enumerate(p.ball for p in parsed))

@@ -584,29 +584,28 @@ def decode_trivial(a: Bits, b: Bits) -> int:
 # rules give and are not part of any contract.
 
 
-def _minplus(T: np.ndarray) -> np.ndarray:
-    """out[u, v] = min over columns l of T[u, l] + T[v, l], for an int64
-    table with INF entries; INF where the smallest sum reaches INF (no column
-    is finite in both rows, or there is no column), as the pair decoders read
-    it.
+def _minplus(rows) -> np.ndarray:
+    """out[u, v] = min over columns l of T[u, l] + T[v, l], where row u of the
+    int64 table T (INF entries) is the concatenation of the 1-D pieces in
+    rows[u]; INF where the smallest sum reaches INF (no column is finite in
+    both rows, or there is no column), as the pair decoders read it.
 
-    The table is cast to the narrowest dtype whose sentinel exceeds the sum
-    of any two finite entries and whose doubled sentinel does not wrap.  The
-    result is symmetric, so only v >= u is computed and then mirrored.
+    When every finite entry is below 64 the table is built directly as uint8
+    with sentinel 127 (two finite entries sum below it, two sentinels do not
+    wrap); otherwise it is int64 with INF.  The result is symmetric, so only
+    v >= u is computed and then mirrored.
     """
-    count = len(T)
-    top = int(T.max(initial=0, where=T < INF))
-    if top < 64:
-        dtype, inf = np.uint8, 127
-    elif top < 16384:
-        dtype, inf = np.uint16, 32767
-    else:
-        dtype, inf = np.int64, INF
-    A = np.empty(T.shape, dtype)
-    np.minimum(T, inf, out=A, casting="unsafe")  # every result fits: no int64 copy
+    count = len(rows)
+    top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
+    dtype, inf = (np.uint8, 127) if top < 64 else (np.int64, INF)
+    A = np.empty((count, sum(x.size for x in rows[0]) if count else 0), dtype)
+    for u, row in enumerate(rows):
+        np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
     R = np.full((count, count), inf, dtype=dtype)
+    buf = np.empty_like(A)  # reused by every row; per-row temporaries raised peak RSS
     for u in range(count):
-        R[u, u:] = (A[u:] + A[u]).min(axis=1, initial=inf)
+        np.add(A[u:], A[u], out=buf[u:])
+        buf[u:].min(axis=1, initial=inf, out=R[u, u:])
     R = np.minimum(R, R.T)
     out = R.astype(np.int64)
     out[R >= inf] = INF
@@ -638,7 +637,7 @@ def warmup_matrix(parsed: list[WarmupLabel]) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if any(p.n != parsed[0].n or p.row.size != parsed[0].row.size for p in parsed):
         raise LabelError("warmup labels have mismatched landmark tables")
-    return _minplus(np.stack([p.row for p in parsed]))
+    return _minplus([[p.row] for p in parsed])
 
 
 def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
@@ -650,9 +649,11 @@ def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
     return np.minimum(rows, rows.T)
 
 
-def _levels_matrix(level_lists: list[list[MediumLevel]]) -> np.ndarray:
-    if not level_lists:
+def _levels_matrix(parsed, level_lists: list[list[MediumLevel]]) -> np.ndarray:
+    if not parsed:
         return np.zeros((0, 0), dtype=np.int64)
+    if any(p.n != parsed[0].n for p in parsed):
+        raise LabelError("labels describe different graphs")
     nlev = len(level_lists[0])
     if any(len(lv) != nlev for lv in level_lists):
         raise LabelError("labels have mismatched level counts")
@@ -660,15 +661,13 @@ def _levels_matrix(level_lists: list[list[MediumLevel]]) -> np.ndarray:
         d0, s0 = level_lists[0][li].D, level_lists[0][li].size
         if any(lab[li].D != d0 or lab[li].size != s0 for lab in level_lists):
             raise LabelError("labels come from different encodings (level mismatch)")
-    T = np.empty((len(level_lists), sum(lv.size for lv in level_lists[0])), np.int64)
-    for u, lab in enumerate(level_lists):
-        np.concatenate([lv.lm for lv in lab], out=T[u])
-    return _min_scatter(_minplus(T), ((u, lv.uc) for u, lab in enumerate(level_lists) for lv in lab))
+    out = _minplus([[lv.lm for lv in lab] for lab in level_lists])
+    return _min_scatter(out, ((u, lv.uc) for u, lab in enumerate(level_lists) for lv in lab))
 
 
 def medium_matrix(parsed: list[MediumLabel]) -> np.ndarray:
-    return _levels_matrix([[p.level] for p in parsed])
+    return _levels_matrix(parsed, [[p.level] for p in parsed])
 
 
 def full_matrix(parsed: list[FullLabel]) -> np.ndarray:
-    return _levels_matrix([p.levels for p in parsed])
+    return _levels_matrix(parsed, [p.levels for p in parsed])

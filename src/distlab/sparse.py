@@ -223,4 +223,6 @@ decode_sparse = decode_bounded_degree
 def bounded_matrix(parsed: list[BoundedLabel]) -> np.ndarray:
     """All-pairs bulk decode over the labelled nodes (near tables may mention
     split copies beyond the labelled range; those entries never match)."""
+    if any((p.n, p.delta, p.D) != (parsed[0].n, parsed[0].delta, parsed[0].D) for p in parsed):
+        raise LabelError("bounded-degree labels come from different encodings")
     return _min_scatter(full_matrix([p.full for p in parsed]), enumerate(p.near for p in parsed))

@@ -3,6 +3,7 @@ window exactness, soundness, label sizes, and bulk/per-pair agreement."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from distlab import (
 )
 from distlab.errors import GraphError, LabelError
 from distlab.labels import LabelSet
-from distlab.preserving import _minplus
+from distlab.preserving import _full_pair, _minplus, full_matrix, parse_full
 
 from conftest import random_01_graph
 
@@ -393,6 +394,16 @@ def test_full_level_count_mismatch_rejected():
         decode_full(a.labels[0], b.labels[1])
 
 
+def test_full_mixed_graphs_rejected():
+    ls = encode_full(gen_gnm(32, 64, seed=1), PreservingParams(D=2, seed=1))
+    parsed = [parse_full(b) for b in ls.labels]
+    parsed[5] = replace(parsed[5], n=33)  # same levels, different graph size
+    with pytest.raises(LabelError):
+        _full_pair(parsed[0], parsed[5])
+    with pytest.raises(LabelError):
+        full_matrix(parsed)
+
+
 # --- trivial ---------------------------------------------------------------------
 
 def test_trivial_exact_everywhere():
@@ -457,10 +468,17 @@ def test_full_size_doubling_growth():
 
 # --- bulk vs per-pair decoders -----------------------------------------------------
 
-@pytest.mark.parametrize("scheme", ["warmup", "medium", "full", "trivial"])
-def test_matrix_decoder_matches_pair_decoder(scheme):
-    g = random_01_graph(28, 64, seed=14) if scheme in ("medium", "full", "trivial") \
-        else gen_gnm(28, 64, seed=14)
+@pytest.mark.parametrize("scheme,graph", [
+    ("warmup", "gnm"), ("medium", "01"), ("full", "01"), ("trivial", "01"),
+    # stored values reach 99 >= 64, so the kernel takes its int64 path
+    ("warmup", "path"), ("full", "path"),
+], ids=["warmup", "medium", "full", "trivial", "warmup-path100", "full-path100"])
+def test_matrix_decoder_matches_pair_decoder(scheme, graph):
+    g = {
+        "gnm": lambda: gen_gnm(28, 64, seed=14),
+        "01": lambda: random_01_graph(28, 64, seed=14),
+        "path": lambda: gen_path(100),
+    }[graph]()
     p = PreservingParams(D=3, seed=14)
     ls = {
         "warmup": encode_warmup,
@@ -473,24 +491,13 @@ def test_matrix_decoder_matches_pair_decoder(scheme):
             assert dec[u, v] == ls.decode(u, v), (scheme, u, v)
 
 
-@pytest.mark.parametrize("scheme", ["warmup", "full"])
-def test_matrix_decoder_matches_pair_decoder_long_path(scheme):
-    # stored values reach 99 >= 64, so the kernel takes its uint16 path
-    g = gen_path(100)
-    ls = {"warmup": encode_warmup, "full": encode_full}[scheme](g, PreservingParams(D=3, seed=5))
-    dec = decode_matrix(ls)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert dec[u, v] == ls.decode(u, v), (scheme, u, v)
-
-
 def _minplus_reference(T):
     out = (T[:, None, :] + T[None, :, :]).min(axis=2, initial=INF)
     out[out >= INF] = INF
     return out
 
 
-@pytest.mark.parametrize("top", [0, 63, 64, 16383, 16384, 10**6])
+@pytest.mark.parametrize("top", [0, 63, 64, 10**6])
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (7, 0), (1, 1), (9, 4), (40, 31)])
 def test_minplus_matches_bruteforce(top, shape):
     rng = np.random.default_rng(top + shape[0] * 131 + shape[1])
@@ -503,6 +510,6 @@ def test_minplus_matches_bruteforce(top, shape):
         T[1] = INF  # a row with no finite entry
     if shape[1] > 2:
         T[:, 2] = INF  # a column with no finite entry
-    got = _minplus(T)
+    got = _minplus([np.array_split(row, 3) for row in T])  # rows given as pieces
     assert got.dtype == np.int64
     assert np.array_equal(got, _minplus_reference(T))

@@ -14,11 +14,14 @@ from distlab import (
     encode_bounded_degree,
     encode_sparse,
     gen_gnm,
+    gen_cycle,
     gen_path,
     gen_star,
     split_transform,
+    verify_labels,
 )
 from distlab.errors import GraphError, LabelError
+from distlab.labels import LabelSet
 from distlab.sparse import bounded_degree_threshold, parse_bounded
 
 
@@ -228,6 +231,20 @@ def test_sparse_incompatible_labels_rejected():
     b = encode_sparse(gen_gnm(32, 128, seed=1), seed=1)
     with pytest.raises(LabelError):
         decode_sparse(a.labels[0], b.labels[1])
+
+
+def test_bounded_degree_mixed_delta_rejected():
+    g = gen_cycle(40)
+    a = encode_bounded_degree(g, 2, seed=1)
+    b = encode_bounded_degree(g, 3, seed=1)
+    mixed = LabelSet(a.scheme, g.n, a.params, a.labels[:20] + b.labels[20:])
+    with pytest.raises(LabelError):
+        mixed.decode(0, 30)
+    with pytest.raises(LabelError):
+        decode_matrix(mixed)
+    rep = verify_labels(g, mixed)
+    assert rep.violation_count == 1
+    assert rep.violations[0][4].startswith("decode error")
 
 
 def test_sparse_matrix_matches_pair_decoder():
