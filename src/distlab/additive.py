@@ -36,7 +36,8 @@ from .graph import INF, Graph, distances_from
 from .labels import LabelSet
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_pair, _min_scatter, _minplus, _mix, full_matrix,
+    FullLabel, PreservingParams, _full_pair, _min_scatter, _minplus, _mix, _read_full,
+    _read_header, full_matrix,
 )
 
 __all__ = [
@@ -236,8 +237,7 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
 
 def parse_additive(bits: Bits) -> AdditiveLabel:
     cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+    n, ident = _read_header(cur)
     r = cur.read_gamma()
     t = cur.read_gamma()
     D = cur.read_gamma()
@@ -252,11 +252,7 @@ def parse_additive(bits: Bits) -> AdditiveLabel:
         ids = cur.read_id_set()
         dists = cur.read_packed(len(ids), max(1, D.bit_length()))
         ball = dict(zip(ids, dists.tolist()))
-    full_n = cur.read_gamma() - 1
-    full_id = cur.read_gamma() - 1
-    nlev = cur.read_gamma()
-    levels = [preserving._read_level_body(cur) for _ in range(nlev)]
-    return AdditiveLabel(n, ident, r, t, D, high, dom, ball, FullLabel(full_n, full_id, levels))
+    return AdditiveLabel(n, ident, r, t, D, high, dom, ball, _read_full(cur))
 
 
 def _encoding(a: AdditiveLabel) -> tuple:

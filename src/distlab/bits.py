@@ -14,6 +14,12 @@ Field vocabulary used by the label schemes:
                    between consecutive (strictly increasing) ids.
 * ``bitmap`` /  -- a run of 1-bit flags, then the flagged values packed as
   ``packed``       consecutive fixed-width fields.
+
+Bulk writers build many labels at once with the array encoders
+(`fixed_bits`, `gamma_bits`, `id_set_bits`, `concat_ragged`).  Each returns
+an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding exactly
+the bits the matching `BitWriter` calls write; `Bits.from_array` packs one
+label's slice.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ __all__ = [
     "BitCursor",
     "gamma_length",
     "pack_values",
+    "fixed_bits",
+    "gamma_bits",
+    "id_set_bits",
+    "concat_ragged",
     "bits_to_bytes",
     "bits_from_bytes",
 ]
@@ -61,6 +71,11 @@ class Bits:
             raise CodecError(f"value {value} does not fit in {nbits} bits")
         nbytes = (nbits + 7) // 8
         return cls((value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), nbits)
+
+    @classmethod
+    def from_array(cls, bits: np.ndarray) -> "Bits":
+        """Pack an unpacked 0/1 `uint8` bit array, MSB first."""
+        return cls(np.packbits(bits), int(bits.size))  # packbits zero-pads the last byte
 
     def to_int(self) -> int:
         if self.nbits == 0:
@@ -107,6 +122,98 @@ def pack_values(values, width: int) -> tuple[int, int]:
     packed = np.packbits(bits)  # zero-pads at the end
     value = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - total)
     return value, total
+
+
+def _msb_columns(values: np.ndarray, nbytes: int) -> np.ndarray:
+    """(len(values), 8 * nbytes) bit matrix: the low 8 * nbytes bits of each
+    non-negative int64, MSB first."""
+    be = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
+    return np.unpackbits(be, axis=1)
+
+
+def fixed_bits(values, width: int) -> np.ndarray:
+    """Bit array of `values` as consecutive `width`-bit big-endian fields, the
+    bits pack_values(values, width) packs."""
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if width < 0:
+        raise CodecError("negative field width")
+    if values.size == 0 or width == 0:
+        if np.any(values):
+            raise CodecError("cannot pack nonzero values into width 0")
+        return np.zeros(0, dtype=np.uint8)
+    if values.min() < 0 or (width < 63 and np.any(values >> width)):
+        raise CodecError(f"packed value out of range for width {width}")
+    nbytes = min(8, (width + 7) // 8)
+    cols = _msb_columns(values, nbytes)
+    lead = 8 * nbytes - width
+    if lead < 0:  # wider than 64 bits: leading zeros
+        cols = np.pad(cols, ((0, 0), (-lead, 0)))
+        lead = 0
+    return cols[:, lead:].ravel()
+
+
+def gamma_bits(values) -> tuple[np.ndarray, np.ndarray]:
+    """Elias gamma codes of `values` (each >= 1) back to back, plus the length
+    of each code.  gamma(x) is x as a (2 * bit_length(x) - 1)-bit field."""
+    x = np.asarray(values, dtype=np.int64).ravel()
+    if x.size and x.min() < 1:
+        raise CodecError(f"gamma code requires x >= 1, got {int(x.min())}")
+    e = np.frexp(x)[1].astype(np.int64)
+    nb = e - ((x >> (e - 1)) == 0)  # bit length; the float exponent may round up
+    lengths = 2 * nb - 1
+    ends = np.cumsum(lengths)
+    out = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    ncol = 8 * min(8, (int(nb.max(initial=0)) + 7) // 8)  # holds every value's bits
+    cols = _msb_columns(x, ncol // 8)
+    keep = np.arange(ncol) >= ncol - nb[:, None]  # the zero prefix is already in `out`
+    out[(ends[:, None] - ncol + np.arange(ncol))[keep]] = cols[keep]
+    return out, lengths
+
+
+def id_set_bits(ids, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Id-set codes (as write_id_set) of consecutive sets, set i being the next
+    counts[i] entries of `ids`, back to back; plus each set's length in bits."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    counts = np.asarray(counts, dtype=np.intp).ravel()
+    if counts.sum() != ids.size:
+        raise CodecError(f"set sizes add up to {counts.sum()}, not {ids.size} ids")
+    heads = np.cumsum(counts) - counts  # index of each set's first id
+    gaps = np.diff(ids, prepend=np.int64(-1))
+    firsts = heads[counts > 0]
+    gaps[firsts] = ids[firsts] + 1
+    if gaps.size and gaps.min() < 1:
+        raise CodecError("id set must be strictly increasing and non-negative")
+    at = heads + np.arange(counts.size)  # where each set's gamma(count + 1) goes
+    fields = np.empty(ids.size + counts.size, dtype=np.int64)
+    is_gap = np.ones(fields.size, dtype=bool)
+    is_gap[at] = False
+    fields[at] = counts + 1
+    fields[is_gap] = gaps
+    bits, lengths = gamma_bits(fields)
+    sums = np.concatenate(([0], np.cumsum(lengths)))
+    bounds = np.append(at, fields.size)
+    return bits, sums[bounds[1:]] - sums[bounds[:-1]]
+
+
+def concat_ragged(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Interleave per-node pieces in node order.
+
+    Each piece is (bits, lengths): the bits of nodes 0, 1, ... back to back,
+    node u's share being lengths[u] bits.  Returns node 0's share of every
+    piece in piece order, then node 1's, and so on, plus per-node offsets
+    (node u's bits are out[offsets[u]:offsets[u + 1]]).
+    """
+    cuts, sizes = [], 0
+    for bits, lengths in pieces:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        ends = [0, *np.cumsum(lengths).tolist()]
+        if ends[-1] != bits.size:
+            raise CodecError(f"piece of {bits.size} bits, lengths add up to {ends[-1]}")
+        cuts.append((bits, ends))
+        sizes = sizes + lengths
+    parts = [bits[c[u]:c[u + 1]] for u in range(len(sizes)) for bits, c in cuts]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8), offsets
 
 
 class BitWriter:

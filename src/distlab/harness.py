@@ -240,16 +240,21 @@ def verify_labels(
         p95_bits=float(np.percentile(sizes, 95)) if sizes.size else 0.0,
     )
     weight, hops = g.apsp()
+
+    def unreadable(exc: Exception, report_mode: str) -> VerifyReport:
+        # a label set that does not decode is one violation, not one per pair
+        return VerifyReport(
+            graph_id, ls.scheme, ls.params, report_mode, 0, 1,
+            [(-1, -1, -1, -1, f"decode error: {exc}")],
+            encode_seconds=encode_seconds, warnings=warnings_, **stats,
+        )
+
     if mode == "exhaustive":
         pairs = g.n * (g.n - 1) // 2
         try:
             dec = decode_matrix(ls)
         except (LabelError, CodecError) as exc:
-            return VerifyReport(
-                graph_id, ls.scheme, ls.params, mode, 0, 1,
-                [(-1, -1, -1, -1, f"decode error: {exc}")],
-                encode_seconds=encode_seconds, warnings=warnings_, **stats,
-            )
+            return unreadable(exc, mode)
         count, entries = _exhaustive_violations(ls.scheme, ls.params, weight, hops, dec)
         return VerifyReport(
             graph_id, ls.scheme, ls.params, mode, pairs, count, entries,
@@ -257,6 +262,10 @@ def verify_labels(
         )
     if not mode.startswith("sampled"):
         raise ValueError(f"unknown verify mode {mode!r}")
+    try:
+        ls.parsed()
+    except (LabelError, CodecError) as exc:
+        return unreadable(exc, "sampled")
     rng = random.Random(seed)
     count = 0
     entries: list = []

@@ -38,7 +38,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .bits import BitCursor, BitWriter, Bits, pack_values
+from .bits import (
+    BitCursor, BitWriter, Bits, concat_ragged, fixed_bits, gamma_bits, id_set_bits, pack_values,
+)
 from .errors import EncodingFailure, GraphError, LabelError
 from .graph import INF, Graph
 from .labels import LabelSet
@@ -261,24 +263,66 @@ def _build_level(g: Graph, D: int, seed: int, cap: int):
     return _LevelData(D, rs, sick, table, window, weight), meta
 
 
-def _write_level_body(w: BitWriter, lvl: _LevelData, u: int) -> None:
-    D = lvl.D
-    size = len(lvl.rs)
-    w.write_gamma(D)
-    w.write_gamma(size + 1)
-    w.write_bit(bool(lvl.sick[u]))
-    row = lvl.table[u]
-    present = row <= 2 * D
-    val, width = pack_values(present.astype(np.int64), 1)
-    w.write(val, width)
-    val, width = pack_values(row[present], _w2d(D))
-    w.write(val, width)
-    if not lvl.sick[u]:
-        starts, cols = lvl.window
-        ids = cols[starts[u]:starts[u + 1]]
-        w.write_id_set([int(i) for i in ids])
-        val, width = pack_values(lvl.weight[u, ids], _w2d(D))
-        w.write(val, width)
+def _level_bits(lvl: _LevelData, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level bodies of nodes 0..count-1: one bit array plus per-node offsets.
+
+    A body is gamma(D), gamma(size+1), the sick bit, the presence bitmap of
+    the node's landmark row (entries <= 2D) and the present values at
+    _w2d(D) bits each; a healthy node then adds its uncovered window peers
+    as an id set and their weights at _w2d(D) bits each.
+    """
+    D, w = lvl.D, _w2d(lvl.D)
+    table = lvl.table[:count]
+    sick = lvl.sick[:count]
+    present = table <= 2 * D
+    prefix = gamma_bits([D, len(lvl.rs) + 1])[0]
+    head = np.empty((count, prefix.size + 1 + present.shape[1]), dtype=np.uint8)
+    head[:, :prefix.size] = prefix
+    head[:, prefix.size] = sick
+    head[:, prefix.size + 1:] = present
+    starts, cols = lvl.window
+    healthy = ~sick
+    listed = np.diff(starts[:count + 1])
+    nwin = listed * healthy  # a sick node writes no window
+    ids = cols[:starts[count]][np.repeat(healthy, listed)]
+    set_bits, set_len = id_set_bits(ids, nwin[healthy])
+    set_lengths = np.zeros(count, dtype=np.intp)
+    set_lengths[healthy] = set_len
+    return concat_ragged([
+        (head.ravel(), np.full(count, head.shape[1])),
+        (fixed_bits(table[present], w), w * present.sum(axis=1)),
+        (set_bits, set_lengths),
+        (fixed_bits(lvl.weight[np.repeat(np.arange(count), nwin), ids], w), w * nwin),
+    ])
+
+
+def _header_bits(n: int, count: int, *extra: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label headers gamma(n+1), gamma(u+1), then gamma of each `extra`
+    value, for nodes u < count: one bit array plus per-node offsets."""
+    fields = np.column_stack(
+        [np.full(count, n + 1), np.arange(1, count + 1), *(np.full(count, x) for x in extra)]
+    )
+    bits, lengths = gamma_bits(fields)
+    return bits, np.concatenate(([0], np.cumsum(lengths.reshape(fields.shape).sum(axis=1))))
+
+
+def _pack_labels(pieces) -> list[Bits]:
+    """Node u's label: its slice of every (bits, offsets) piece in order,
+    packed once."""
+    cuts = [(bits, offsets.tolist()) for bits, offsets in pieces]
+    return [
+        Bits.from_array(np.concatenate([b[o[u]:o[u + 1]] for b, o in cuts]))
+        for u in range(len(cuts[0][1]) - 1)
+    ]
+
+
+def _read_header(cur: BitCursor) -> tuple[int, int]:
+    """A label's (n, id) prefix; the id must name one of the n nodes."""
+    n = cur.read_gamma() - 1
+    ident = cur.read_gamma() - 1
+    if not 0 <= ident < n:
+        raise LabelError(f"label id {ident} is out of range for n={n}")
+    return n, ident
 
 
 def _read_level_body(cur: BitCursor) -> MediumLevel:
@@ -378,8 +422,7 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
 
 def parse_warmup(bits: Bits) -> WarmupLabel:
     cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+    n, ident = _read_header(cur)
     count = cur.read_gamma() - 1
     width = _row_width(n)
     marker = (1 << width) - 1
@@ -421,13 +464,7 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
     if n == 0:
         return LabelSet("medium", 0, {"D": p.D, "landmarks": 0}, [])
     lvl, meta = _build_level(g, p.D, _mix(p.seed, 17), p.resample_cap)
-    labels = []
-    for u in range(n):
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        _write_level_body(w, lvl, u)
-        labels.append(w.getvalue())
+    labels = _pack_labels([_header_bits(n, n), _level_bits(lvl, n)])
     return LabelSet(
         "medium", n, {"D": p.D, "landmarks": len(lvl.rs)}, labels, meta=meta
     )
@@ -435,8 +472,7 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
 
 def parse_medium(bits: Bits) -> MediumLabel:
     cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+    n, ident = _read_header(cur)
     return MediumLabel(n, ident, _read_level_body(cur))
 
 
@@ -477,35 +513,27 @@ def encode_full(g: Graph, p: PreservingParams, *, _count=None) -> LabelSet:
     if n == 0:
         return LabelSet("full", 0, {"D": p.D, "levels": 0, "landmark_counts": []}, [])
     k = max(0, (n // p.D).bit_length() - 1)
-    levels = []
-    metas = []
+    count = n if _count is None else _count
+    bodies, landmark_counts, metas = [], [], []
     for i in range(k + 1):
         lvl, meta = _build_level(g, p.D << i, _mix(p.seed, 1009 * (i + 1)), p.resample_cap)
-        levels.append(lvl)
+        bodies.append(_level_bits(lvl, count))
+        landmark_counts.append(len(lvl.rs))
         metas.append(meta)
-    labels = []
-    for u in range(n if _count is None else _count):
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        w.write_gamma(k + 1)
-        for lvl in levels:
-            _write_level_body(w, lvl, u)
-        labels.append(w.getvalue())
-    params = {
-        "D": p.D,
-        "levels": k + 1,
-        "landmark_counts": [len(lvl.rs) for lvl in levels],
-    }
+        del lvl  # its landmark table is no longer needed once written
+    labels = _pack_labels([_header_bits(n, count, k + 1), *bodies])
+    params = {"D": p.D, "levels": k + 1, "landmark_counts": landmark_counts}
     return LabelSet("full", n, params, labels, meta={"levels": metas})
 
 
-def parse_full(bits: Bits) -> FullLabel:
-    cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+def _read_full(cur: BitCursor) -> FullLabel:
+    n, ident = _read_header(cur)
     nlev = cur.read_gamma()
     return FullLabel(n, ident, [_read_level_body(cur) for _ in range(nlev)])
+
+
+def parse_full(bits: Bits) -> FullLabel:
+    return _read_full(BitCursor(bits))
 
 
 def _full_pair(a: FullLabel, b: FullLabel) -> int:
@@ -556,8 +584,7 @@ def encode_trivial(g: Graph) -> LabelSet:
 
 def parse_trivial(bits: Bits) -> TrivialLabel:
     cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+    n, ident = _read_header(cur)
     width = _row_width(n)
     marker = (1 << width) - 1
     raw = cur.read_packed(n, width)

@@ -26,7 +26,8 @@ from .graph import INF, Graph
 from .labels import LabelSet
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_pair, _min_scatter, _mix, full_matrix,
+    FullLabel, PreservingParams, _full_pair, _min_scatter, _mix, _read_full, _read_header,
+    full_matrix,
 )
 
 __all__ = [
@@ -158,20 +159,13 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
 
 def parse_bounded(bits: Bits) -> BoundedLabel:
     cur = BitCursor(bits)
-    n = cur.read_gamma() - 1
-    ident = cur.read_gamma() - 1
+    n, ident = _read_header(cur)
     delta = cur.read_gamma() - 1
     D = cur.read_gamma()
     ids = cur.read_id_set()
     near_width = max(1, (D - 1).bit_length() + 1)
     dists = cur.read_packed(len(ids), near_width)
-    full_n = cur.read_gamma() - 1
-    full_id = cur.read_gamma() - 1
-    nlev = cur.read_gamma()
-    levels = [preserving._read_level_body(cur) for _ in range(nlev)]
-    return BoundedLabel(
-        n, ident, delta, D, dict(zip(ids, dists.tolist())), FullLabel(full_n, full_id, levels)
-    )
+    return BoundedLabel(n, ident, delta, D, dict(zip(ids, dists.tolist())), _read_full(cur))
 
 
 def _bounded_pair(a: BoundedLabel, b: BoundedLabel) -> int:

@@ -3,6 +3,7 @@ layouts are pinned down to the individual bit."""
 
 import random
 
+import numpy as np
 import pytest
 
 from distlab.bits import (
@@ -11,7 +12,11 @@ from distlab.bits import (
     Bits,
     bits_from_bytes,
     bits_to_bytes,
+    concat_ragged,
+    fixed_bits,
+    gamma_bits,
     gamma_length,
+    id_set_bits,
     pack_values,
 )
 from distlab.errors import CodecError
@@ -239,3 +244,132 @@ def test_write_then_read_bits_slice():
     assert cur.read_gamma() == 9
     assert cur.read_bits(6) == inner
     assert cur.read_fixed(3) == 2
+
+
+# --- array encoders: bit for bit what the scalar writer writes ---------------
+
+def as_bits(arr) -> Bits:
+    return Bits.from_array(np.asarray(arr, dtype=np.uint8))
+
+
+def _gamma_cases():
+    xs = [1, 2, 3]
+    for k in range(2, 32):
+        xs += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    return [x for x in xs if x <= (1 << 31) - 1]
+
+
+def test_gamma_bits_matches_writer():
+    xs = _gamma_cases()
+    bits, lengths = gamma_bits(xs)
+    expect = BitWriter()
+    for x in xs:
+        expect.write_gamma(x)
+    assert as_bits(bits) == expect.getvalue()
+    assert lengths.tolist() == [gamma_length(x) for x in xs]
+
+
+def test_gamma_bits_single_and_empty():
+    for x in _gamma_cases():
+        bits, lengths = gamma_bits([x])
+        assert as_bits(bits) == written(lambda w: w.write_gamma(x))
+    bits, lengths = gamma_bits([])
+    assert bits.size == 0 and lengths.size == 0
+
+
+def test_gamma_bits_rejects_nonpositive():
+    for bad in ([0], [3, -1], [5, 0, 2]):
+        with pytest.raises(CodecError):
+            gamma_bits(bad)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 16, 17, 31, 40, 62])
+def test_fixed_bits_matches_writer(width):
+    rng = random.Random(width)
+    vals = [(1 << width) - 1, 0, 1] + [rng.randrange(1 << width) for _ in range(40)]
+    expect = BitWriter()
+    for x in vals:
+        expect.write_fixed(x, width)
+    assert as_bits(fixed_bits(vals, width)) == expect.getvalue()
+    val, nbits = pack_values(vals, width)
+    assert as_bits(fixed_bits(vals, width)) == Bits.from_int(val, nbits)
+
+
+def test_fixed_bits_empty_and_zero_width():
+    for width in (0, 1, 9):
+        assert fixed_bits([], width).size == 0
+    assert fixed_bits([0, 0, 0], 0).size == 0
+    assert as_bits(fixed_bits([1, 0, 1, 1], 1)).to01() == "1011"
+
+
+def test_fixed_bits_wider_than_64():
+    expect = BitWriter()
+    for x in (3, (1 << 62) + 5):
+        expect.write_fixed(x, 70)
+    assert as_bits(fixed_bits([3, (1 << 62) + 5], 70)) == expect.getvalue()
+
+
+def test_fixed_bits_out_of_range_rejected_like_pack_values():
+    for vals, width in (([4], 2), ([1 << 20], 20), ([-1], 8), ([1], 0), ([0, 255, 256], 8)):
+        with pytest.raises(CodecError):
+            pack_values(vals, width)
+        with pytest.raises(CodecError):
+            fixed_bits(vals, width)
+    with pytest.raises(CodecError):
+        fixed_bits([1], -1)
+
+
+@pytest.mark.parametrize("sets", [
+    [[]],
+    [[0]],
+    [[7]],
+    [[3, 4]],                        # gap 1
+    [[0, 1, 2, 3]],                  # all gaps 1
+    [[], [5], [], [0, 1], [2, 9, 10, 1000], []],
+])
+def test_id_set_bits_matches_writer(sets):
+    ids = [i for s in sets for i in s]
+    bits, lengths = id_set_bits(ids, [len(s) for s in sets])
+    expect = BitWriter()
+    for s in sets:
+        expect.write_id_set(s)
+    assert as_bits(bits) == expect.getvalue()
+    assert lengths.tolist() == [written(lambda w, s=s: w.write_id_set(s)).nbits for s in sets]
+
+
+def test_id_set_bits_random_roundtrip():
+    rng = random.Random(21)
+    sets = [sorted(rng.sample(range(5_000), rng.randrange(0, 60))) for _ in range(40)]
+    bits, lengths = id_set_bits([i for s in sets for i in s], [len(s) for s in sets])
+    cur = BitCursor(as_bits(bits))
+    for s, length in zip(sets, lengths):
+        start = cur.pos
+        assert cur.read_id_set() == s
+        assert cur.pos - start == length
+    assert cur.remaining == 0
+
+
+def test_id_set_bits_rejects_bad_sets():
+    # each set must be strictly increasing and non-negative; sets are independent
+    for ids, counts in (([3, 3], [2]), ([5, 2], [2]), ([-1, 2], [2]), ([4, -1], [1, 1])):
+        with pytest.raises(CodecError):
+            id_set_bits(ids, counts)
+    with pytest.raises(CodecError):
+        id_set_bits([1, 2, 3], [2])
+    bits, _ = id_set_bits([5, 2], [1, 1])  # a new set may start lower
+    expect = BitWriter()
+    expect.write_id_set([5])
+    expect.write_id_set([2])
+    assert as_bits(bits) == expect.getvalue()
+
+
+def test_concat_ragged_interleaves_in_node_order():
+    a = (np.array([1, 1, 0, 1], dtype=np.uint8), [1, 0, 3])
+    b = (np.array([0, 0, 1, 1, 0], dtype=np.uint8), [2, 2, 1])
+    bits, offsets = concat_ragged([a, b])
+    assert offsets.tolist() == [0, 3, 5, 9]
+    assert "".join(map(str, bits.tolist())) == "100" + "11" + "1010"
+    with pytest.raises(CodecError):
+        concat_ragged([(np.zeros(3, dtype=np.uint8), [1, 1])])
+    bits, offsets = concat_ragged([(np.zeros(0, dtype=np.uint8), [])])
+    assert bits.size == 0 and offsets.tolist() == [0]
