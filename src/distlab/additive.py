@@ -217,7 +217,7 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
         val, wd = pack_values(row[present], dom_width)
         w.write(val, wd)
         if u not in high:
-            ball = ball_in_induced(g, high, u, D)
+            ball = _truncated_ball(g, u, D, high)
             ball_sizes.append(len(ball))
             ids = sorted(ball)
             w.write_id_set(ids)

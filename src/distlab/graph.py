@@ -1,7 +1,7 @@
 """Undirected graphs with edge weights in {0, 1}.
 
 Provides the graph type, 0-1 BFS shortest paths (weight plus hop count),
-brute-force all-pairs distance tables used as the verification oracle,
+bit-parallel all-pairs distance tables used as the verification oracle,
 seeded generators (uniform G(n, m), structured families, and the
 bipartite-with-tails family whose distances encode an adjacency matrix),
 and the plain-text edge-list format.
@@ -13,13 +13,12 @@ instance are safe to run concurrently and generators are pure functions of
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_right
 from collections import deque
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import GraphError
 
@@ -121,6 +120,17 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n, edge_list)
 
 
+def _source_id(g: Graph, s) -> int:
+    """s as a node id of g; GraphError unless it is an integer in 0..n-1."""
+    try:
+        i = operator.index(s)
+    except TypeError:
+        raise GraphError(f"source {s!r} is not an integer node id") from None
+    if not 0 <= i < g.n:
+        raise GraphError(f"source {i} out of range 0..{g.n - 1}")
+    return i
+
+
 def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
     """Single-source shortest paths on 0/1 weights via double-ended-queue BFS.
 
@@ -129,8 +139,7 @@ def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
     unreachable nodes.  Zero-weight edges relax to the front of the deque;
     hop count breaks ties among equal-weight paths.
     """
-    if not 0 <= s < g.n:
-        raise GraphError(f"source {s} out of range 0..{g.n - 1}")
+    s = _source_id(g, s)
     dist = [INF] * g.n
     hops = [INF] * g.n
     dist[s] = hops[s] = 0
@@ -152,43 +161,106 @@ def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
     return dist, hops
 
 
-# Weights are folded into a single Dijkstra cost big*w + 1 per edge, so the
-# minimized total big*weight + hops orders paths by weight, then hop count.
+# ---------------------------------------------------------------------------
+# All-pairs oracle: a multi-source BFS that moves 64 sources per machine word.
+# A bitset table has one row per node and one bit per source (source s at bit
+# s % 64 of word s // 64).  The keys (weight, hops) are visited in
+# lexicographic order, and the frontier of key (w, h) -- the (node, source)
+# pairs at exactly that distance -- is
+#
+#     (N0(frontier(w, h-1)) | N1(frontier(w-1, h-1))) & ~reached
+#
+# where N0 / N1 OR together the rows of a node's 0-weight / 1-weight
+# neighbours.  Weight and hops are kept as bit planes (plane b holds the pairs
+# whose key has bit b set) and unpacked once at the end.  The work is
+# O(L * (n^2 + m*n) / 64) word operations for L distinct keys, so graphs with
+# a long hop diameter are the slow case.
 
 
-def _edge_cost_matrix(g: Graph, big: int) -> csr_matrix:
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for u, v, w in g.edges:
-        c = float(big * w + 1)
-        rows += (u, v)
-        cols += (v, u)
-        data += (c, c)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+def _csr(n: int, a: np.ndarray, b: np.ndarray):
+    """Symmetric adjacency of the edges a[i]-b[i] on nodes 0..n-1 as
+    (rows, starts, cols): node rows[k] has the neighbours
+    cols[starts[k]:starts[k + 1]].  Only nodes with a neighbour are listed,
+    because reduceat reads an empty segment as one element, not as no
+    elements."""
+    src = np.concatenate([a, b])
+    cols = np.concatenate([b, a])[np.argsort(src, kind="stable")]
+    counts = np.bincount(src, minlength=n)
+    rows = np.flatnonzero(counts)
+    return rows, (np.cumsum(counts) - counts)[rows], cols
 
 
-def _decode_costs(res: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
-    weight = np.full(res.shape, INF, dtype=np.int64)
-    hops = np.full(res.shape, INF, dtype=np.int64)
-    fin = np.isfinite(res)
-    w = np.floor(res[fin] / big)
-    weight[fin] = w.astype(np.int64)
-    hops[fin] = (res[fin] - w * big).astype(np.int64)
-    return weight, hops
+def _or_neighbours(bits: np.ndarray, csr) -> np.ndarray:
+    """Row v of the result ORs the rows of `bits` at v's neighbours."""
+    rows, starts, cols = csr
+    out = np.zeros_like(bits)
+    if rows.size:
+        out[rows] = np.bitwise_or.reduceat(bits[cols], starts, axis=0)
+    return out
+
+
+def _record(planes: list, key: int, bits: np.ndarray) -> None:
+    """OR `bits` into plane b for every set bit b of key."""
+    for b in range(key.bit_length()):
+        if b == len(planes):
+            planes.append(np.zeros_like(bits))
+        if key >> b & 1:
+            planes[b] |= bits
+
+
+def _unpack(planes: list, unreached: np.ndarray) -> np.ndarray:
+    """Read-only int64 table whose bit b is plane b's bit, INF where unreached."""
+    n = unreached.shape[0]
+    dt = np.min_scalar_type((1 << len(planes)) - 1)
+    acc = np.zeros((n, n), dtype=dt)
+    for b, plane in enumerate(planes):
+        bit = np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
+        acc |= bit.astype(dt) << dt.type(b)
+    out = acc.astype(np.int64)
+    out[np.unpackbits(unreached.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)] = INF
+    out.setflags(write=False)
+    return out
 
 
 def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     n = g.n
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return empty, empty
-    big = n + 1
-    res = _sp_dijkstra(_edge_cost_matrix(g, big), directed=True)
-    weight, hops = _decode_costs(res, big)
-    weight.setflags(write=False)
-    hops.setflags(write=False)
-    return weight, hops
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
+    unit = e[:, 2] == 1
+    zero = None if unit.all() else _csr(n, e[~unit, 0], e[~unit, 1])
+    one = _csr(n, e[unit, 0], e[unit, 1])
+    ids = np.arange(n)
+    start = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    start[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    unreached = np.full_like(start, ~np.uint64(0))
+    wplanes: list[np.ndarray] = []
+    hplanes: list[np.ndarray] = []
+    arriving = {0: start}  # h -> bits entering weight w at hop h (the sources at w = 0)
+    w = 0
+    while arriving:
+        level = []
+        h, last = min(arriving), max(arriving)
+        front = None
+        while front is not None or h <= last:
+            cand = arriving.pop(h, None)
+            if front is not None and zero is not None:
+                z = _or_neighbours(front, zero)
+                cand = z if cand is None else cand | z
+            front = None
+            if cand is not None:
+                cand &= unreached
+                if cand.any():
+                    front = cand
+                    unreached &= ~front
+                    _record(wplanes, w, front)
+                    if zero is not None:
+                        _record(hplanes, h, front)
+                    level.append((h, front))
+            h += 1
+        arriving = {h + 1: _or_neighbours(front, one) for h, front in level}
+        w += 1
+    weight = _unpack(wplanes, unreached)
+    # without 0-weight edges every minimum-weight path has as many hops as weight
+    return weight, weight if zero is None else _unpack(hplanes, unreached)
 
 
 def all_pairs_with_hops(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -204,15 +276,13 @@ def all_pairs(g: Graph) -> np.ndarray:
 
 
 def distances_from(g: Graph, sources) -> np.ndarray:
-    """Weight rows from the given source nodes, as a (len(sources), n) table."""
-    sources = list(sources)
+    """Weight rows from the given source nodes, as a (len(sources), n) table
+    sliced from the cached all-pairs table.  Raises GraphError unless every
+    source is an integer node id."""
+    sources = [_source_id(g, s) for s in sources]
     if not sources:
         return np.zeros((0, g.n), dtype=np.int64)
-    if g._apsp is not None:
-        return np.array(g._apsp[0][sources], dtype=np.int64)
-    big = g.n + 1
-    res = _sp_dijkstra(_edge_cost_matrix(g, big), directed=True, indices=sources)
-    return _decode_costs(np.atleast_2d(res), big)[0]
+    return g.apsp()[0][sources]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Verification and measurement harness.
 
-Checks label sets against the brute-force all-pairs oracle: the universal
+Checks label sets against the all-pairs BFS oracle: the universal
 soundness contract (decoded >= true distance, with unreachable pairs agreeing
 on INF) plus each scheme's own window:
 

@@ -35,14 +35,12 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bits import (
     BitCursor, BitWriter, Bits, concat_ragged, fixed_bits, gamma_bits, id_set_bits, pack_values,
 )
 from .errors import EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph
+from .graph import INF, Graph, _csr, _or_neighbours
 from .labels import LabelSet
 
 __all__ = [
@@ -134,33 +132,25 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
     weight = g.apsp()[0]
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
-    zero = e[e[:, 2] == 0]
-    ncomp, comp = connected_components(
-        csr_matrix((np.ones(len(zero)), (zero[:, 0], zero[:, 1])), shape=(n, n)),
-        directed=False,
-    )
-    rep = np.zeros(ncomp, dtype=np.intp)
-    rep[comp] = np.arange(n)  # any member: all share one weight row
+    # the members of a 0-weight component are the nodes at weight 0 from each
+    # other, so the first 0 of a row is its component's smallest member
+    rep, comp = np.unique((weight == 0).argmax(axis=1), return_inverse=True)
+    ncomp = rep.size
     words = (ncomp + 63) // 64
     wc = np.full((ncomp, 64 * words), INF, dtype=np.int64)  # sources padded to words
     wc[:, :ncomp] = weight[np.ix_(rep, rep)]
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
     one = e[e[:, 2] == 1]
-    a, b = comp[one[:, 0]], comp[one[:, 1]]
-    adj = csr_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(ncomp, ncomp))
-    has_nbr = np.diff(adj.indptr) > 0
-    starts = adj.indptr[:-1][has_nbr]  # reduceat misreads empty rows; skip them
+    adj = _csr(ncomp, comp[one[:, 0]], comp[one[:, 1]])
 
     F = np.zeros((ncomp, words), dtype=np.uint64)
     F[comp[landmarks]] = ~np.uint64(0)
     # row v: bitset of the sources s with d(s, v) = t, source s at bit s % 64
     # of word s // 64
     prev = np.packbits(wc == 0, axis=1, bitorder="little").view(np.uint64)
-    # a finite distance >= 1 needs a unit edge, so `starts` is non-empty here
     for t in range(1, int(wc[wc < INF].max(initial=0)) + 1):
         cur = np.packbits(wc == t, axis=1, bitorder="little").view(np.uint64)
-        reach = np.bitwise_or.reduceat((F & prev)[adj.indices], starts, axis=0)
-        F[has_nbr] |= reach & cur[has_nbr]
+        F |= _or_neighbours(F & prev, adj) & cur
         prev = cur
     cc = np.unpackbits(F.view(np.uint8), axis=1, count=ncomp, bitorder="little").astype(bool)
     # cc[v, s] is "covered from source s"; the relation is symmetric

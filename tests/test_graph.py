@@ -1,10 +1,14 @@
 """Graph construction, 0-1 BFS against an independent Dijkstra reference,
 oracle self-consistency, generators, and edge-list I/O."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import distlab
 from distlab import (
     INF,
     Graph,
@@ -22,6 +26,7 @@ from distlab import (
     load_edge_list,
     parse_edge_list,
     save_edge_list,
+    split_transform,
     sssp,
 )
 from distlab.errors import GraphError
@@ -101,8 +106,9 @@ def test_sssp_hops_equal_weights_on_unit_graphs():
 
 
 def test_sssp_bad_source():
-    with pytest.raises(GraphError):
-        sssp(gen_path(3), 3)
+    for bad in (3, -1, 1.5):
+        with pytest.raises(GraphError, match="source"):
+            sssp(gen_path(3), bad)
 
 
 # --- all-pairs oracle -----------------------------------------------------
@@ -118,12 +124,26 @@ def test_all_pairs_two_components():
 
 
 def test_all_pairs_matches_repeated_sssp():
-    g = random_01_graph(32, 64, seed=2)
-    w, h = all_pairs_with_hops(g)
-    for s in range(g.n):
-        ws, hs = sssp(g, s)
-        assert w[s].tolist() == ws
-        assert h[s].tolist() == hs
+    cases = [
+        ("01-32", random_01_graph(32, 64, seed=2)),
+        # source counts just below, at and just past one 64-bit word, then three words
+        *((f"01-{n}", random_01_graph(n, 2 * n, seed=n)) for n in (63, 64, 65)),
+        ("01-130", random_01_graph(130, 150, seed=130)),
+        ("disconnected", random_01_graph(70, 40, seed=5)),
+        ("n0", build_graph(0, [])),
+        ("n1", build_graph(1, [])),
+        ("n2", build_graph(2, [(0, 1, 0)])),
+        ("split-star", split_transform(gen_star(40), 3).gprime),  # 40 copies on a 0-weight chain
+        ("path130", gen_path(130)),  # 129 distance levels
+        ("path300", gen_path(300)),  # distances past one byte
+    ]
+    for name, g in cases:
+        w, h = all_pairs_with_hops(g)
+        assert w.shape == h.shape == (g.n, g.n), name
+        for s in range(g.n):
+            ws, hs = sssp(g, s)
+            assert w[s].tolist() == ws, (name, s)
+            assert h[s].tolist() == hs, (name, s)
 
 
 def test_all_pairs_symmetric_and_triangle():
@@ -142,6 +162,24 @@ def test_distances_from_rows_match_oracle():
     rows = distances_from(g, [3, 17])
     w = all_pairs(g)
     assert (rows[0] == w[3]).all() and (rows[1] == w[17]).all()
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("bad", [-1, 5, 1.5])
+def test_distances_from_rejects_bad_sources(bad, cached):
+    g = gen_path(5)
+    if cached:
+        g.apsp()
+    with pytest.raises(GraphError, match="source"):
+        distances_from(g, [0, bad])
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(distlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, distlab, distlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- generators ---------------------------------------------------------------
