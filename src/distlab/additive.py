@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitCursor, BitWriter, Bits, pack_values
+from .bits import BitWriter, Bits, SetReader, pack_values
 from .errors import GraphError, LabelError
 from .graph import INF, Graph, distances_from
 from .labels import LabelSet
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_pair, _min_scatter, _minplus, _mix, _read_full,
-    _read_header, full_matrix,
+    FullLabel, PreservingParams, _full_labels, _full_pair, _min_scatter, _minplus, _mix,
+    _read_headers, _read_tables, _shared, full_matrix,
 )
 
 __all__ = [
@@ -235,24 +235,26 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     return LabelSet("additive", n, params, labels, meta=meta)
 
 
+def parse_additive_set(labels: list[Bits]) -> list[AdditiveLabel]:
+    rd = SetReader(labels)
+    n, ids = _read_headers(rd)
+    r = _shared(rd.gamma(), "error budget r")
+    t = _shared(rd.gamma(), "degree threshold t")
+    D = _shared(rd.gamma(), "threshold D")
+    ndom = _shared(rd.gamma() - 1, "dominator count")
+    high = rd.fixed(1).astype(bool)
+    present = rd.bitmap(ndom)
+    dom = np.full(present.shape, INF, dtype=np.int64)
+    dom[present] = rd.packed(present.sum(axis=1), max(1, n.bit_length()))
+    balls = _read_tables(rd, n, max(1, D.bit_length()), np.flatnonzero(~high))
+    return [
+        AdditiveLabel(n, i, r, t, D, h, row, ball, f)
+        for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), dom, balls, _full_labels(rd))
+    ]
+
+
 def parse_additive(bits: Bits) -> AdditiveLabel:
-    cur = BitCursor(bits)
-    n, ident = _read_header(cur)
-    r = cur.read_gamma()
-    t = cur.read_gamma()
-    D = cur.read_gamma()
-    ndom = cur.read_gamma() - 1
-    high = bool(cur.read_bit())
-    present = cur.read_bitmap(ndom)
-    vals = cur.read_packed(int(present.sum()), max(1, n.bit_length()))
-    dom = np.full(ndom, INF, dtype=np.int64)
-    dom[present] = vals
-    ball: dict[int, int] = {}
-    if not high:
-        ids = cur.read_id_set()
-        dists = cur.read_packed(len(ids), max(1, D.bit_length()))
-        ball = dict(zip(ids, dists.tolist()))
-    return AdditiveLabel(n, ident, r, t, D, high, dom, ball, _read_full(cur))
+    return parse_additive_set([bits])[0]
 
 
 def _encoding(a: AdditiveLabel) -> tuple:

@@ -20,6 +20,13 @@ Bulk writers build many labels at once with the array encoders
 an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding exactly
 the bits the matching `BitWriter` calls write; `Bits.from_array` packs one
 label's slice.
+
+Bulk readers parse many labels at once with `SetReader`: the payloads are
+joined into one buffer, each label keeps its own bit position, and every
+call reads the same field (gamma, fixed, bitmap, packed or id set) of many
+labels with a few numpy operations.  Each read and each count is checked
+against that label's own end before anything is read or allocated.
+`BitCursor` stays the scalar reader for the file framing and the tests.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "Bits",
     "BitWriter",
     "BitCursor",
+    "SetReader",
     "gamma_length",
     "pack_values",
     "fixed_bits",
@@ -152,14 +160,20 @@ def fixed_bits(values, width: int) -> np.ndarray:
     return cols[:, lead:].ravel()
 
 
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each non-negative int64 (0 for 0)."""
+    e = np.frexp(x)[1].astype(np.int64)
+    # the float exponent is one too high where the conversion rounded up to 2^k
+    return e - (((x >> np.maximum(e - 1, 0)) == 0) & (x > 0))
+
+
 def gamma_bits(values) -> tuple[np.ndarray, np.ndarray]:
     """Elias gamma codes of `values` (each >= 1) back to back, plus the length
     of each code.  gamma(x) is x as a (2 * bit_length(x) - 1)-bit field."""
     x = np.asarray(values, dtype=np.int64).ravel()
     if x.size and x.min() < 1:
         raise CodecError(f"gamma code requires x >= 1, got {int(x.min())}")
-    e = np.frexp(x)[1].astype(np.int64)
-    nb = e - ((x >> (e - 1)) == 0)  # bit length; the float exponent may round up
+    nb = _bit_length(x)
     lengths = 2 * nb - 1
     ends = np.cumsum(lengths)
     out = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
@@ -331,12 +345,17 @@ class BitCursor:
         return self.read(1)
 
     def read_gamma(self) -> int:
+        # the zero run is found 64 bits at a time; the value is then read
+        # from its leading 1 bit
         zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-        if zeros == 0:
-            return 1
-        return (1 << zeros) | self.read(zeros)
+        while True:
+            width = min(64, self.remaining)
+            chunk = self.read(max(width, 1))  # past the end: a truncation error
+            if chunk:
+                run = width - chunk.bit_length()
+                self.pos -= width - run
+                return self.read(zeros + run + 1)
+            zeros += width
 
     def read_fixed(self, width: int) -> int:
         return self.read(width)
@@ -369,6 +388,127 @@ class BitCursor:
     def read_bitmap(self, count: int) -> np.ndarray:
         """Read `count` flag bits into a boolean array."""
         return self.read_packed(count, 1).astype(bool)
+
+
+_WINDOW = 57  # bits a 64-bit read holds past any bit offset within its first byte
+
+
+class SetReader:
+    """Sequential reader over many bit strings at once, one position each.
+
+    Every read takes `rows`, an index array of the strings that hold the
+    field (default: all of them), and advances only those.  A read is
+    checked against each row's own end before any value is read or any
+    array sized by a count is allocated, and raises CodecError when it does
+    not fit.  Fields are at most 57 bits wide, so gamma values stop below
+    2^57; a longer code is a CodecError, not a wrapped value.
+    """
+
+    __slots__ = ("_bytes", "_words", "pos", "end")
+
+    def __init__(self, strings):
+        sizes = np.fromiter((b.nbits for b in strings), dtype=np.int64, count=len(strings))
+        nbytes = (sizes + 7) >> 3
+        self.pos = 8 * (np.cumsum(nbytes) - nbytes)
+        self.end = self.pos + sizes
+        buf = b"".join(b.data for b in strings) + bytes(8)  # every 8-byte read stays inside
+        self._bytes = np.frombuffer(buf, dtype=np.uint8)
+        # a big-endian 64-bit word at every byte offset: a strided view, no copy
+        self._words = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
+
+    def remaining(self, rows=None) -> np.ndarray:
+        pos, end = self._at(rows)
+        return end - pos
+
+    def _at(self, rows):
+        if rows is None:
+            return self.pos, self.end
+        return self.pos[rows], self.end[rows]
+
+    def _move(self, rows, pos) -> None:
+        if rows is None:
+            self.pos = pos
+        else:
+            self.pos[rows] = pos
+
+    @staticmethod
+    def _check(short: np.ndarray, need, have, unit: int = 1) -> None:
+        """CodecError for the first row where `short`: it needs need * unit
+        bits but has only `have` left."""
+        if short.any():
+            i = int(np.argmax(short))
+            need = int(np.broadcast_to(need, short.shape)[i]) * unit
+            raise CodecError(f"truncated label: need {need} bits, have {int(have[i])}")
+
+    def _peek(self, pos: np.ndarray, width) -> np.ndarray:
+        """The `width`-bit fields (1 <= width <= 57) at bit positions `pos`."""
+        word = self._words[pos >> 3].astype(np.uint64)
+        word <<= (pos & 7).view(np.uint64)  # in place: a read is as large as its field count
+        word >>= (64 - np.asarray(width, dtype=np.int64)).astype(np.uint64)
+        return word.view(np.int64)
+
+    def gamma(self, rows=None) -> np.ndarray:
+        pos, end = self._at(rows)
+        zeros = _WINDOW - _bit_length(self._peek(pos, _WINDOW))
+        self._check(pos + 2 * zeros + 1 > end, 2 * zeros + 1, end - pos)
+        if zeros.size and zeros.max() >= _WINDOW:
+            raise CodecError(f"gamma code of a value >= 2^{_WINDOW}: too large to read")
+        values = self._peek(pos + zeros, zeros + 1)
+        self._move(rows, pos + 2 * zeros + 1)
+        return values
+
+    def fixed(self, width: int, rows=None) -> np.ndarray:
+        """One `width`-bit field per row, 1 <= width <= 57."""
+        pos, end = self._at(rows)
+        self._check(pos + width > end, width, end - pos)
+        self._move(rows, pos + width)
+        return self._peek(pos, width)
+
+    def bitmap(self, size: int, rows=None) -> np.ndarray:
+        """`size` flag bits per row, as a (rows x size) boolean array."""
+        pos, end = self._at(rows)
+        self._check(pos + size > end, size, end - pos)
+        shift = (pos & 7).astype(np.uint16)[:, None]
+        raw = self._bytes[(pos >> 3)[:, None] + np.arange((size + 7) // 8 + 1)].astype(np.uint16)
+        aligned = ((raw[:, :-1] << shift) | (raw[:, 1:] >> (8 - shift))).astype(np.uint8)
+        self._move(rows, pos + size)
+        return np.unpackbits(aligned, axis=1, count=size).view(bool)
+
+    def packed(self, counts, width: int, rows=None) -> np.ndarray:
+        """counts[i] consecutive `width`-bit fields (width >= 1) of row i, all
+        rows' values back to back in one int64 array."""
+        pos, end = self._at(rows)
+        counts = np.asarray(counts, dtype=np.int64)
+        self._check(counts > (end - pos) // width, counts, end - pos, unit=width)
+        total = int(counts.sum())
+        if total and width > _WINDOW:
+            raise CodecError(f"field width {width} exceeds {_WINDOW} bits")
+        at = np.arange(total, dtype=np.int64) * width
+        at += np.repeat(pos - width * (np.cumsum(counts) - counts), counts)
+        self._move(rows, pos + width * counts)
+        return self._peek(at, width)
+
+    def id_sets(self, limit: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """One id set (see write_id_set) per row, each id below `limit`: the
+        set sizes plus all ids back to back."""
+        rows = np.arange(self.pos.size) if rows is None else np.asarray(rows)
+        counts = self.gamma(rows) - 1
+        have = self.remaining(rows)
+        self._check(counts > have, counts, have)  # every id takes at least one bit
+        ids = np.empty(int(counts.sum()), dtype=np.int64)
+        # one gamma field per round, read for every set that is still open
+        order = np.argsort(-counts, kind="stable")
+        by_size, at = rows[order], (np.cumsum(counts) - counts)[order]
+        left = -counts[order]  # ascending, so the open sets are a prefix
+        last = np.full(rows.size, -1, dtype=np.int64)
+        for k in range(int(counts.max(initial=0))):
+            m = int(np.searchsorted(left, -k, side="left"))
+            cur = last[:m] + self.gamma(by_size[:m])
+            if cur.max() >= limit:
+                raise CodecError(f"id set entry {int(cur.max())} is out of range for n={limit}")
+            last[:m] = cur
+            ids[at[:m] + k] = cur
+        return counts, ids
 
 
 def bits_to_bytes(bits: Bits) -> bytes:

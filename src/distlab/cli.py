@@ -103,15 +103,18 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     g = G.load_edge_list(args.graph)
     ls = load_labels(args.labels)
-    mode = args.mode
+    mode, colon, cnt = args.mode.partition(":")
     sample_count = 10_000
-    if mode.startswith("sampled"):
-        if ":" in mode:
-            mode, _, cnt = mode.partition(":")
+    usage = f"unknown mode {args.mode!r}; use exhaustive or sampled:COUNT with COUNT >= 1"
+    if mode not in ("exhaustive", "sampled") or (colon and mode == "exhaustive"):
+        raise GraphError(usage)
+    if colon:
+        try:
             sample_count = int(cnt)
-        mode = "sampled"
-    elif mode != "exhaustive":
-        raise GraphError(f"unknown mode {args.mode!r}; use exhaustive or sampled:COUNT")
+        except ValueError:
+            raise GraphError(usage) from None
+        if sample_count < 1:
+            raise GraphError(usage)
     report = harness.verify_labels(
         g, ls, mode=mode, sample_count=sample_count, seed=args.seed,
         graph_id=args.graph,

@@ -40,6 +40,7 @@ from .labels import LabelSet
 
 __all__ = [
     "PARSERS",
+    "SET_PARSERS",
     "PAIR_DECODERS",
     "MATRIX_DECODERS",
     "decode_matrix",
@@ -62,6 +63,17 @@ PARSERS = {
     "bdeg": _sparse.parse_bounded,
     "sparse": _sparse.parse_bounded,
     "additive": _additive.parse_additive,
+}
+
+# the same parsers over a whole label set at once (LabelSet.parsed)
+SET_PARSERS = {
+    "trivial": _preserving.parse_trivial_set,
+    "warmup": _preserving.parse_warmup_set,
+    "medium": _preserving.parse_medium_set,
+    "full": _preserving.parse_full_set,
+    "bdeg": _sparse.parse_bounded_set,
+    "sparse": _sparse.parse_bounded_set,
+    "additive": _additive.parse_additive_set,
 }
 
 PAIR_DECODERS = {
@@ -223,7 +235,12 @@ def verify_labels(
     graph_id: str = "",
     encode_seconds: float | None = None,
 ) -> VerifyReport:
-    """Check every contract the scheme promises against the BFS oracle."""
+    """Check every contract the scheme promises against the BFS oracle.
+
+    Sampled mode draws `sample_count` (>= 1) random pairs of distinct nodes.
+    """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if ls.n != g.n:
         raise LabelError(f"label set describes {ls.n} nodes, graph has {g.n}")
     warnings_: list[str] = []

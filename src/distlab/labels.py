@@ -5,10 +5,19 @@ gamma-coded scheme tag, the scheme's gamma-coded parameters, the gamma-coded
 label count, and one record per node: gamma(id+1), gamma(bit length+1), and
 the raw label bits.  The final byte is zero-padded.  The same input always
 produces byte-identical files.
+
+`LabelSet.parsed()` reads the whole set in one pass: the scheme's set parser
+(`harness.SET_PARSERS`) reads each field for all labels at once through
+`bits.SetReader`.  The labels of one encoding share one layout (n, level
+count, each level's D and size, scheme parameters); a set whose labels
+differ there raises LabelError.  All landmark rows of a set are views of one
+label-major (n x total size) table, each level's rows a column block of it;
+window lists, near tables and balls are dicts.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +69,26 @@ class LabelSet:
         return float(self.bit_sizes().mean()) if self.labels else 0.0
 
     def parsed(self) -> list:
-        """Labels parsed into their in-memory form, cached."""
+        """Labels parsed into their in-memory form, all in one pass of the
+        scheme's set parser, cached."""
         if self._parsed is None:
             from . import harness
 
-            parse = harness.PARSERS[self.scheme]
-            self._parsed = [parse(b) for b in self.labels]
+            self._parsed = harness.SET_PARSERS[self.scheme](self.labels)
         return self._parsed
 
     def decode(self, u: int, v: int) -> int:
-        """Distance reported for the pair (u, v) from their labels alone."""
+        """Distance reported for the pair (u, v) from their labels alone; u
+        and v must be integers in 0..len(labels)-1."""
         from . import harness
 
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise LabelError(f"node ids ({u!r}, {v!r}) are not integers") from None
+        count = len(self.labels)
+        if not (0 <= u < count and 0 <= v < count):
+            raise LabelError(f"node ids ({u}, {v}) are not both in 0..{count - 1}")
         p = self.parsed()
         return harness.PAIR_DECODERS[self.scheme](p[u], p[v])
 

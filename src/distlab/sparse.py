@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitCursor, BitWriter, Bits, pack_values
+from .bits import BitWriter, Bits, SetReader, pack_values
 from .errors import GraphError, LabelError
 from .graph import INF, Graph
 from .labels import LabelSet
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_pair, _min_scatter, _mix, _read_full, _read_header,
-    full_matrix,
+    FullLabel, PreservingParams, _full_labels, _full_pair, _min_scatter, _mix, _read_headers,
+    _read_tables, _shared, full_matrix,
 )
 
 __all__ = [
@@ -157,15 +157,20 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     return LabelSet("bdeg", n, params, labels, meta=meta)
 
 
+def parse_bounded_set(labels: list[Bits]) -> list[BoundedLabel]:
+    rd = SetReader(labels)
+    n, ids = _read_headers(rd)
+    delta = _shared(rd.gamma() - 1, "degree bound")
+    D = _shared(rd.gamma(), "threshold")
+    near = _read_tables(rd, n, max(1, (D - 1).bit_length() + 1), np.arange(len(labels)))
+    return [
+        BoundedLabel(n, i, delta, D, d, f)
+        for i, d, f in zip(ids.tolist(), near, _full_labels(rd))
+    ]
+
+
 def parse_bounded(bits: Bits) -> BoundedLabel:
-    cur = BitCursor(bits)
-    n, ident = _read_header(cur)
-    delta = cur.read_gamma() - 1
-    D = cur.read_gamma()
-    ids = cur.read_id_set()
-    near_width = max(1, (D - 1).bit_length() + 1)
-    dists = cur.read_packed(len(ids), near_width)
-    return BoundedLabel(n, ident, delta, D, dict(zip(ids, dists.tolist())), _read_full(cur))
+    return parse_bounded_set([bits])[0]
 
 
 def _bounded_pair(a: BoundedLabel, b: BoundedLabel) -> int:

@@ -10,6 +10,7 @@ from distlab.bits import (
     BitCursor,
     BitWriter,
     Bits,
+    SetReader,
     bits_from_bytes,
     bits_to_bytes,
     concat_ragged,
@@ -64,6 +65,22 @@ def test_gamma_truncated_stream():
     bits = written(lambda w: w.write(0, 5))  # five zeros: an unterminated gamma
     with pytest.raises(CodecError):
         BitCursor(bits).read_gamma()
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, (1 << 63) - 1, 1 << 63, (1 << 64) + 5, 1 << 130])
+def test_gamma_long_zero_runs(x):
+    # the cursor finds the zero run 64 bits at a time
+    cur = BitCursor(written(lambda w: (w.write(1, 1), w.write_gamma(x), w.write(5, 3))))
+    assert cur.read(1) == 1
+    assert cur.read_gamma() == x
+    assert cur.read(3) == 5 and cur.remaining == 0
+
+
+def test_gamma_truncated_after_a_long_zero_run():
+    with pytest.raises(CodecError):
+        BitCursor(written(lambda w: w.write(0, 150))).read_gamma()
+    with pytest.raises(CodecError):  # the run ends, the value bits do not
+        BitCursor(written(lambda w: (w.write(0, 70), w.write(1, 1), w.write(0, 3)))).read_gamma()
 
 
 # --- fixed-width ----------------------------------------------------------
@@ -373,3 +390,82 @@ def test_concat_ragged_interleaves_in_node_order():
         concat_ragged([(np.zeros(3, dtype=np.uint8), [1, 1])])
     bits, offsets = concat_ragged([(np.zeros(0, dtype=np.uint8), [])])
     assert bits.size == 0 and offsets.tolist() == [0]
+
+
+# --- set reader --------------------------------------------------------------
+
+def random_label(rng, size, width):
+    """A label of one field of each kind, plus what it holds."""
+    g = rng.choice([1, 2, 7, 8, rng.randrange(1, 5000), (1 << 56) + 3, (1 << 57) - 1])
+    flag = rng.randrange(2)
+    bitmap = [rng.randrange(2) for _ in range(size)]
+    vals = [rng.randrange(1 << width) for _ in range(rng.randrange(5))]
+    ids = sorted(rng.sample(range(300), rng.randrange(7)))
+    w = BitWriter()
+    w.write_gamma(g)
+    w.write(flag, 1)
+    for b in bitmap:
+        w.write(b, 1)
+    for v in vals:
+        w.write(v, width)
+    w.write_id_set(ids)
+    return w.getvalue(), (g, flag, bitmap, vals, ids)
+
+
+def test_set_reader_matches_the_written_fields():
+    rng = random.Random(5)
+    for _ in range(150):
+        size, width = rng.randrange(40), rng.randrange(1, 58)
+        pairs = [random_label(rng, size, width) for _ in range(rng.randrange(6))]
+        labels, fields = [p[0] for p in pairs], [p[1] for p in pairs]
+        rd = SetReader(labels)
+        assert rd.gamma().tolist() == [f[0] for f in fields]
+        assert rd.fixed(1).tolist() == [f[1] for f in fields]
+        bitmap = rd.bitmap(size)
+        assert bitmap.dtype == bool and bitmap.shape == (len(labels), size)
+        assert bitmap.astype(int).tolist() == [f[2] for f in fields]
+        counts = np.array([len(f[3]) for f in fields], dtype=np.int64)
+        assert rd.packed(counts, width).tolist() == [v for f in fields for v in f[3]]
+        sizes, ids = rd.id_sets(300)
+        assert sizes.tolist() == [len(f[4]) for f in fields]
+        assert ids.tolist() == [i for f in fields for i in f[4]]
+        assert (rd.remaining() == 0).all()
+
+
+def test_set_reader_rows_advance_only_those_rows():
+    labels = [written(lambda w, x=x: (w.write_gamma(x), w.write_gamma(x + 1))) for x in (3, 9, 20)]
+    rd = SetReader(labels)
+    assert rd.gamma(np.array([2, 0])).tolist() == [20, 3]
+    assert rd.gamma().tolist() == [4, 9, 21]
+    assert rd.remaining().tolist() == [0, gamma_length(10), 0]
+
+
+def test_set_reader_rejects_what_does_not_fit():
+    # every read and count is checked against the label's own end, even when
+    # the buffer goes on with the next label
+    short, long_ = written(lambda w: w.write_gamma(1 << 20)), written(lambda w: w.write(0, 90))
+    for read in (
+        lambda rd: rd.fixed(4),
+        lambda rd: rd.bitmap(3),
+        lambda rd: rd.packed(np.array([1, 0]), 3),
+        lambda rd: rd.packed(np.array([1 << 60, 0]), 57),  # a huge count, before allocating
+    ):
+        rd = SetReader([Bits.from_int(0b10, 2), long_])
+        with pytest.raises(CodecError, match="truncated"):
+            read(rd)
+    with pytest.raises(CodecError, match="truncated"):
+        SetReader([Bits(bytes([0, 0]), 9), short]).gamma()
+    huge_set = written(lambda w: (w.write_gamma((1 << 40) + 1), w.write(1, 8)))
+    with pytest.raises(CodecError, match="truncated"):
+        SetReader([huge_set]).id_sets(10)
+
+
+def test_set_reader_refuses_values_too_large_to_read():
+    rd = SetReader([written(lambda w: w.write_gamma((1 << 57) - 1))])
+    assert rd.gamma().tolist() == [(1 << 57) - 1]
+    with pytest.raises(CodecError, match="too large"):
+        SetReader([written(lambda w: w.write_gamma(1 << 57))]).gamma()
+    with pytest.raises(CodecError, match="58"):
+        SetReader([written(lambda w: w.write(0, 64))]).packed(np.array([1]), 58)
+    with pytest.raises(CodecError, match="out of range"):
+        SetReader([written(lambda w: w.write_id_set([2, 10]))]).id_sets(10)

@@ -45,6 +45,20 @@ def test_verify_sampled_mode():
     assert rep.passed and rep.pairs_checked == 500
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_verify_sampled_count_must_be_positive(count):
+    g = gen_gnm(16, 32, seed=2)
+    ls = encode_full(g, PreservingParams(D=2, seed=2))
+    with pytest.raises(ValueError, match="sample_count"):
+        verify_labels(g, ls, mode="sampled", sample_count=count)
+
+
+def test_verify_sampled_on_fewer_than_two_nodes_checks_no_pair():
+    g = gen_gnm(1, 0, seed=2)
+    rep = verify_labels(g, encode_full(g, PreservingParams(D=2, seed=2)), mode="sampled")
+    assert rep.passed and rep.pairs_checked == 0
+
+
 def test_verify_detects_planted_violation():
     g = gen_gnm(32, 64, seed=3)
     ls = encode_full(g, PreservingParams(D=2, seed=3))
@@ -214,6 +228,21 @@ def test_cli_usage_and_failure_exit_codes(tmp_path):
     bad.write_text("2 1\n0 0 1\n")
     assert main(["encode", "--in", str(bad), "--scheme", "trivial",
                  "--out", str(tmp_path / "x.dlab")]) == 2
+
+
+@pytest.mark.parametrize("mode", ["sampled:-5", "sampled:0", "sampled:", "sampled:x",
+                                  "sampled:2.5", "exhaustive:5", "sampledx"])
+def test_cli_verify_rejects_bad_sample_count(tmp_path, capsys, mode):
+    gpath, lpath = tmp_path / "g.edges", tmp_path / "g.dlab"
+    main(["gen", "gnm", "--n", "16", "--m", "32", "--seed", "1", "--out", str(gpath)])
+    main(["encode", "--in", str(gpath), "--scheme", "trivial", "--out", str(lpath)])
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--labels", str(lpath), "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "sampled:COUNT" in err
+    assert main(["verify", "--graph", str(gpath), "--labels", str(lpath),
+                 "--mode", "sampled:5"]) == 0
+    assert "sampled (5 pairs)" in capsys.readouterr().out
 
 
 def test_cli_encoding_failure_exit_code(tmp_path, monkeypatch):

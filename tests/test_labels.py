@@ -1,11 +1,15 @@
 """Label container and file-format tests: round trips, determinism, magic,
 pinned file contents, and header parameters for every scheme."""
 
+import dataclasses
+import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from distlab import (
+    INF,
     AdditiveParams,
     Graph,
     PreservingParams,
@@ -23,7 +27,7 @@ from distlab.bits import BitCursor, BitWriter
 from distlab.errors import LabelError
 from distlab.harness import PARSERS
 from distlab.labels import MAGIC, dumps, load_labels, loads, save_labels
-from distlab.preserving import decode_trivial
+from distlab.preserving import decode_trivial, parse_full
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -137,6 +141,110 @@ def test_label_files_pinned_sick_and_window_levels(scheme, encode, digest):
     assert any(lv.uc for lv in levels if not lv.sick)
 
 
+# --- set parsing ---------------------------------------------------------------
+
+def assert_same_parse(a, b, path="label"):
+    """Parsed labels equal field by field: same types, arrays equal in dtype
+    and value (INF included), dicts with the same int keys and values."""
+    assert type(a) is type(b), path
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+    elif isinstance(a, dict):
+        assert a == b, path
+        assert all(type(k) is int and type(v) is int for k, v in a.items()), path
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_parse(x, y, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_parse(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    else:
+        assert a == b, path
+
+
+def tiny_labelsets():
+    # n = 1 and n = 0 for every scheme that takes them
+    out = {}
+    for n in (0, 1):
+        g = Graph(n, [])
+        out[f"trivial-n{n}"] = encode_trivial(g)
+        out[f"full-n{n}"] = encode_full(g, PreservingParams(D=2, seed=1))
+        out[f"sparse-n{n}"] = encode_sparse(g, seed=1)
+        out[f"bdeg-n{n}"] = encode_bounded_degree(g, 2, seed=1)
+        out[f"additive-n{n}"] = encode_additive(g, AdditiveParams(r=2, t=1, D=2, seed=1))
+        if n:
+            out[f"warmup-n{n}"] = encode_warmup(g, PreservingParams(D=2, seed=1))
+            out[f"medium-n{n}"] = encode_medium(g, PreservingParams(D=2, seed=1))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def set_parse_cases():
+    _, sets = all_scheme_labelsets(seed=1)
+    cases = dict(sets)
+    cases["medium-broom"] = encode_medium(broom(), PreservingParams(D=3, seed=3))
+    cases["full-broom"] = encode_full(broom(), PreservingParams(D=3, seed=11))
+    # unreachable landmarks and dominators: INF entries in the tables
+    split = gen_gnm(30, 18, seed=3)
+    cases["trivial-disconnected"] = encode_trivial(split)
+    cases["full-disconnected"] = encode_full(split, PreservingParams(D=2, seed=3))
+    cases["additive-disconnected"] = encode_additive(split, AdditiveParams(r=2, t=2, D=2, seed=3))
+    cases.update(tiny_labelsets())
+    return cases
+
+
+SET_PARSE_CASES = [
+    *PINNED_SEED1, "medium-broom", "full-broom",
+    "trivial-disconnected", "full-disconnected", "additive-disconnected",
+    *(f"{s}-n{n}" for n in (0, 1) for s in ("trivial", "full", "sparse", "bdeg", "additive")),
+    "warmup-n1", "medium-n1",
+]
+
+
+@pytest.mark.parametrize("name", SET_PARSE_CASES)
+def test_set_parse_equals_per_label_parse(name):
+    ls = set_parse_cases()[name]
+    back = loads(dumps(ls))
+    assert back.n == ls.n
+    assert_same_parse(back.parsed(), [PARSERS[ls.scheme](b) for b in ls.labels])
+    if name.endswith("disconnected"):  # unreachable entries are read as INF
+        tables = {
+            "trivial": lambda p: [p.row],
+            "full": lambda p: [lv.lm for lv in p.levels],
+            "additive": lambda p: [p.dom],
+        }[ls.scheme]
+        assert any((t == INF).any() for p in back.parsed() for t in tables(p))
+
+
+def test_set_parse_rows_are_views_of_one_table():
+    _, sets = all_scheme_labelsets(seed=1)
+    parsed = loads(dumps(sets["full"])).parsed()
+    table = parsed[0].levels[0].lm.base
+    assert table.shape == (len(parsed), sum(lv.size for lv in parsed[0].levels))
+    for u, p in enumerate(parsed):  # row u holds label u's levels side by side
+        assert np.array_equal(np.concatenate([lv.lm for lv in p.levels]), table[u])
+        assert all(lv.lm.base is table for lv in p.levels)
+
+
+@pytest.mark.parametrize("scheme", list(PINNED_SEED1))
+def test_mixed_layout_set_refused_by_parsed(scheme):
+    g = gen_gnm(24, 48, seed=1)
+    other = {
+        "trivial": lambda: encode_trivial(gen_gnm(26, 48, seed=1)),
+        "warmup": lambda: encode_warmup(g, PreservingParams(D=3, seed=1), landmarks=[0, 1]),
+        "medium": lambda: encode_medium(g, PreservingParams(D=4, seed=1)),
+        "full": lambda: encode_full(g, PreservingParams(D=4, seed=1)),
+        "bdeg": lambda: encode_bounded_degree(g, max(2, g.max_degree()) + 1, 1),
+        "sparse": lambda: encode_sparse(gen_gnm(24, 96, seed=1), 1),
+        "additive": lambda: encode_additive(g, AdditiveParams(r=4, t=6, D=2, seed=1)),
+    }[scheme]()
+    ls = all_scheme_labelsets(seed=1)[1][scheme]
+    ls.labels[5] = other.labels[5]
+    with pytest.raises(LabelError, match="different"):
+        loads(dumps(ls)).parsed()
+
+
 # --- label ids out of range --------------------------------------------------
 
 def with_id(bits, ident):
@@ -177,26 +285,60 @@ def test_every_parser_rejects_id_out_of_range(scheme, past_n):
         loads(dumps(ls)).decode(3, 0)
 
 
-@pytest.mark.parametrize("scheme", ["bdeg", "sparse", "additive"])
-def test_embedded_full_header_id_checked(scheme, monkeypatch):
-    import distlab.additive
-    import distlab.sparse
+def embedded_full_start(scheme, label):
+    """Bit position of the full label that a bdeg, sparse or additive label
+    embeds: its outer fields, read with the scalar cursor."""
+    cur = BitCursor(label)
+    n = cur.read_gamma() - 1
+    cur.read_gamma()
+    if scheme == "additive":
+        cur.read_gamma()
+        cur.read_gamma()
+        D = cur.read_gamma()
+        ndom = cur.read_gamma() - 1
+        high = cur.read_bit()
+        present = cur.read_bitmap(ndom)
+        cur.read_packed(int(present.sum()), max(1, n.bit_length()))
+        if not high:
+            ids = cur.read_id_set()
+            cur.read_packed(len(ids), max(1, D.bit_length()))
+    else:
+        cur.read_gamma()
+        D = cur.read_gamma()
+        ids = cur.read_id_set()
+        cur.read_packed(len(ids), max(1, (D - 1).bit_length() + 1))
+    return cur.pos
 
-    module = distlab.additive if scheme == "additive" else distlab.sparse
+
+@pytest.mark.parametrize("scheme", ["bdeg", "sparse", "additive"])
+def test_embedded_full_header_id_checked(scheme):
     _, sets = all_scheme_labelsets(seed=1)
     ls = sets[scheme]
     label = ls.labels[3]
-    starts = []
-    read_full = module._read_full
-    monkeypatch.setattr(module, "_read_full", lambda cur: starts.append(cur.pos) or read_full(cur))
-    PARSERS[scheme](label)
-    monkeypatch.undo()
+    start = embedded_full_start(scheme, label)
     # keep the outer label, give the embedded full label (its tail) id n
     cur = BitCursor(label)
     w = BitWriter()
-    w.write_bits(cur.read_bits(starts[0]))
+    w.write_bits(cur.read_bits(start))
     tail = cur.read_bits(cur.remaining)
+    assert_same_parse(parse_full(tail), PARSERS[scheme](label).full)
     w.write_bits(with_id(tail, BitCursor(tail).read_gamma() - 1))
     ls.labels[3] = w.getvalue()
     with pytest.raises(LabelError, match="out of range"):
         loads(dumps(ls)).decode(3, 0)
+
+
+# --- query ids -------------------------------------------------------------------
+
+@pytest.mark.parametrize("u", [-1, 6, 1.0, "1", None])
+def test_decode_rejects_query_ids_outside_the_set(u):
+    ls = encode_trivial(gen_gnm(6, 5, 1))
+    with pytest.raises(LabelError, match="node id"):
+        ls.decode(u, 0)
+    with pytest.raises(LabelError, match="node id"):
+        ls.decode(0, u)
+
+
+def test_decode_accepts_numpy_integer_ids():
+    ls = encode_trivial(gen_gnm(6, 5, 1))
+    assert ls.decode(np.int64(1), np.int32(4)) == ls.decode(1, 4)
