@@ -33,7 +33,7 @@ import numpy as np
 from .bits import BitWriter, Bits, SetReader, pack_values
 from .errors import GraphError, LabelError
 from .graph import INF, Graph, distances_from
-from .labels import LabelSet
+from .labels import LabelSet, Scheme, gamma_fields, register, required
 from . import preserving
 from .preserving import (
     FullLabel, PreservingParams, _full_labels, _full_pair, _min_scatter, _minplus, _mix,
@@ -294,3 +294,19 @@ def additive_matrix(parsed: list[AdditiveLabel]) -> np.ndarray:
     out = full_matrix([p.full for p in parsed])
     np.minimum(out, _minplus([[p.dom] for p in parsed]), out=out)
     return _min_scatter(out, enumerate(p.ball for p in parsed))
+
+
+def _encode(g: Graph, seed: int, opts: dict) -> LabelSet:
+    r = required(opts, "r", "additive")
+    return encode_additive(g, AdditiveParams(r=r, t=opts.get("t"), D=opts.get("dd"), seed=seed))
+
+
+register(Scheme(
+    "additive", 7, _encode, parse_additive_set, _additive_pair, additive_matrix,
+    *gamma_fields(("r", 0), ("t", 0), ("D", 0), ("dominators", 1)),
+    contract=lambda p, w, h, d: {
+        "additive: decoded exceeds dist + r": (w != INF) & (d > w + p["r"]),
+        "additive: finite answer for a disconnected pair": (w == INF) & (d != INF),
+    },
+    bound=lambda n, p: n / p["r"],
+))

@@ -16,19 +16,11 @@ import time
 
 from . import graph as G
 from . import harness
-from .additive import AdditiveParams, encode_additive
+from . import labels
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .labels import load_labels, save_labels
-from .preserving import (
-    PreservingParams,
-    encode_full,
-    encode_medium,
-    encode_trivial,
-    encode_warmup,
-)
-from .sparse import encode_bounded_degree, encode_sparse
 
-SCHEMES = ("warmup", "medium", "full", "trivial", "bdeg", "sparse", "additive")
+SCHEMES = tuple(labels.SCHEMES)
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,26 +63,12 @@ def cmd_gen(args) -> int:
 
 def cmd_encode(args) -> int:
     g = G.load_edge_list(getattr(args, "in"))
+    opts = {
+        "D": args.d, "r": args.r, "t": args.t, "dd": args.dd, "delta": args.delta,
+        "c": args.c, "resample_cap": args.resample_cap,
+    }
     t0 = time.perf_counter()
-    if args.scheme == "trivial":
-        ls = encode_trivial(g)
-    elif args.scheme in ("warmup", "medium", "full"):
-        if args.d is None:
-            raise GraphError(f"--d is required for the {args.scheme} scheme")
-        p = PreservingParams(
-            D=args.d, seed=args.seed, resample_cap=args.resample_cap, c=args.c
-        )
-        enc = {"warmup": encode_warmup, "medium": encode_medium, "full": encode_full}
-        ls = enc[args.scheme](g, p)
-    elif args.scheme == "bdeg":
-        delta = args.delta if args.delta is not None else max(2, g.max_degree())
-        ls = encode_bounded_degree(g, delta, args.seed)
-    elif args.scheme == "sparse":
-        ls = encode_sparse(g, args.seed)
-    else:  # additive
-        if args.r is None:
-            raise GraphError("--r is required for the additive scheme")
-        ls = encode_additive(g, AdditiveParams(r=args.r, t=args.t, D=args.dd, seed=args.seed))
+    ls = labels.lookup(labels.SCHEMES, args.scheme).encode(g, args.seed, opts)
     elapsed = time.perf_counter() - t0
     save_labels(ls, args.out)
     print(
@@ -132,18 +110,8 @@ def cmd_bench(args) -> int:
     seeds = _int_list(args.seeds)
     if not ns or not seeds:
         raise GraphError("benchmark sweep needs at least one n and one seed")
-    if args.scheme in ("warmup", "medium", "full"):
-        if not args.d:
-            raise GraphError(f"--d is required for the {args.scheme} scheme")
-        opts_list = [{"D": d} for d in _int_list(args.d)]
-    elif args.scheme == "additive":
-        if args.r is None:
-            raise GraphError("--r is required for the additive scheme")
-        opts_list = [{"r": args.r, "t": args.t, "dd": args.dd}]
-    elif args.scheme == "bdeg":
-        opts_list = [{"delta": args.delta}]
-    else:
-        opts_list = [{}]
+    opts = {"r": args.r, "t": args.t, "dd": args.dd, "delta": args.delta}
+    opts_list = [dict(opts, D=d) for d in (_int_list(args.d) if args.d else [None])]
     rows = harness.bench_sweep(args.scheme, ns, args.m_rule, seeds, opts_list)
     with open(args.csv, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

@@ -2,7 +2,8 @@
 
 Checks label sets against the all-pairs BFS oracle: the universal
 soundness contract (decoded >= true distance, with unreachable pairs agreeing
-on INF) plus each scheme's own window:
+on INF) plus each scheme's own window.  The windows are the contract masks
+of the registry records (`labels.Scheme.contract`):
 
 =========  =====================================================
 trivial    exact for every pair
@@ -16,9 +17,10 @@ additive   decoded - dist in [0, r] for connected pairs
 
 Exhaustive mode checks all n(n-1)/2 pairs through the bulk matrix decoders
 (pinned elsewhere to agree with the per-pair decoders); sampled mode drives
-the per-pair decoders directly.  Also here: benchmark sweeps over G(n, m)
-corpora and the adjacency-reconstruction experiment that reads a random
-bipartite adjacency matrix back out of the labels alone.
+the per-pair decoders directly.  Both modes apply the same masks to arrays
+of (true weight, hops, decoded) per pair.  Also here: benchmark sweeps over
+G(n, m) corpora and the adjacency-reconstruction experiment that reads a
+random bipartite adjacency matrix back out of the labels alone.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import additive as _additive
+from . import additive, sparse  # noqa: F401 -- importing a scheme module registers it
 from . import preserving as _preserving
-from . import sparse as _sparse
 from .errors import CodecError, LabelError
-from .graph import INF, Graph, gen_gnm, gen_lower_bound_family
-from .labels import LabelSet
+from .graph import Graph, gen_gnm, gen_lower_bound_family
+from .labels import MATRIX_DECODERS, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, lookup
 
 __all__ = [
     "PARSERS",
@@ -55,45 +56,9 @@ __all__ = [
     "EXHAUSTIVE_CAP",
 ]
 
+# one label at a time: each scheme's set parser applied to a one-label set
 PARSERS = {
-    "trivial": _preserving.parse_trivial,
-    "warmup": _preserving.parse_warmup,
-    "medium": _preserving.parse_medium,
-    "full": _preserving.parse_full,
-    "bdeg": _sparse.parse_bounded,
-    "sparse": _sparse.parse_bounded,
-    "additive": _additive.parse_additive,
-}
-
-# the same parsers over a whole label set at once (LabelSet.parsed)
-SET_PARSERS = {
-    "trivial": _preserving.parse_trivial_set,
-    "warmup": _preserving.parse_warmup_set,
-    "medium": _preserving.parse_medium_set,
-    "full": _preserving.parse_full_set,
-    "bdeg": _sparse.parse_bounded_set,
-    "sparse": _sparse.parse_bounded_set,
-    "additive": _additive.parse_additive_set,
-}
-
-PAIR_DECODERS = {
-    "trivial": _preserving._trivial_pair,
-    "warmup": _preserving._warmup_pair,
-    "medium": _preserving._medium_pair,
-    "full": _preserving._full_pair,
-    "bdeg": _sparse._bounded_pair,
-    "sparse": _sparse._bounded_pair,
-    "additive": _additive._additive_pair,
-}
-
-MATRIX_DECODERS = {
-    "trivial": _preserving.trivial_matrix,
-    "warmup": _preserving.warmup_matrix,
-    "medium": _preserving.medium_matrix,
-    "full": _preserving.full_matrix,
-    "bdeg": _sparse.bounded_matrix,
-    "sparse": _sparse.bounded_matrix,
-    "additive": _additive.additive_matrix,
+    name: (lambda bits, parse=parse: parse([bits])[0]) for name, parse in SET_PARSERS.items()
 }
 
 EXHAUSTIVE_CAP = 2048  # above this the oracle table is too hot; sampling is forced
@@ -101,7 +66,7 @@ EXHAUSTIVE_CAP = 2048  # above this the oracle table is too hot; sampling is for
 
 def decode_matrix(ls: LabelSet) -> np.ndarray:
     """All-pairs decoded distances, same candidate rules as the pair decoders."""
-    return MATRIX_DECODERS[ls.scheme](ls.parsed())
+    return lookup(MATRIX_DECODERS, ls.scheme)(ls.parsed())
 
 
 def worker_count() -> int:
@@ -173,50 +138,12 @@ class VerifyReport:
         }
 
 
-def _pair_contracts(scheme: str, params: dict, w: int, h: int, dec: int):
-    """Yield (violated, kind) checks for one pair."""
-    if dec < w:
-        yield True, "soundness: decoded below true distance"
-    if scheme == "warmup":
-        if w != INF and w >= params["D"] and dec != w:
-            yield True, "window: exact required for dist >= D"
-    elif scheme == "medium":
-        if h != INF and params["D"] <= h <= 2 * params["D"] and dec != w:
-            yield True, "window: exact required for hops in [D, 2D]"
-    elif scheme == "full":
-        if h != INF and h >= params["D"] and dec != w:
-            yield True, "window: exact required for hops >= D"
-    elif scheme in ("trivial", "bdeg", "sparse"):
-        if dec != w:
-            yield True, "exactness: scheme must be exact for all pairs"
-    elif scheme == "additive":
-        if w != INF and dec > w + params["r"]:
-            yield True, "additive: decoded exceeds dist + r"
-        if w == INF and dec != INF:
-            yield True, "additive: finite answer for a disconnected pair"
-
-
-def _exhaustive_violations(scheme, params, weight, hops, dec):
-    n = dec.shape[0]
-    iu, iv = np.triu_indices(n, 1)
+def _violations(contract, params, weight, hops, iu, iv, d) -> tuple[int, list]:
+    """Violation count and up to 50 example entries for the pairs (iu, iv)
+    that decoded to d: soundness plus the scheme's contract mask."""
     w = weight[iu, iv]
     h = hops[iu, iv]
-    d = dec[iu, iv]
-    kinds = {"soundness: decoded below true distance": d < w}
-    if scheme == "warmup":
-        mask = (w != INF) & (w >= params["D"]) & (d != w)
-        kinds["window: exact required for dist >= D"] = mask
-    elif scheme == "medium":
-        mask = (h != INF) & (h >= params["D"]) & (h <= 2 * params["D"]) & (d != w)
-        kinds["window: exact required for hops in [D, 2D]"] = mask
-    elif scheme == "full":
-        mask = (h != INF) & (h >= params["D"]) & (d != w)
-        kinds["window: exact required for hops >= D"] = mask
-    elif scheme in ("trivial", "bdeg", "sparse"):
-        kinds["exactness: scheme must be exact for all pairs"] = d != w
-    elif scheme == "additive":
-        kinds["additive: decoded exceeds dist + r"] = (w != INF) & (d > w + params["r"])
-        kinds["additive: finite answer for a disconnected pair"] = (w == INF) & (d != INF)
+    kinds = {"soundness: decoded below true distance": d < w, **contract(params, w, h, d)}
     entries = []
     total = 0
     for kind, mask in kinds.items():
@@ -241,6 +168,7 @@ def verify_labels(
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    contract = lookup(SCHEMES, ls.scheme).contract
     if ls.n != g.n:
         raise LabelError(f"label set describes {ls.n} nodes, graph has {g.n}")
     warnings_: list[str] = []
@@ -272,7 +200,8 @@ def verify_labels(
             dec = decode_matrix(ls)
         except (LabelError, CodecError) as exc:
             return unreadable(exc, mode)
-        count, entries = _exhaustive_violations(ls.scheme, ls.params, weight, hops, dec)
+        iu, iv = np.triu_indices(dec.shape[0], 1)
+        count, entries = _violations(contract, ls.params, weight, hops, iu, iv, dec[iu, iv])
         return VerifyReport(
             graph_id, ls.scheme, ls.params, mode, pairs, count, entries,
             encode_seconds=encode_seconds, warnings=warnings_, **stats,
@@ -284,32 +213,25 @@ def verify_labels(
     except (LabelError, CodecError) as exc:
         return unreadable(exc, "sampled")
     rng = random.Random(seed)
-    count = 0
-    entries: list = []
-    checked = 0
-    for _ in range(sample_count):
-        if g.n < 2:
-            break
+    errors: list = []
+    us, vs, decoded = [], [], []
+    checked = sample_count if g.n >= 2 else 0
+    for _ in range(checked):
         u = rng.randrange(g.n)
         v = rng.randrange(g.n - 1)
         if v >= u:
             v += 1
-        checked += 1
         try:
-            dec = ls.decode(u, v)
+            decoded.append(ls.decode(u, v))
         except (LabelError, CodecError) as exc:
-            count += 1
-            entries.append((u, v, int(weight[u, v]), -1, f"decode error: {exc}"))
+            errors.append((u, v, int(weight[u, v]), -1, f"decode error: {exc}"))
             continue
-        for violated, kind in _pair_contracts(
-            ls.scheme, ls.params, int(weight[u, v]), int(hops[u, v]), dec
-        ):
-            if violated:
-                count += 1
-                if len(entries) < 50:
-                    entries.append((u, v, int(weight[u, v]), dec, kind))
+        us.append(u)
+        vs.append(v)
+    iu, iv, d = (np.array(x, dtype=np.int64) for x in (us, vs, decoded))
+    count, entries = _violations(contract, ls.params, weight, hops, iu, iv, d)
     return VerifyReport(
-        graph_id, ls.scheme, ls.params, "sampled", checked, count, entries,
+        graph_id, ls.scheme, ls.params, "sampled", checked, count + len(errors), errors + entries,
         encode_seconds=encode_seconds, warnings=warnings_, **stats,
     )
 
@@ -361,53 +283,16 @@ class BenchRow:
         ]
 
 
-def _lg(x: float) -> float:
-    return max(np.log2(x), 1.0) if x > 0 else 1.0
-
-
 def bound_value(scheme: str, n: int, m: int, params: dict) -> float:
-    """Reference size for the ratio column: (n/D) * lg(D)^2 for the threshold
-    schemes ((n/D) * lg(n)^2 for warmup), n * lg(n) for the plain table, n for
-    the exact sparse/bounded schemes, and n/r for the additive scheme."""
-    if scheme in ("medium", "full"):
-        d = params["D"]
-        return (n / d) * _lg(d) ** 2
-    if scheme == "warmup":
-        return (n / params["D"]) * _lg(n) ** 2
-    if scheme == "trivial":
-        return n * _lg(n)
-    if scheme in ("bdeg", "sparse"):
-        return float(n)
-    if scheme == "additive":
-        return n / params["r"]
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _encode_for_bench(scheme: str, g: Graph, seed: int, opts: dict) -> LabelSet:
-    if scheme == "trivial":
-        return _preserving.encode_trivial(g)
-    if scheme in ("warmup", "medium", "full"):
-        p = _preserving.PreservingParams(D=opts["D"], seed=seed)
-        return {
-            "warmup": _preserving.encode_warmup,
-            "medium": _preserving.encode_medium,
-            "full": _preserving.encode_full,
-        }[scheme](g, p)
-    if scheme == "bdeg":
-        delta = opts.get("delta") or max(2, g.max_degree())
-        return _sparse.encode_bounded_degree(g, delta, seed)
-    if scheme == "sparse":
-        return _sparse.encode_sparse(g, seed)
-    if scheme == "additive":
-        p = _additive.AdditiveParams(r=opts["r"], t=opts.get("t"), D=opts.get("dd"), seed=seed)
-        return _additive.encode_additive(g, p)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Reference size for the ratio column: the size bound of the scheme's
+    registry record, e.g. (n/D) * lg(D)^2 for full and n/r for additive."""
+    return lookup(SCHEMES, scheme).bound(n, params)
 
 
 def bench_point(scheme: str, n: int, m: int, seed: int, opts: dict) -> BenchRow:
     g = gen_gnm(n, m, seed)
     t0 = time.perf_counter()
-    ls = _encode_for_bench(scheme, g, seed, opts)
+    ls = lookup(SCHEMES, scheme).encode(g, seed, opts)
     elapsed = time.perf_counter() - t0
     bound = bound_value(scheme, n, m, ls.params)
     maxb = ls.max_bits

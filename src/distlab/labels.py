@@ -1,4 +1,4 @@
-"""Label containers and the bit-exact label file format.
+"""Label containers, the bit-exact label file format, and the scheme registry.
 
 File layout: the ASCII magic ``DLAB1``, then a single bit stream holding the
 gamma-coded scheme tag, the scheme's gamma-coded parameters, the gamma-coded
@@ -6,39 +6,109 @@ label count, and one record per node: gamma(id+1), gamma(bit length+1), and
 the raw label bits.  The final byte is zero-padded.  The same input always
 produces byte-identical files.
 
+Each scheme is one `Scheme` record, which the module defining the scheme
+registers on import; everything else looks a scheme up by name.  Decoders
+are dispatched through the tables the registry fills (`SET_PARSERS`,
+`PAIR_DECODERS`, `MATRIX_DECODERS`), so rebinding an entry reaches every caller.
+
 `LabelSet.parsed()` reads the whole set in one pass: the scheme's set parser
-(`harness.SET_PARSERS`) reads each field for all labels at once through
-`bits.SetReader`.  The labels of one encoding share one layout (n, level
-count, each level's D and size, scheme parameters); a set whose labels
-differ there raises LabelError.  All landmark rows of a set are views of one
-label-major (n x total size) table, each level's rows a column block of it;
-window lists, near tables and balls are dicts.
+reads each field for all labels at once through `bits.SetReader`.  The
+labels of one encoding share one layout (n, level count, each level's D and
+size, scheme parameters); a set whose labels differ there raises LabelError.
+All landmark rows of a set are views of one label-major (n x total size)
+table, each level's rows a column block of it; window lists, near tables and
+balls are dicts.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .bits import BitCursor, Bits, BitWriter
-from .errors import LabelError
+from .errors import GraphError, LabelError
 
-__all__ = ["LabelSet", "MAGIC", "save_labels", "load_labels", "dumps", "loads"]
+__all__ = [
+    "LabelSet", "MAGIC", "Scheme", "SCHEMES", "SET_PARSERS", "PAIR_DECODERS", "MATRIX_DECODERS",
+    "register", "lookup", "gamma_fields", "required", "save_labels", "load_labels", "dumps",
+    "loads",
+]
 
 MAGIC = b"DLAB1"
 
-_TAGS = {
-    "trivial": 1,
-    "warmup": 2,
-    "medium": 3,
-    "full": 4,
-    "bdeg": 5,
-    "sparse": 6,
-    "additive": 7,
-}
-_NAMES = {v: k for k, v in _TAGS.items()}
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the codec, the harness and the CLI know about one scheme.
+
+    encode(g, seed, opts) -> LabelSet reads the encode/bench options by name
+    (D, r, t, dd, delta, c, resample_cap; None means unset).  write_params /
+    read_params are the file-header codec.  contract(params, w, h, d) maps
+    each violation kind of the scheme's own window to a bool mask over pairs
+    of true weight w, hops h and decoded d (int64 arrays); universal soundness
+    is the harness's.  bound(n, params) is the benchmark's reference size.
+    """
+
+    name: str
+    tag: int
+    encode: Callable
+    parse_set: Callable
+    pair: Callable
+    matrix: Callable
+    write_params: Callable
+    read_params: Callable
+    contract: Callable
+    bound: Callable
+
+
+SCHEMES: dict[str, Scheme] = {}
+SET_PARSERS: dict[str, Callable] = {}
+PAIR_DECODERS: dict[str, Callable] = {}
+MATRIX_DECODERS: dict[str, Callable] = {}
+
+
+def register(scheme: Scheme) -> None:
+    """Add a scheme to the registry and its decoders to the dispatch tables."""
+    if scheme.name in SCHEMES or any(s.tag == scheme.tag for s in SCHEMES.values()):
+        raise ValueError(f"scheme {scheme.name!r} or tag {scheme.tag} already registered")
+    SCHEMES[scheme.name] = scheme
+    SET_PARSERS[scheme.name] = scheme.parse_set
+    PAIR_DECODERS[scheme.name] = scheme.pair
+    MATRIX_DECODERS[scheme.name] = scheme.matrix
+
+
+def lookup(table: dict, name: str):
+    """`table[name]` for `SCHEMES` or a dispatch table; LabelError when no
+    scheme of that name is registered."""
+    try:
+        return table[name]
+    except KeyError:
+        raise LabelError(f"unknown scheme {name!r}") from None
+
+
+def gamma_fields(*spec: tuple[str, int]) -> tuple[Callable, Callable]:
+    """Header codec (write_params, read_params) storing each param `key` of
+    (key, offset) in `spec` as gamma(params[key] + offset), in order."""
+
+    def write(w: BitWriter, params: dict) -> None:
+        for key, offset in spec:
+            w.write_gamma(int(params[key]) + offset)
+
+    def read(cur: BitCursor) -> dict:
+        return {key: cur.read_gamma() - offset for key, offset in spec}
+
+    return write, read
+
+
+def required(opts: dict, key: str, name: str):
+    """The encode option `key`; GraphError naming its CLI flag when unset."""
+    value = opts.get(key)
+    if value is None:
+        raise GraphError(f"--{key.lower()} is required for the {name} scheme")
+    return value
 
 
 @dataclass
@@ -70,18 +140,19 @@ class LabelSet:
 
     def parsed(self) -> list:
         """Labels parsed into their in-memory form, all in one pass of the
-        scheme's set parser, cached."""
+        scheme's set parser, cached.  Label i must carry id i: the bulk
+        decoders index by position, the pair decoders by id."""
         if self._parsed is None:
-            from . import harness
-
-            self._parsed = harness.SET_PARSERS[self.scheme](self.labels)
+            parsed = lookup(SET_PARSERS, self.scheme)(self.labels)
+            for i, p in enumerate(parsed):
+                if p.id != i:
+                    raise LabelError(f"label {i} carries id {p.id}")
+            self._parsed = parsed
         return self._parsed
 
     def decode(self, u: int, v: int) -> int:
         """Distance reported for the pair (u, v) from their labels alone; u
         and v must be integers in 0..len(labels)-1."""
-        from . import harness
-
         try:
             u, v = operator.index(u), operator.index(v)
         except TypeError:
@@ -89,68 +160,17 @@ class LabelSet:
         count = len(self.labels)
         if not (0 <= u < count and 0 <= v < count):
             raise LabelError(f"node ids ({u}, {v}) are not both in 0..{count - 1}")
-        p = self.parsed()
-        return harness.PAIR_DECODERS[self.scheme](p[u], p[v])
-
-
-def _write_params(w: BitWriter, ls: LabelSet) -> None:
-    p = ls.params
-    if ls.scheme in ("trivial", "warmup", "medium", "full"):
-        counts = list(p.get("landmark_counts", ()))
-        if ls.scheme in ("warmup", "medium"):
-            counts = [int(p["landmarks"])]
-        w.write_gamma(int(p.get("D", 1)))
-        w.write_gamma(len(counts) + 1)
-        for c in counts:
-            w.write_gamma(int(c) + 1)
-    elif ls.scheme in ("bdeg", "sparse"):
-        w.write_gamma(int(p["delta"]) + 1)
-        w.write_gamma(int(p["D"]))
-        w.write_gamma(int(p["k"]))
-    elif ls.scheme == "additive":
-        w.write_gamma(int(p["r"]))
-        w.write_gamma(int(p["t"]))
-        w.write_gamma(int(p["D"]))
-        w.write_gamma(int(p["dominators"]) + 1)
-    else:
-        raise LabelError(f"unknown scheme {ls.scheme!r}")
-
-
-def _read_params(cur: BitCursor, scheme: str) -> dict:
-    if scheme in ("trivial", "warmup", "medium", "full"):
-        d = cur.read_gamma()
-        counts = [cur.read_gamma() - 1 for _ in range(cur.read_gamma() - 1)]
-        params = {"D": d}
-        if scheme in ("warmup", "medium"):
-            params["landmarks"] = counts[0] if counts else 0
-        if scheme == "full":
-            params["levels"] = len(counts)
-            params["landmark_counts"] = counts
-        return params
-    if scheme in ("bdeg", "sparse"):
-        return {
-            "delta": cur.read_gamma() - 1,
-            "D": cur.read_gamma(),
-            "k": cur.read_gamma(),
-        }
-    if scheme == "additive":
-        return {
-            "r": cur.read_gamma(),
-            "t": cur.read_gamma(),
-            "D": cur.read_gamma(),
-            "dominators": cur.read_gamma() - 1,
-        }
-    raise LabelError(f"unknown scheme {scheme!r}")
+        p = self.parsed()  # checks that the scheme is registered
+        return PAIR_DECODERS[self.scheme](p[u], p[v])
 
 
 def dumps(ls: LabelSet) -> bytes:
-    if ls.scheme not in _TAGS:
-        raise LabelError(f"unknown scheme {ls.scheme!r}")
+    scheme = lookup(SCHEMES, ls.scheme)
     if len(ls.labels) != ls.n:
         raise LabelError(f"label set claims n={ls.n} but holds {len(ls.labels)} labels")
     w = BitWriter()
-    w.write_gamma(_TAGS[ls.scheme])
-    _write_params(w, ls)
+    w.write_gamma(scheme.tag)
+    scheme.write_params(w, ls.params)
     w.write_gamma(ls.n + 1)
     for i, bits in enumerate(ls.labels):
         w.write_gamma(i + 1)
@@ -165,10 +185,10 @@ def loads(buf: bytes) -> LabelSet:
     payload = buf[len(MAGIC):]
     cur = BitCursor(Bits(payload, 8 * len(payload)))
     tag = cur.read_gamma()
-    if tag not in _NAMES:
+    scheme = next((s for s in SCHEMES.values() if s.tag == tag), None)
+    if scheme is None:
         raise LabelError(f"unknown scheme tag {tag}")
-    scheme = _NAMES[tag]
-    params = _read_params(cur, scheme)
+    params = scheme.read_params(cur)
     n = cur.read_gamma() - 1
     labels: list[Bits] = []
     for i in range(n):
@@ -177,7 +197,7 @@ def loads(buf: bytes) -> LabelSet:
             raise LabelError(f"record {i} carries id {ident}")
         nbits = cur.read_gamma() - 1
         labels.append(cur.read_bits(nbits))
-    return LabelSet(scheme, n, params, labels)
+    return LabelSet(scheme.name, n, params, labels)
 
 
 def save_labels(ls: LabelSet, path) -> None:

@@ -37,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (
-    BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits, pack_values,
+    BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
+    pack_values,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .graph import INF, Graph, _csr, _or_neighbours
-from .labels import LabelSet
+from .labels import LabelSet, Scheme, register, required
 
 __all__ = [
     "PreservingParams",
@@ -764,3 +765,71 @@ def medium_matrix(parsed: list[MediumLabel]) -> np.ndarray:
 
 def full_matrix(parsed: list[FullLabel]) -> np.ndarray:
     return _levels_matrix(parsed, [p.levels for p in parsed])
+
+
+# ---------------------------------------------------------------------------
+# Registry records
+
+
+def _threshold_params(name: str, seed: int, opts: dict) -> PreservingParams:
+    tuning = {k: opts[k] for k in ("resample_cap", "c") if opts.get(k) is not None}
+    return PreservingParams(D=required(opts, "D", name), seed=seed, **tuning)
+
+
+def _header(counts, params):
+    """Header codec (write_params, read_params) of a threshold scheme:
+    gamma(D), gamma(k + 1), then gamma(c + 1) for each of the k landmark
+    counts c that counts(params) lists; params(D, counts) rebuilds the
+    params on read."""
+    def write(w: BitWriter, p: dict) -> None:
+        listed = counts(p)
+        for x in (p.get("D", 1), len(listed) + 1, *(c + 1 for c in listed)):
+            w.write_gamma(int(x))
+
+    def read(cur: BitCursor) -> dict:
+        D = cur.read_gamma()
+        return params(D, [cur.read_gamma() - 1 for _ in range(cur.read_gamma() - 1)])
+    return write, read
+
+
+def _exact_everywhere(params, w, h, d) -> dict:
+    return {"exactness: scheme must be exact for all pairs": d != w}
+
+
+def _lg(x: float) -> float:
+    return max(np.log2(x), 1.0) if x > 0 else 1.0
+
+
+register(Scheme(
+    "trivial", 1, lambda g, seed, opts: encode_trivial(g),
+    parse_trivial_set, _trivial_pair, trivial_matrix, *_header(lambda p: [], lambda D, c: {"D": D}),
+    contract=_exact_everywhere, bound=lambda n, p: n * _lg(n),
+))
+# warmup and medium store a single landmark count
+_one_table = _header(
+    lambda p: [p["landmarks"]], lambda D, c: {"D": D, "landmarks": c[0] if c else 0}
+)
+register(Scheme(
+    "warmup", 2, lambda g, seed, opts: encode_warmup(g, _threshold_params("warmup", seed, opts)),
+    parse_warmup_set, _warmup_pair, warmup_matrix, *_one_table,
+    contract=lambda p, w, h, d: {
+        "window: exact required for dist >= D": (w != INF) & (w >= p["D"]) & (d != w)},
+    bound=lambda n, p: (n / p["D"]) * _lg(n) ** 2,
+))
+register(Scheme(
+    "medium", 3, lambda g, seed, opts: encode_medium(g, _threshold_params("medium", seed, opts)),
+    parse_medium_set, _medium_pair, medium_matrix, *_one_table,
+    contract=lambda p, w, h, d: {
+        "window: exact required for hops in [D, 2D]":
+            (h != INF) & (h >= p["D"]) & (h <= 2 * p["D"]) & (d != w)},
+    bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,
+))
+register(Scheme(
+    "full", 4, lambda g, seed, opts: encode_full(g, _threshold_params("full", seed, opts)),
+    parse_full_set, _full_pair, full_matrix,
+    *_header(lambda p: p["landmark_counts"],
+             lambda D, c: {"D": D, "levels": len(c), "landmark_counts": c}),
+    contract=lambda p, w, h, d: {
+        "window: exact required for hops >= D": (h != INF) & (h >= p["D"]) & (d != w)},
+    bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,
+))

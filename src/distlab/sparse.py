@@ -16,18 +16,18 @@ first copies, which reuse the original node ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bits import BitWriter, Bits, SetReader, pack_values
 from .errors import GraphError, LabelError
 from .graph import INF, Graph
-from .labels import LabelSet
+from .labels import LabelSet, Scheme, gamma_fields, register
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_labels, _full_pair, _min_scatter, _mix, _read_headers,
-    _read_tables, _shared, full_matrix,
+    FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pair, _min_scatter, _mix,
+    _read_headers, _read_tables, _shared, full_matrix,
 )
 
 __all__ = [
@@ -225,3 +225,17 @@ def bounded_matrix(parsed: list[BoundedLabel]) -> np.ndarray:
     if any((p.n, p.delta, p.D) != (parsed[0].n, parsed[0].delta, parsed[0].D) for p in parsed):
         raise LabelError("bounded-degree labels come from different encodings")
     return _min_scatter(full_matrix([p.full for p in parsed]), enumerate(p.near for p in parsed))
+
+
+def _encode_bdeg(g: Graph, seed: int, opts: dict) -> LabelSet:
+    delta = opts.get("delta")
+    return encode_bounded_degree(g, max(2, g.max_degree()) if delta is None else delta, seed)
+
+
+_bdeg = Scheme(
+    "bdeg", 5, _encode_bdeg, parse_bounded_set, _bounded_pair, bounded_matrix,
+    *gamma_fields(("delta", 1), ("D", 0), ("k", 0)),
+    contract=_exact_everywhere, bound=lambda n, p: float(n),
+)
+register(_bdeg)
+register(replace(_bdeg, name="sparse", tag=6, encode=lambda g, seed, opts: encode_sparse(g, seed)))

@@ -8,20 +8,26 @@ import numpy as np
 import pytest
 
 from distlab import (
+    Graph,
     PreservingParams,
     encode_full,
+    encode_trivial,
     gen_gnm,
     load_edge_list,
     verify_labels,
 )
-from distlab.cli import main
+from distlab.cli import SCHEMES, main
+from distlab.errors import GraphError, LabelError
 from distlab.harness import (
+    bench_sweep,
     bound_value,
+    decode_matrix,
     lower_bound_experiment,
     parse_m_rule,
     worker_count,
 )
-from distlab.labels import load_labels
+from distlab.labels import SCHEMES as REGISTRY
+from distlab.labels import LabelSet, load_labels
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -73,10 +79,66 @@ def test_verify_detects_planted_violation():
 def test_verify_graph_label_mismatch():
     g = gen_gnm(16, 32, seed=4)
     ls = encode_full(gen_gnm(17, 32, seed=4), PreservingParams(D=2, seed=4))
-    from distlab.errors import LabelError
-
     with pytest.raises(LabelError):
         verify_labels(g, ls)
+
+
+def test_unknown_scheme_is_a_label_error():
+    g = gen_gnm(8, 12, seed=1)
+    ls = encode_trivial(g)
+    bogus = LabelSet("bogus", ls.n, ls.params, ls.labels)
+    for entry in (
+        bogus.parsed,
+        lambda: bogus.decode(0, 1),
+        lambda: decode_matrix(bogus),
+        lambda: verify_labels(g, bogus),
+        lambda: verify_labels(g, bogus, mode="sampled", sample_count=10),
+    ):
+        with pytest.raises(LabelError, match="unknown scheme 'bogus'"):
+            entry()
+
+
+# the CLI's options for each scheme: every registered scheme needs an entry
+SCHEME_ARGS = {
+    "trivial": [],
+    "warmup": ["--d", "3"],
+    "medium": ["--d", "3"],
+    "full": ["--d", "3"],
+    "bdeg": [],
+    "sparse": [],
+    "additive": ["--r", "4", "--t", "16", "--dd", "4"],
+}
+SCHEME_OPTS = {"D": 3, "r": 2, "t": 6, "dd": 2}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_sampled_and_exhaustive_report_the_same_violation_kinds(name):
+    g = gen_gnm(24, 48, seed=1)
+    ls = REGISTRY[name].encode(g, 1, SCHEME_OPTS)
+    # a label carrying another node's bits: both modes refuse the set
+    swapped = LabelSet(ls.scheme, ls.n, ls.params, list(ls.labels))
+    swapped.labels[3] = swapped.labels[17]
+    # well-formed labels against a graph with one edge moved: the contract masks
+    moved = Graph(g.n, g.edges[1:] + [(0, 1, 1)])
+    for labels, graph in ((swapped, g), (ls, moved)):
+        ex = verify_labels(graph, labels)
+        sa = verify_labels(graph, labels, mode="sampled", sample_count=20_000, seed=1)
+        assert not ex.passed
+        assert {e[4] for e in sa.violations} == {e[4] for e in ex.violations}
+
+
+def test_bench_honours_an_explicit_zero_delta():
+    with pytest.raises(GraphError, match="bound 0"):
+        bench_sweep("bdeg", [16], "2n", [1], [{"delta": 0}])
+
+
+@pytest.mark.parametrize("name,message", [
+    ("full", "--d is required for the full scheme"),
+    ("additive", "--r is required for the additive scheme"),
+])
+def test_bench_without_a_required_option_is_a_graph_error(name, message):
+    with pytest.raises(GraphError, match=message):
+        bench_sweep(name, [16], "2n", [1], [{}])
 
 
 def test_bound_values():
@@ -156,16 +218,18 @@ def test_cli_structured_generators(tmp_path):
 def test_cli_scheme_dispatch(tmp_path):
     gpath = tmp_path / "g.edges"
     main(["gen", "gnm", "--n", "36", "--m", "72", "--seed", "2", "--out", str(gpath)])
-    for args in (
-        ["--scheme", "sparse"],
-        ["--scheme", "bdeg"],
-        ["--scheme", "warmup", "--d", "3"],
-        ["--scheme", "additive", "--r", "4", "--t", "16", "--dd", "4"],
-    ):
-        lpath = tmp_path / f"{args[1]}.dlab"
+    assert set(SCHEMES) == set(SCHEME_ARGS)
+    for name in SCHEMES:
+        args = ["--scheme", name, *SCHEME_ARGS[name]]
+        lpath = tmp_path / f"{name}.dlab"
         assert main(["encode", "--in", str(gpath), *args, "--out", str(lpath)]) == 0
         assert main(["verify", "--graph", str(gpath), "--labels", str(lpath)]) == 0
-        assert load_labels(lpath).scheme == args[1]
+        assert load_labels(lpath).scheme == name
+        out = tmp_path / f"{name}.csv"
+        assert main(["bench", *args, "--n", "24", "--seeds", "1", "--csv", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 1 and rows[0][2] == name
 
 
 def test_cli_gen_deterministic(tmp_path):
