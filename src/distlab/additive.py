@@ -25,19 +25,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitWriter, Bits, SetReader, pack_values
+from .bits import Bits, SetReader, concat_ragged, fixed_bits, id_set_bits
 from .errors import GraphError, LabelError
 from .graph import INF, Graph, distances_from
 from .labels import LabelSet, Scheme, gamma_fields, register, required
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_labels, _full_pair, _min_scatter, _minplus, _mix,
-    _read_headers, _read_tables, _shared, full_matrix,
+    FullLabel, PreservingParams, _full_labels, _full_pair, _header_bits, _min_scatter, _minplus,
+    _mix, _read_headers, _read_tables, _shared, full_matrix,
 )
 
 __all__ = [
@@ -96,19 +95,14 @@ def _check_unit(g: Graph, what: str) -> None:
         raise GraphError(f"{what} expects a unit-weight graph")
 
 
-def _truncated_ball(g: Graph, u: int, depth: int, excluded=None) -> dict[int, int]:
-    """BFS ball of the given hop radius; `excluded` nodes are impassable."""
-    dist = {u: 0}
-    frontier = deque([u])
-    while frontier:
-        x = frontier.popleft()
-        if dist[x] == depth:
-            continue
-        for v, _ in g.adj[x]:
-            if v not in dist and (excluded is None or v not in excluded):
-                dist[v] = dist[x] + 1
-                frontier.append(v)
-    return dist
+def _induced(g: Graph, excluded) -> tuple[np.ndarray, Graph]:
+    """The nodes of g outside `excluded` (ascending) and the subgraph they
+    induce, node i of which is the i-th of them."""
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(excluded)] = False
+    ends = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)[:, :2]
+    ends = ends[keep[ends].all(axis=1)]
+    return np.flatnonzero(keep), Graph(int(keep.sum()), (np.cumsum(keep) - 1)[ends].tolist())
 
 
 def power_graph(g: Graph, radius: int) -> Graph:
@@ -116,14 +110,8 @@ def power_graph(g: Graph, radius: int) -> Graph:
     _check_unit(g, "power graph")
     if radius < 1:
         raise GraphError(f"power-graph radius must be >= 1, got {radius}")
-    if radius == 1:
-        return Graph(g.n, list(g.edges))
-    edges = []
-    for u in range(g.n):
-        for v in _truncated_ball(g, u, radius):
-            if v > u:
-                edges.append((u, v, 1))
-    return Graph(g.n, edges)
+    us, vs = np.nonzero(np.triu(g.apsp()[0] <= radius, 1))
+    return Graph(g.n, zip(us.tolist(), vs.tolist()))
 
 
 def high_degree_set(gr: Graph, t: int) -> set[int]:
@@ -164,10 +152,16 @@ def ball_in_induced(g: Graph, excluded, u: int, depth: int) -> dict[int, int]:
     """Distances from u within the subgraph induced by V minus `excluded`,
     truncated at the given radius."""
     _check_unit(g, "induced ball")
-    excluded = set(excluded)
+    excluded = {int(x) for x in excluded}
+    bad = sorted(x for x in excluded | {int(u)} if not 0 <= x < g.n)
+    if bad:
+        raise GraphError(f"node ids {bad} out of range 0..{g.n - 1}")
     if u in excluded:
         raise GraphError(f"ball center {u} is in the excluded set")
-    return _truncated_ball(g, u, depth, excluded)
+    ids, sub = _induced(g, excluded)
+    row = sub.apsp()[0][np.searchsorted(ids, u)]
+    near = np.flatnonzero(row <= depth)
+    return dict(zip(ids[near].tolist(), row[near].tolist()))
 
 
 @dataclass
@@ -195,41 +189,37 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     gr = power_graph(g, r // 2)
     high = high_degree_set(gr, t)
     dominators = sorted(greedy_dominating_set(gr, high))
-    dom_table = distances_from(g, dominators).T if dominators else np.zeros((n, 0), np.int64)
+    dom_table = distances_from(g, dominators).T
     full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(p.seed, 313)))
     dom_width = max(1, n.bit_length())
     ball_width = max(1, D.bit_length())
-    labels = []
-    ball_sizes = []
-    for u in range(n):
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        w.write_gamma(r)
-        w.write_gamma(t)
-        w.write_gamma(D)
-        w.write_gamma(len(dominators) + 1)
-        w.write_bit(u in high)
-        row = dom_table[u]
-        present = row != INF
-        val, wd = pack_values(present.astype(np.int64), 1)
-        w.write(val, wd)
-        val, wd = pack_values(row[present], dom_width)
-        w.write(val, wd)
-        if u not in high:
-            ball = _truncated_ball(g, u, D, high)
-            ball_sizes.append(len(ball))
-            ids = sorted(ball)
-            w.write_id_set(ids)
-            val, wd = pack_values(np.array([ball[i] for i in ids], np.int64), ball_width)
-            w.write(val, wd)
-        w.write_bits(full_ls.labels[u])
-        labels.append(w.getvalue())
+    is_high = np.zeros(n, dtype=bool)
+    is_high[list(high)] = True
+    present = dom_table != INF
+    flags = np.column_stack([is_high, present]).astype(np.uint8)  # high bit, dominator bitmap
+    # each low-degree node's radius-D ball in the subgraph the low-degree
+    # nodes induce; a high-degree node writes none
+    low, sub = _induced(g, high)
+    sub_weight = sub.apsp()[0]
+    rows, cols = np.nonzero(sub_weight <= D)
+    ball_sizes = np.zeros(n, dtype=np.intp)
+    ball_sizes[low] = np.bincount(rows, minlength=low.size)
+    set_bits, set_len = id_set_bits(low[cols], ball_sizes[low])
+    set_lengths = np.zeros(n, dtype=np.intp)
+    set_lengths[low] = set_len
+    labels = concat_ragged([
+        _header_bits(n, n, r, t, D, len(dominators) + 1),
+        (flags.ravel(), np.full(n, flags.shape[1])),
+        (fixed_bits(dom_table[present], dom_width), dom_width * present.sum(axis=1)),
+        (set_bits, set_lengths),
+        (fixed_bits(sub_weight[rows, cols], ball_width), ball_width * ball_sizes),
+        (b.to_array() for b in full_ls.labels),
+    ])
     params = {"r": r, "t": t, "D": D, "dominators": len(dominators)}
     meta = {
         "high_degree": sorted(high),
         "dominators": dominators,
-        "ball_sizes": ball_sizes,
+        "ball_sizes": ball_sizes[low].tolist(),
         "full": full_ls.meta,
     }
     return LabelSet("additive", n, params, labels, meta=meta)

@@ -15,11 +15,13 @@ Field vocabulary used by the label schemes:
 * ``bitmap`` /  -- a run of 1-bit flags, then the flagged values packed as
   ``packed``       consecutive fixed-width fields.
 
-Bulk writers build many labels at once with the array encoders
-(`fixed_bits`, `gamma_bits`, `id_set_bits`, `concat_ragged`).  Each returns
-an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding exactly
-the bits the matching `BitWriter` calls write; `Bits.from_array` packs one
-label's slice.
+Every label encoder writes through the array encoders (`fixed_bits`,
+`gamma_bits`, `id_set_bits`).  Each builds one field for many labels at
+once as an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding
+exactly the bits the matching `BitWriter` calls write, plus each label's
+share.  `concat_ragged` then joins each node's share of every piece and
+packs each label once.  `BitWriter` stays the writer of the file framing;
+it and `pack_values` are the tests' reference for the array encoders.
 
 Bulk readers parse many labels at once with `SetReader`: the payloads are
 joined into one buffer, each label keeps its own bit position, and every
@@ -84,6 +86,10 @@ class Bits:
     def from_array(cls, bits: np.ndarray) -> "Bits":
         """Pack an unpacked 0/1 `uint8` bit array, MSB first."""
         return cls(np.packbits(bits), int(bits.size))  # packbits zero-pads the last byte
+
+    def to_array(self) -> np.ndarray:
+        """The bits as an unpacked 0/1 `uint8` array, MSB first."""
+        return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8), count=self.nbits)
 
     def to_int(self) -> int:
         if self.nbits == 0:
@@ -209,25 +215,24 @@ def id_set_bits(ids, counts) -> tuple[np.ndarray, np.ndarray]:
     return bits, sums[bounds[1:]] - sums[bounds[:-1]]
 
 
-def concat_ragged(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """Interleave per-node pieces in node order.
+def concat_ragged(pieces) -> list[Bits]:
+    """Node u's label: its share of every piece, in piece order, packed once.
 
-    Each piece is (bits, lengths): the bits of nodes 0, 1, ... back to back,
-    node u's share being lengths[u] bits.  Returns node 0's share of every
-    piece in piece order, then node 1's, and so on, plus per-node offsets
-    (node u's bits are out[offsets[u]:offsets[u + 1]]).
+    A piece is (bits, lengths), the bits of nodes 0, 1, ... back to back with
+    node u's share lengths[u] bits long, or an iterable of per-node bit
+    arrays, taken one node at a time.  Every piece covers the same nodes.
     """
-    cuts, sizes = [], 0
-    for bits, lengths in pieces:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        ends = [0, *np.cumsum(lengths).tolist()]
-        if ends[-1] != bits.size:
-            raise CodecError(f"piece of {bits.size} bits, lengths add up to {ends[-1]}")
-        cuts.append((bits, ends))
-        sizes = sizes + lengths
-    parts = [bits[c[u]:c[u + 1]] for u in range(len(sizes)) for bits, c in cuts]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8), offsets
+    shares = []
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            bits, lengths = piece
+            ends = np.cumsum(lengths, dtype=np.intp).tolist()
+            total = ends[-1] if ends else 0
+            if total != bits.size:
+                raise CodecError(f"piece of {bits.size} bits, lengths add up to {total}")
+            piece = [bits[a:b] for a, b in zip([0, *ends], ends)]
+        shares.append(piece)
+    return [Bits.from_array(np.concatenate(parts)) for parts in zip(*shares, strict=True)]
 
 
 class BitWriter:

@@ -140,9 +140,12 @@ class LabelSet:
 
     def parsed(self) -> list:
         """Labels parsed into their in-memory form, all in one pass of the
-        scheme's set parser, cached.  Label i must carry id i: the bulk
-        decoders index by position, the pair decoders by id."""
+        scheme's set parser, cached.  There must be n labels, and label i
+        must carry id i: the bulk decoders index by position, the pair
+        decoders by id."""
         if self._parsed is None:
+            if len(self.labels) != self.n:
+                raise LabelError(f"label set claims n={self.n} but holds {len(self.labels)} labels")
             parsed = lookup(SET_PARSERS, self.scheme)(self.labels)
             for i, p in enumerate(parsed):
                 if p.id != i:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .bits import (
     BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
-    pack_values,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .graph import INF, Graph, _csr, _or_neighbours
@@ -259,8 +258,8 @@ def _build_level(g: Graph, D: int, seed: int, cap: int, count: int):
     return _LevelData(D, rs, sick, table, window, weight), meta
 
 
-def _level_bits(lvl: _LevelData, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level bodies of nodes 0..count-1: one bit array plus per-node offsets.
+def _level_bits(lvl: _LevelData, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Level bodies of nodes 0..count-1, as (bits, per-node lengths) pieces.
 
     A body is gamma(D), gamma(size+1), the sick bit, the presence bitmap of
     the node's landmark row (entries <= 2D) and the present values at
@@ -284,32 +283,31 @@ def _level_bits(lvl: _LevelData, count: int) -> tuple[np.ndarray, np.ndarray]:
     set_bits, set_len = id_set_bits(ids, nwin[healthy])
     set_lengths = np.zeros(count, dtype=np.intp)
     set_lengths[healthy] = set_len
-    return concat_ragged([
+    return [
         (head.ravel(), np.full(count, head.shape[1])),
         (fixed_bits(table[present], w), w * present.sum(axis=1)),
         (set_bits, set_lengths),
         (fixed_bits(lvl.weight[np.repeat(np.arange(count), nwin), ids], w), w * nwin),
-    ])
+    ]
 
 
 def _header_bits(n: int, count: int, *extra: int) -> tuple[np.ndarray, np.ndarray]:
     """Label headers gamma(n+1), gamma(u+1), then gamma of each `extra`
-    value, for nodes u < count: one bit array plus per-node offsets."""
+    value, for nodes u < count: one bit array plus per-node lengths."""
     fields = np.column_stack(
         [np.full(count, n + 1), np.arange(1, count + 1), *(np.full(count, x) for x in extra)]
     )
     bits, lengths = gamma_bits(fields)
-    return bits, np.concatenate(([0], np.cumsum(lengths.reshape(fields.shape).sum(axis=1))))
+    return bits, lengths.reshape(fields.shape).sum(axis=1)
 
 
-def _pack_labels(pieces) -> list[Bits]:
-    """Node u's label: its slice of every (bits, offsets) piece in order,
-    packed once."""
-    cuts = [(bits, offsets.tolist()) for bits, offsets in pieces]
-    return [
-        Bits.from_array(np.concatenate([b[o[u]:o[u + 1]] for b, o in cuts]))
-        for u in range(len(cuts[0][1]) - 1)
-    ]
+def _row_bits(rows, n: int):
+    """Each distance row at _row_width(n) bits per entry, INF written as the
+    all-ones marker: one bit array per row, made one row at a time (a whole
+    table at once would hold a byte per bit of every label)."""
+    width = _row_width(n)
+    marker = (1 << width) - 1
+    return (fixed_bits(np.where(row == INF, marker, row), width) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +445,7 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
                 f"no sample of {draws} landmarks covered all pairs at distance "
                 f">= {p.D} within {p.resample_cap} attempts (n={n})"
             )
-    width = _row_width(n)
-    marker = (1 << width) - 1
-    table = weight[:, chosen]
-    labels = []
-    for u in range(n):
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        w.write_gamma(len(chosen) + 1)
-        val, wd = pack_values(np.where(table[u] == INF, marker, table[u]), width)
-        w.write(val, wd)
-        labels.append(w.getvalue())
+    labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), _row_bits(weight[:, chosen], n)])
     meta = {"landmarks": chosen, "draws": draws, "attempts": attempts}
     return LabelSet("warmup", n, {"D": p.D, "landmarks": len(chosen)}, labels, meta=meta)
 
@@ -515,7 +502,7 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
     if n == 0:
         return LabelSet("medium", 0, {"D": p.D, "landmarks": 0}, [])
     lvl, meta = _build_level(g, p.D, _mix(p.seed, 17), p.resample_cap, n)
-    labels = _pack_labels([_header_bits(n, n), _level_bits(lvl, n)])
+    labels = concat_ragged([_header_bits(n, n), *_level_bits(lvl, n)])
     return LabelSet(
         "medium", n, {"D": p.D, "landmarks": len(lvl.rs)}, labels, meta=meta
     )
@@ -574,11 +561,11 @@ def encode_full(g: Graph, p: PreservingParams, *, _count=None) -> LabelSet:
         lvl, meta = _build_level(
             g, p.D << i, _mix(p.seed, 1009 * (i + 1)), p.resample_cap, count
         )
-        bodies.append(_level_bits(lvl, count))
+        bodies.extend(_level_bits(lvl, count))
         landmark_counts.append(len(lvl.rs))
         metas.append(meta)
         del lvl  # its landmark table is no longer needed once written
-    labels = _pack_labels([_header_bits(n, count, k + 1), *bodies])
+    labels = concat_ragged([_header_bits(n, count, k + 1), *bodies])
     params = {"D": p.D, "levels": k + 1, "landmark_counts": landmark_counts}
     return LabelSet("full", n, params, labels, meta={"levels": metas})
 
@@ -633,17 +620,7 @@ class TrivialLabel:
 def encode_trivial(g: Graph) -> LabelSet:
     """Each label stores the node's whole distance row; decoding is lookup."""
     n = g.n
-    weight = g.apsp()[0] if n else None
-    width = _row_width(n)
-    marker = (1 << width) - 1
-    labels = []
-    for u in range(n):
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        val, wd = pack_values(np.where(weight[u] == INF, marker, weight[u]), width)
-        w.write(val, wd)
-        labels.append(w.getvalue())
+    labels = concat_ragged([_header_bits(n, n), _row_bits(g.apsp()[0], n)])
     return LabelSet("trivial", n, {"D": 1}, labels)
 
 

@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import BitWriter, Bits, SetReader, pack_values
+from .bits import Bits, SetReader, concat_ragged, fixed_bits, id_set_bits
 from .errors import GraphError, LabelError
 from .graph import INF, Graph
 from .labels import LabelSet, Scheme, gamma_fields, register
 from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pair, _min_scatter, _mix,
-    _read_headers, _read_tables, _shared, full_matrix,
+    FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pair, _header_bits,
+    _min_scatter, _mix, _read_headers, _read_tables, _shared, full_matrix,
 )
 
 __all__ = [
@@ -133,27 +133,21 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
         if g.degree(u) > delta:
             raise GraphError(f"node {u} has degree {g.degree(u)} > bound {delta}")
     n = g.n
+    count = n if _count is None else _count
     D = bounded_degree_threshold(n, delta)
     weight, hops = g.apsp()
     full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(seed, 71)), _count=_count)
     near_width = max(1, (D - 1).bit_length() + 1)
-    labels = []
-    near_sizes = []
-    for u in range(n if _count is None else _count):
-        ids = np.flatnonzero(hops[u] <= D - 1)
-        near_sizes.append(int(ids.size))
-        w = BitWriter()
-        w.write_gamma(n + 1)
-        w.write_gamma(u + 1)
-        w.write_gamma(delta + 1)
-        w.write_gamma(D)
-        w.write_id_set([int(i) for i in ids])
-        val, wd = pack_values(weight[u, ids], near_width)
-        w.write(val, wd)
-        w.write_bits(full_ls.labels[u])
-        labels.append(w.getvalue())
+    rows, cols = np.nonzero(hops[:count] <= D - 1)
+    near_sizes = np.bincount(rows, minlength=count)
+    labels = concat_ragged([
+        _header_bits(n, count, delta + 1, D),
+        id_set_bits(cols, near_sizes),
+        (fixed_bits(weight[rows, cols], near_width), near_width * near_sizes),
+        (b.to_array() for b in full_ls.labels),
+    ])
     params = {"delta": delta, "D": D, "k": delta}
-    meta = {"near_sizes": near_sizes, "full": full_ls.meta}
+    meta = {"near_sizes": near_sizes.tolist(), "full": full_ls.meta}
     return LabelSet("bdeg", n, params, labels, meta=meta)
 
 

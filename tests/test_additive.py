@@ -112,6 +112,14 @@ def test_ball_center_must_not_be_excluded():
         ball_in_induced(gen_path(3), {0}, 0, 2)
 
 
+@pytest.mark.parametrize("excluded,center", [
+    ({3}, 0), ({-1}, 0), ({1, 7}, 0), (set(), 3), (set(), -1),
+])
+def test_ball_ids_out_of_range_rejected(excluded, center):
+    with pytest.raises(GraphError, match="out of range"):
+        ball_in_induced(gen_path(3), excluded, center, 2)
+
+
 # --- encode/decode --------------------------------------------------------------
 
 def check_error_window(g, ls, r):

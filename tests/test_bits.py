@@ -383,13 +383,25 @@ def test_id_set_bits_rejects_bad_sets():
 def test_concat_ragged_interleaves_in_node_order():
     a = (np.array([1, 1, 0, 1], dtype=np.uint8), [1, 0, 3])
     b = (np.array([0, 0, 1, 1, 0], dtype=np.uint8), [2, 2, 1])
-    bits, offsets = concat_ragged([a, b])
-    assert offsets.tolist() == [0, 3, 5, 9]
-    assert "".join(map(str, bits.tolist())) == "100" + "11" + "1010"
+    labels = concat_ragged([a, b])
+    assert [x.to01() for x in labels] == ["100", "11", "1010"]
+    # a piece may also give each node's bits as its own array
+    tails = [Bits.from_int(5, 3), Bits(b"", 0), Bits.from_int(1, 9)]
+    labels = concat_ragged([a, (t.to_array() for t in tails), b])
+    assert [x.to01() for x in labels] == ["1" + "101" + "00", "11", "101" + "000000001" + "0"]
     with pytest.raises(CodecError):
         concat_ragged([(np.zeros(3, dtype=np.uint8), [1, 1])])
-    bits, offsets = concat_ragged([(np.zeros(0, dtype=np.uint8), [])])
-    assert bits.size == 0 and offsets.tolist() == [0]
+    with pytest.raises(ValueError):  # pieces covering different node counts
+        concat_ragged([a, (np.zeros(2, dtype=np.uint8), [1, 1])])
+    assert concat_ragged([(np.zeros(0, dtype=np.uint8), [])]) == []
+
+
+def test_bits_to_array_inverts_from_array():
+    rng = random.Random(5)
+    for nbits in (0, 1, 7, 8, 9, 64, 77):
+        bits = np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
+        back = Bits.from_array(bits).to_array()
+        assert back.dtype == np.uint8 and back.tolist() == bits.tolist()
 
 
 # --- set reader --------------------------------------------------------------

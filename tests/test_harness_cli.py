@@ -127,6 +127,19 @@ def test_sampled_and_exhaustive_report_the_same_violation_kinds(name):
         assert {e[4] for e in sa.violations} == {e[4] for e in ex.violations}
 
 
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_a_set_missing_a_label_fails_both_verify_modes(name):
+    g = gen_gnm(40, 80, seed=1)
+    ls = REGISTRY[name].encode(g, 1, SCHEME_OPTS)
+    short = LabelSet(ls.scheme, ls.n, ls.params, ls.labels[:-1])
+    with pytest.raises(LabelError, match="holds 39 labels"):
+        short.parsed()
+    for mode in ("exhaustive", "sampled"):
+        rep = verify_labels(g, short, mode=mode, sample_count=100, seed=1)
+        assert not rep.passed, mode
+        assert rep.violations[0][4].startswith("decode error"), mode
+
+
 def test_bench_honours_an_explicit_zero_delta():
     with pytest.raises(GraphError, match="bound 0"):
         bench_sweep("bdeg", [16], "2n", [1], [{"delta": 0}])

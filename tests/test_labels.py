@@ -32,8 +32,8 @@ from distlab.preserving import decode_trivial, parse_full
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
 
-def all_scheme_labelsets(seed=1):
-    g = gen_gnm(24, 48, seed=seed)
+def all_scheme_labelsets(seed=1, g=None):
+    g = gen_gnm(24, 48, seed=seed) if g is None else g
     return g, {
         "trivial": encode_trivial(g),
         "warmup": encode_warmup(g, PreservingParams(D=3, seed=seed)),
@@ -106,6 +106,24 @@ PINNED_SEED1 = {
 }
 
 
+# The seed-1 graph plus a disjoint 6-node path (n=30): unreachable pairs put
+# INF markers and absent dominator entries into the files.
+PINNED_DISCONNECTED = {
+    "trivial": "5122049dcdcfa9be0c068279cdde04f8f72daf073cd61bfbf6da67224a901cac",
+    "warmup": "14f86828ce98c72404cc07ff7cd6b82dc1aec03816c48a5820203425d8cd0b6e",
+    "medium": "8f4524f340aa6b48d61f22af458c13379b33ef2f99db482766d7115d328927eb",
+    "full": "7e75b7a2409637a5815827ac3105d4a9d6b6de278a80d4c574356a633b28cea3",
+    "bdeg": "c8027d35770d99ae03c4bcec2c5bbd79d03bab809ea05d970663192c18d74fc0",
+    "sparse": "c7e28cef9baf041bb5ca86a17e1eca1392346902754792825235244d5322f07e",
+    "additive": "db6b60a8fe3a2a1657b4dc5b170028b11a0522635e871f7872c40f08994274d3",
+}
+
+
+def disconnected_graph() -> Graph:
+    g = gen_gnm(24, 48, seed=1)
+    return Graph(30, [*g.edges, *((u, u + 1, 1) for u in range(24, 29))])
+
+
 def sha256(ls) -> str:
     return hashlib.sha256(dumps(ls)).hexdigest()
 
@@ -113,6 +131,12 @@ def sha256(ls) -> str:
 def test_label_files_pinned_every_scheme():
     _, sets = all_scheme_labelsets(seed=1)
     assert {name: sha256(ls) for name, ls in sets.items()} == PINNED_SEED1
+    _, sets = all_scheme_labelsets(seed=1, g=disconnected_graph())
+    assert {name: sha256(ls) for name, ls in sets.items()} == PINNED_DISCONNECTED
+    assert all((p.row == INF).any() for name in ("trivial", "warmup") for p in sets[name].parsed())
+    assert sum((p.dom == INF).any() for p in sets["additive"].parsed()) == 6
+    assert len(sets["additive"].meta["high_degree"]) == 4
+    assert sets["sparse"].meta["split_nodes"] == 86
 
 
 def broom() -> Graph:
