@@ -226,20 +226,21 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
 
 
 def parse_additive_set(labels: list[Bits]) -> list[AdditiveLabel]:
-    rd = SetReader(labels)
-    n, ids = _read_headers(rd)
-    r = _shared(rd.gamma(), "error budget r")
-    t = _shared(rd.gamma(), "degree threshold t")
-    D = _shared(rd.gamma(), "threshold D")
-    ndom = _shared(rd.gamma() - 1, "dominator count")
-    high = rd.fixed(1).astype(bool)
-    present = rd.bitmap(ndom)
-    dom = np.full(present.shape, INF, dtype=np.int64)
-    dom[present] = rd.packed(present.sum(axis=1), max(1, n.bit_length()))
-    balls = _read_tables(rd, n, max(1, D.bit_length()), np.flatnonzero(~high))
+    with SetReader(labels) as rd:
+        n, ids = _read_headers(rd)
+        r = _shared(rd.gamma(), "error budget r")
+        t = _shared(rd.gamma(), "degree threshold t")
+        D = _shared(rd.gamma(), "threshold D")
+        ndom = _shared(rd.gamma() - 1, "dominator count")
+        high = rd.fixed(1).astype(bool)
+        present = rd.bitmap(ndom)
+        dom = np.full(present.shape, INF, dtype=np.int64)
+        dom[present] = rd.packed(present.sum(axis=1), max(1, n.bit_length()))
+        balls = _read_tables(rd, n, max(1, D.bit_length()), np.flatnonzero(~high))
+        full = _full_labels(rd)
     return [
         AdditiveLabel(n, i, r, t, D, h, row, ball, f)
-        for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), dom, balls, _full_labels(rd))
+        for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), dom, balls, full)
     ]
 
 
@@ -299,4 +300,5 @@ register(Scheme(
         "additive: finite answer for a disconnected pair": (w == INF) & (d != INF),
     },
     bound=lambda n, p: n / p["r"],
+    carried=lambda label: {"r": label.r, "t": label.t, "D": label.D, "dominators": label.dom.size},
 ))

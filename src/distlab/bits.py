@@ -27,8 +27,10 @@ Bulk readers parse many labels at once with `SetReader`: the payloads are
 joined into one buffer, each label keeps its own bit position, and every
 call reads the same field (gamma, fixed, bitmap, packed or id set) of many
 labels with a few numpy operations.  Each read and each count is checked
-against that label's own end before anything is read or allocated.
-`BitCursor` stays the scalar reader for the file framing and the tests.
+against that label's own end before anything is read or allocated, and a
+reader used as a context manager checks on exit that every label was read
+to its end.  `BitCursor` stays the scalar reader for the file framing and
+the tests.
 """
 
 from __future__ import annotations
@@ -406,7 +408,9 @@ class SetReader:
     checked against each row's own end before any value is read or any
     array sized by a count is allocated, and raises CodecError when it does
     not fit.  Fields are at most 57 bits wide, so gamma values stop below
-    2^57; a longer code is a CodecError, not a wrapped value.
+    2^57; a longer code is a CodecError, not a wrapped value.  Used as a
+    context manager, the reader raises CodecError on a clean exit when a
+    string has bits left that no read consumed.
     """
 
     __slots__ = ("_bytes", "_words", "pos", "end")
@@ -420,6 +424,15 @@ class SetReader:
         self._bytes = np.frombuffer(buf, dtype=np.uint8)
         # a big-endian 64-bit word at every byte offset: a strided view, no copy
         self._words = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
+
+    def __enter__(self) -> "SetReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        left = self.end - self.pos
+        if exc_type is None and left.any():
+            i = int(np.argmax(left != 0))
+            raise CodecError(f"label {i} has {int(left[i])} trailing bits")
 
     def remaining(self, rows=None) -> np.ndarray:
         pos, end = self._at(rows)

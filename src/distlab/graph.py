@@ -1,8 +1,9 @@
 """Undirected graphs with edge weights in {0, 1}.
 
 Provides the graph type, 0-1 BFS shortest paths (weight plus hop count),
-bit-parallel all-pairs distance tables used as the verification oracle,
-seeded generators (uniform G(n, m), structured families, and the
+bit-parallel all-pairs distance tables used as the verification oracle, the
+all-sources shortest-path DAG that landmark certification runs on, seeded
+generators (uniform G(n, m), structured families, and the
 bipartite-with-tails family whose distances encode an adjacency matrix),
 and the plain-text edge-list format.
 
@@ -17,6 +18,7 @@ import operator
 import random
 from bisect import bisect_right
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_apsp")
+    __slots__ = ("n", "edges", "adj", "_apsp", "_dag")
 
     def __init__(self, n: int, edge_list=()):
         n = int(n)
@@ -88,6 +90,7 @@ class Graph:
         self.edges = edges
         self.adj = adj
         self._apsp = None
+        self._dag = None
 
     @property
     def m(self) -> int:
@@ -110,6 +113,13 @@ class Graph:
         if self._apsp is None:
             self._apsp = _apsp_tables(self)
         return self._apsp
+
+    def sp_dag(self) -> "ShortestPathDag":
+        """Cached shortest-path DAG of the 0-weight-contracted graph; see
+        ShortestPathDag."""
+        if self._dag is None:
+            self._dag = _sp_dag(self)
+        return self._dag
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -261,6 +271,69 @@ def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     weight = _unpack(wplanes, unreached)
     # without 0-weight edges every minimum-weight path has as many hops as weight
     return weight, weight if zero is None else _unpack(hplanes, unreached)
+
+
+# ---------------------------------------------------------------------------
+# Shortest-path DAG.  Members of one 0-weight component share a weight row,
+# so shortest paths are asked about on the contracted unit-weight graph.  Its
+# DAG for source s holds the edge x -> v when d(s, v) = d(s, x) + 1; one
+# bitset per directed edge holds the sources whose DAG has it.
+
+
+class ShortestPathDag(NamedTuple):
+    """Graph-only state for shortest-path queries over many sources at once.
+
+    comp maps each node to its 0-weight component (components numbered by
+    smallest member); csr is the contracted unit-weight adjacency (rows,
+    starts, cols) without loops or parallel edges; masks[p] is the source
+    bitset of the edge cols[p] -> v, for the v whose segment holds p;
+    unreached[v] is the bitset of the sources that cannot reach component
+    v.  A bitset has one bit per source component s, at bit s % 64 of word
+    s // 64, so unreached has shape (components, words).  Memory is
+    O(m * components / 8) bytes.
+    """
+
+    comp: np.ndarray
+    csr: tuple
+    masks: np.ndarray
+    unreached: np.ndarray
+
+
+def _sp_dag(g: Graph) -> ShortestPathDag:
+    weight = g.apsp()[0]
+    # the members of a 0-weight component are the nodes at weight 0 from each
+    # other, so the first 0 of a row is its component's smallest member
+    rep, comp = np.unique((weight == 0).argmax(axis=1), return_inverse=True)
+    ncomp = rep.size
+    words = (ncomp + 63) // 64
+    # a narrow copy of the contracted table, sources padded to whole words;
+    # unreachable pairs (and the padding) hold top + 2, which no finite
+    # distance plus one can equal
+    top = int(weight.max(initial=0, where=weight < INF))
+    table = np.full((ncomp, 64 * words), top + 2, dtype=np.min_scalar_type(top + 3))
+    step = max(1, (1 << 19) // g.n)  # rows per block of a few MB
+    block = np.empty((step, g.n), dtype=table.dtype)
+    for i in range(0, ncomp, step):
+        ids = rep[i:i + step]
+        part = block[:ids.size]
+        np.minimum(weight[ids], top + 2, out=part, casting="unsafe")
+        table[i:i + ids.size, :ncomp] = np.take(part, rep, axis=1)
+    # contracted unit-weight edges, once each, as keys lo * ncomp + hi
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
+    lo, hi = np.sort(comp[e[e[:, 2] == 1, :2]], axis=1).T
+    keys = np.unique((lo * ncomp + hi)[lo != hi])
+    csr = _csr(ncomp, keys // ncomp, keys % ncomp)
+    rows, starts, cols = csr
+    heads = np.repeat(rows, np.diff(np.append(starts, cols.size)))
+    masks = np.empty((cols.size, words), dtype=np.uint64)
+    for i in range(0, cols.size, step):
+        tail = table[cols[i:i + step]]
+        tail += 1
+        masks[i:i + step] = np.packbits(
+            table[heads[i:i + step]] == tail, axis=1, bitorder="little"
+        ).view(np.uint64)
+    unreached = np.packbits(table == top + 2, axis=1, bitorder="little").view(np.uint64)
+    return ShortestPathDag(comp, csr, masks, unreached)
 
 
 def all_pairs_with_hops(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -50,6 +50,8 @@ class Scheme:
     each violation kind of the scheme's own window to a bool mask over pairs
     of true weight w, hops h and decoded d (int64 arrays); universal soundness
     is the harness's.  bound(n, params) is the benchmark's reference size.
+    carried(label) gives the header params that one parsed label carries
+    itself, which `LabelSet.parsed()` holds the header to.
     """
 
     name: str
@@ -62,6 +64,7 @@ class Scheme:
     read_params: Callable
     contract: Callable
     bound: Callable
+    carried: Callable
 
 
 SCHEMES: dict[str, Scheme] = {}
@@ -142,7 +145,8 @@ class LabelSet:
         """Labels parsed into their in-memory form, all in one pass of the
         scheme's set parser, cached.  There must be n labels, and label i
         must carry id i: the bulk decoders index by position, the pair
-        decoders by id."""
+        decoders by id.  A header param that the labels also carry must
+        hold their value, since verify reads the contract from the header."""
         if self._parsed is None:
             if len(self.labels) != self.n:
                 raise LabelError(f"label set claims n={self.n} but holds {len(self.labels)} labels")
@@ -150,6 +154,12 @@ class LabelSet:
             for i, p in enumerate(parsed):
                 if p.id != i:
                     raise LabelError(f"label {i} carries id {p.id}")
+            # the set parsers refuse labels of different layouts, so label 0 speaks for all
+            carried = SCHEMES[self.scheme].carried(parsed[0]) if parsed else {}
+            for key, value in carried.items():
+                header = self.params.get(key)
+                if header != value:
+                    raise LabelError(f"header param {key}={header!r}, the labels carry {value!r}")
             self._parsed = parsed
         return self._parsed
 

@@ -21,10 +21,12 @@ on graphs that contain 0-weight edges, which the degree-reduction transform
 introduces.  On all-unit-weight graphs hop distance equals weighted distance.
 
 Decoders see only the two labels: every label embeds the node count and all
-per-level parameters.  Encoding reads the cached all-pairs tables and runs
-one bit-parallel certification pass over the shortest-path DAG per level and
-sampling attempt (oracle grade, O(n^2) memory); that is deliberate and fine
-at desk scale.  All decode functions are pure and thread-safe; encoding
+per-level parameters.  Encoding reads the graph's cached all-pairs tables
+and its cached shortest-path DAG (built once per graph, O(m * n / 8) bytes of
+edge masks), then runs one bit-parallel certification pass per level and
+sampling attempt, which only propagates landmark bits along the DAG (oracle
+grade, O(n^2) memory for the answer); that is deliberate and fine at desk
+scale.  All decode functions are pure and thread-safe; encoding
 touches only immutable graph state.
 """
 
@@ -40,7 +42,7 @@ from .bits import (
     BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph, _csr, _or_neighbours
+from .graph import INF, Graph
 from .labels import LabelSet, Scheme, register, required
 
 __all__ = [
@@ -118,52 +120,48 @@ def _landmark_ids(g: Graph, landmarks) -> list[int]:
 
 def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     """Boolean matrix: True where some landmark lies on a minimum-weight u-v
-    path, or where v is unreachable from u.
+    path, or where v is unreachable from u.  The relation is symmetric, and
+    the matrix is returned as one C-ordered array.
 
-    Members of one 0-weight component share a weight row, so the question is
-    answered on the contracted unit-weight graph.  For each node v, F[v] is a
-    bitset over sources s: "a landmark lies on a shortest s-v path".  It holds
-    at v's own component when that component has a landmark, and otherwise
-    flows along shortest-path DAG edges x -> v with d(s,x) + 1 = d(s,v), one
-    distance level at a time (Brandes-style source-DAG accumulation, 64
-    sources per machine word).
+    The question is answered on the graph's cached shortest-path DAG (see
+    graph.ShortestPathDag), where only the landmark bits change from call to
+    call.  For each component v, F[v] is a bitset over sources s: "a
+    landmark lies on a shortest s-v path".  It holds at v's own component
+    when that component has a landmark, and otherwise flows along the DAG
+    edges x -> v of source s.  Passes of F = F0 | OR_x (F[x] & mask[x -> v])
+    run until F stops changing, at most diameter + 1 of them (64 sources per
+    machine word).
     """
     n = g.n
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
-    weight = g.apsp()[0]
-    # the members of a 0-weight component are the nodes at weight 0 from each
-    # other, so the first 0 of a row is its component's smallest member
-    rep, comp = np.unique((weight == 0).argmax(axis=1), return_inverse=True)
-    ncomp = rep.size
-    words = (ncomp + 63) // 64
-    wc = np.full((ncomp, 64 * words), INF, dtype=np.int64)  # sources padded to words
-    wc[:, :ncomp] = weight[np.ix_(rep, rep)]
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
-    one = e[e[:, 2] == 1]
-    adj = _csr(ncomp, comp[one[:, 0]], comp[one[:, 1]])
-
-    F = np.zeros((ncomp, words), dtype=np.uint64)
-    F[comp[landmarks]] = ~np.uint64(0)
-    # row v: bitset of the sources s with d(s, v) = t, source s at bit s % 64
-    # of word s // 64
-    prev = np.packbits(wc == 0, axis=1, bitorder="little").view(np.uint64)
-    for t in range(1, int(wc[wc < INF].max(initial=0)) + 1):
-        cur = np.packbits(wc == t, axis=1, bitorder="little").view(np.uint64)
-        F |= _or_neighbours(F & prev, adj) & cur
-        prev = cur
-    cc = np.unpackbits(F.view(np.uint8), axis=1, count=ncomp, bitorder="little").astype(bool)
-    # cc[v, s] is "covered from source s"; the relation is symmetric
-    cc |= wc[:, :ncomp] == INF
+    dag = g.sp_dag()
+    rows, starts, cols = dag.csr
+    seeds = np.zeros_like(dag.unreached)
+    seeds[dag.comp[landmarks]] = ~np.uint64(0)
+    F = seeds
+    gathered = np.empty_like(dag.masks)
+    while rows.size:  # without an edge F stays the seeds
+        np.take(F, cols, axis=0, out=gathered)
+        gathered &= dag.masks
+        nxt = seeds.copy()
+        nxt[rows] |= np.bitwise_or.reduceat(gathered, starts, axis=0)
+        if np.array_equal(nxt, F):
+            break
+        F = nxt
+    F = F | dag.unreached
+    ncomp = len(F)
+    cc = np.unpackbits(F.view(np.uint8), axis=1, count=ncomp, bitorder="little").view(bool)
     if ncomp == n:  # no 0-weight edge joins two nodes: comp is the identity
-        return cc.T
-    return np.take(np.take(cc, comp, axis=0), comp, axis=1).T
+        return cc
+    return np.take(np.take(cc, dag.comp, axis=0), dag.comp, axis=1)
 
 
 def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.ndarray]:
     """Sick node ids plus the boolean uncovered matrix for threshold D."""
     _, hops = g.apsp()
-    unc = ~_covered(g, landmarks) & (hops >= D)
+    unc = hops >= D
+    unc &= ~_covered(g, landmarks)
     counts = unc.sum(axis=1)
     return [int(u) for u in np.flatnonzero(counts > g.n / D)], unc
 
@@ -316,7 +314,8 @@ def _row_bits(rows, n: int):
 # one-label set.  All labels of a genuine encoding share one layout (n, the
 # level count, each level's D and size, the scheme parameters), so a set
 # whose labels differ there is refused with LabelError, as the bulk decoders
-# refuse it.
+# refuse it.  Each parser reads inside `with SetReader(...)`, so a label
+# with bits left over after its last field is a CodecError.
 
 
 def _shared(values: np.ndarray, what: str) -> int:
@@ -458,9 +457,9 @@ def _read_rows(rd: SetReader, count: int, width: int) -> np.ndarray:
 
 
 def parse_warmup_set(labels: list[Bits]) -> list[WarmupLabel]:
-    rd = SetReader(labels)
-    n, ids = _read_headers(rd)
-    rows = _read_rows(rd, _shared(rd.gamma() - 1, "landmark count"), _row_width(n))
+    with SetReader(labels) as rd:
+        n, ids = _read_headers(rd)
+        rows = _read_rows(rd, _shared(rd.gamma() - 1, "landmark count"), _row_width(n))
     return [WarmupLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
 
 
@@ -509,9 +508,10 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
 
 
 def parse_medium_set(labels: list[Bits]) -> list[MediumLabel]:
-    rd = SetReader(labels)
-    n, ids = _read_headers(rd)
-    return [MediumLabel(n, i, lv) for i, (lv,) in zip(ids.tolist(), _read_levels(rd, n, 1))]
+    with SetReader(labels) as rd:
+        n, ids = _read_headers(rd)
+        levels = _read_levels(rd, n, 1)
+    return [MediumLabel(n, i, lv) for i, (lv,) in zip(ids.tolist(), levels)]
 
 
 def parse_medium(bits: Bits) -> MediumLabel:
@@ -581,7 +581,8 @@ def _full_labels(rd: SetReader) -> list[FullLabel]:
 
 
 def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
-    return _full_labels(SetReader(labels))
+    with SetReader(labels) as rd:
+        return _full_labels(rd)
 
 
 def parse_full(bits: Bits) -> FullLabel:
@@ -625,9 +626,9 @@ def encode_trivial(g: Graph) -> LabelSet:
 
 
 def parse_trivial_set(labels: list[Bits]) -> list[TrivialLabel]:
-    rd = SetReader(labels)
-    n, ids = _read_headers(rd)
-    rows = _read_rows(rd, n, _row_width(n))
+    with SetReader(labels) as rd:
+        n, ids = _read_headers(rd)
+        rows = _read_rows(rd, n, _row_width(n))
     return [TrivialLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
 
 
@@ -780,7 +781,7 @@ def _lg(x: float) -> float:
 register(Scheme(
     "trivial", 1, lambda g, seed, opts: encode_trivial(g),
     parse_trivial_set, _trivial_pair, trivial_matrix, *_header(lambda p: [], lambda D, c: {"D": D}),
-    contract=_exact_everywhere, bound=lambda n, p: n * _lg(n),
+    contract=_exact_everywhere, bound=lambda n, p: n * _lg(n), carried=lambda label: {},
 ))
 # warmup and medium store a single landmark count
 _one_table = _header(
@@ -792,6 +793,7 @@ register(Scheme(
     contract=lambda p, w, h, d: {
         "window: exact required for dist >= D": (w != INF) & (w >= p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(n) ** 2,
+    carried=lambda label: {"landmarks": label.row.size},
 ))
 register(Scheme(
     "medium", 3, lambda g, seed, opts: encode_medium(g, _threshold_params("medium", seed, opts)),
@@ -800,6 +802,7 @@ register(Scheme(
         "window: exact required for hops in [D, 2D]":
             (h != INF) & (h >= p["D"]) & (h <= 2 * p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,
+    carried=lambda label: {"D": label.level.D, "landmarks": label.level.size},
 ))
 register(Scheme(
     "full", 4, lambda g, seed, opts: encode_full(g, _threshold_params("full", seed, opts)),
@@ -809,4 +812,7 @@ register(Scheme(
     contract=lambda p, w, h, d: {
         "window: exact required for hops >= D": (h != INF) & (h >= p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,
+    carried=lambda label: {
+        "D": label.levels[0].D, "levels": len(label.levels),
+        "landmark_counts": [lv.size for lv in label.levels]},
 ))

@@ -152,15 +152,13 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
 
 
 def parse_bounded_set(labels: list[Bits]) -> list[BoundedLabel]:
-    rd = SetReader(labels)
-    n, ids = _read_headers(rd)
-    delta = _shared(rd.gamma() - 1, "degree bound")
-    D = _shared(rd.gamma(), "threshold")
-    near = _read_tables(rd, n, max(1, (D - 1).bit_length() + 1), np.arange(len(labels)))
-    return [
-        BoundedLabel(n, i, delta, D, d, f)
-        for i, d, f in zip(ids.tolist(), near, _full_labels(rd))
-    ]
+    with SetReader(labels) as rd:
+        n, ids = _read_headers(rd)
+        delta = _shared(rd.gamma() - 1, "degree bound")
+        D = _shared(rd.gamma(), "threshold")
+        near = _read_tables(rd, n, max(1, (D - 1).bit_length() + 1), np.arange(len(labels)))
+        full = _full_labels(rd)
+    return [BoundedLabel(n, i, delta, D, d, f) for i, d, f in zip(ids.tolist(), near, full)]
 
 
 def parse_bounded(bits: Bits) -> BoundedLabel:
@@ -230,6 +228,7 @@ _bdeg = Scheme(
     "bdeg", 5, _encode_bdeg, parse_bounded_set, _bounded_pair, bounded_matrix,
     *gamma_fields(("delta", 1), ("D", 0), ("k", 0)),
     contract=_exact_everywhere, bound=lambda n, p: float(n),
+    carried=lambda label: {"delta": label.delta, "D": label.D},
 )
 register(_bdeg)
 register(replace(_bdeg, name="sparse", tag=6, encode=lambda g, seed, opts: encode_sparse(g, seed)))

@@ -16,9 +16,11 @@ from distlab import (
     load_edge_list,
     verify_labels,
 )
+from distlab.bits import Bits
 from distlab.cli import SCHEMES, main
-from distlab.errors import GraphError, LabelError
+from distlab.errors import CodecError, GraphError, LabelError
 from distlab.harness import (
+    PARSERS,
     bench_sweep,
     bound_value,
     decode_matrix,
@@ -27,7 +29,7 @@ from distlab.harness import (
     worker_count,
 )
 from distlab.labels import SCHEMES as REGISTRY
-from distlab.labels import LabelSet, load_labels
+from distlab.labels import LabelSet, dumps, load_labels, loads
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -138,6 +140,53 @@ def test_a_set_missing_a_label_fails_both_verify_modes(name):
         rep = verify_labels(g, short, mode=mode, sample_count=100, seed=1)
         assert not rep.passed, mode
         assert rep.violations[0][4].startswith("decode error"), mode
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_trailing_label_bits_are_refused(name):
+    g = gen_gnm(40, 80, seed=1)
+    ls = REGISTRY[name].encode(g, 1, SCHEME_OPTS)
+    labels = list(ls.labels)
+    labels[3] = Bits.from_array(np.concatenate([labels[3].to_array(), [1, 0, 1, 1, 0]]))
+    with pytest.raises(CodecError, match="label 0 has 5 trailing bits"):
+        PARSERS[name](labels[3])
+    padded = loads(dumps(LabelSet(ls.scheme, ls.n, ls.params, labels)))
+    with pytest.raises(CodecError, match="label 3 has 5 trailing bits"):
+        padded.parsed()
+    for mode in ("exhaustive", "sampled"):
+        rep = verify_labels(g, padded, mode=mode, sample_count=100, seed=1)
+        assert rep.violation_count == 1, mode
+        assert rep.violations[0][4].startswith("decode error"), mode
+
+
+# the header params each scheme's labels carry themselves
+CARRIED = {
+    "warmup": ["landmarks"],
+    "medium": ["D", "landmarks"],
+    "full": ["D", "levels", "landmark_counts"],
+    "bdeg": ["delta", "D"],
+    "sparse": ["delta", "D"],
+    "additive": ["r", "t", "D", "dominators"],
+}
+
+
+@pytest.mark.parametrize("name,key", [(n, k) for n, keys in CARRIED.items() for k in keys])
+def test_header_params_must_match_the_labels(name, key):
+    g = gen_gnm(40, 80, seed=1)
+    ls = REGISTRY[name].encode(g, 1, SCHEME_OPTS)
+    params = dict(ls.params)
+    value = params[key]
+    params[key] = [5 * c for c in value] if isinstance(value, list) else 5 * value
+    assert params[key] != value
+    loose = LabelSet(ls.scheme, ls.n, params, ls.labels)
+    # the file header stores landmark_counts and derives levels from it
+    for lset in [loose] if key == "levels" else [loose, loads(dumps(loose))]:
+        assert lset.params[key] == params[key]
+        with pytest.raises(LabelError, match=f"header param {key}="):
+            lset.parsed()
+        rep = verify_labels(g, lset)
+        assert rep.violation_count == 1
+        assert rep.violations[0][4].startswith("decode error")
 
 
 def test_bench_honours_an_explicit_zero_delta():

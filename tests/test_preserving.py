@@ -173,9 +173,13 @@ def _split_chains():
         (_split_chains, 2, lambda g: list(range(g.n))),
         (lambda: gen_gnm(40, 30, seed=4), 2, lambda g: sample_landmarks(g, 10, 2)),
         (lambda: gen_gnm(40, 30, seed=4), 2, lambda g: []),
+        # distances past 255 do not fit the narrowest table
+        (lambda: gen_path(300), 100, lambda g: sample_landmarks(g, 3, 5)),
+        (lambda: build_graph(6, []), 1, lambda g: [0, 4]),
+        (lambda: gen_path(1), 1, lambda g: [0]),
     ],
     ids=["cycle16", "split-chains", "split-empty", "split-full", "disconnected",
-         "disconnected-empty"],
+         "disconnected-empty", "path300", "edgeless", "n1"],
 )
 def test_classify_matches_bruteforce_predicate(make, D, pick):
     g = make()
@@ -195,6 +199,31 @@ def test_classify_matches_bruteforce_predicate(make, D, pick):
     }
     assert uc == expect
     assert sick == {u for u in range(n) if len(expect[u]) > n / D}
+
+
+@pytest.mark.parametrize("make", [_split_chains, lambda: random_01_graph(60, 120, 4, 0.5)],
+                         ids=["split-chains", "zero-weight-edges"])
+def test_classify_on_a_shared_graph_matches_a_fresh_graph(make):
+    # one Graph keeps its certification state across calls; landmark sets in
+    # any order must get the answers a fresh graph gives
+    g = make()
+    sets = [[], sample_landmarks(g, 10, 3), list(range(g.n))]
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0, 1], [2, 1, 0]):
+        for i in order:
+            assert classify_nodes(g, sets[i], D=2) == classify_nodes(make(), sets[i], D=2)
+
+
+def test_certification_state_built_once_per_graph(monkeypatch):
+    import distlab.graph as G
+
+    built = []
+    real = G._sp_dag
+    monkeypatch.setattr(G, "_sp_dag", lambda g: built.append(g) or real(g))
+    g = gen_gnm(256, 512, seed=1)
+    for _ in range(2):
+        ls = encode_full(g, PreservingParams(D=4, seed=1))
+    assert sum(lv["attempts"] for lv in ls.meta["levels"]) >= ls.params["levels"] == 7
+    assert built == [g]
 
 
 @pytest.mark.parametrize("bad", [-1, 16])
