@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import Bits, SetReader, concat_ragged, fixed_bits, id_set_bits
-from .errors import GraphError, LabelError
+from .bits import Bits, SetReader, concat_ragged, fixed_bits
+from .errors import GraphError
 from .graph import INF, Graph, distances_from
 from .labels import LabelSet, Scheme, gamma_fields, register, required
-from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _full_labels, _full_pair, _header_bits, _min_scatter, _minplus,
-    _mix, _read_headers, _read_tables, _shared, full_matrix,
+    FullLabel, PreservingParams, _full_labels, _full_pieces, _header_bits, _matrix, _mix, _pair,
+    _read_headers, _read_tables, _shared, _table_bits,
 )
 
 __all__ = [
@@ -176,6 +175,10 @@ class AdditiveLabel:
     ball: dict       # node id -> induced distance (low-degree nodes only)
     full: FullLabel
 
+    def __post_init__(self):  # decode candidates, see preserving._pair
+        self.routes = [self.dom, *self.full.routes]
+        self.tables = [self.ball, *self.full.tables]
+
 
 def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     """Labels decoding within [dist, dist + r] for every connected pair."""
@@ -190,7 +193,7 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     high = high_degree_set(gr, t)
     dominators = sorted(greedy_dominating_set(gr, high))
     dom_table = distances_from(g, dominators).T
-    full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(p.seed, 313)))
+    full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(p.seed, 313)), n)
     dom_width = max(1, n.bit_length())
     ball_width = max(1, D.bit_length())
     is_high = np.zeros(n, dtype=bool)
@@ -204,23 +207,19 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     rows, cols = np.nonzero(sub_weight <= D)
     ball_sizes = np.zeros(n, dtype=np.intp)
     ball_sizes[low] = np.bincount(rows, minlength=low.size)
-    set_bits, set_len = id_set_bits(low[cols], ball_sizes[low])
-    set_lengths = np.zeros(n, dtype=np.intp)
-    set_lengths[low] = set_len
     labels = concat_ragged([
         _header_bits(n, n, r, t, D, len(dominators) + 1),
         (flags.ravel(), np.full(n, flags.shape[1])),
         (fixed_bits(dom_table[present], dom_width), dom_width * present.sum(axis=1)),
-        (set_bits, set_lengths),
-        (fixed_bits(sub_weight[rows, cols], ball_width), ball_width * ball_sizes),
-        (b.to_array() for b in full_ls.labels),
+        *_table_bits(~is_high, ball_sizes, low[cols], sub_weight[rows, cols], ball_width),
+        *full,
     ])
     params = {"r": r, "t": t, "D": D, "dominators": len(dominators)}
     meta = {
         "high_degree": sorted(high),
         "dominators": dominators,
         "ball_sizes": ball_sizes[low].tolist(),
-        "full": full_ls.meta,
+        "full": full_meta,
     }
     return LabelSet("additive", n, params, labels, meta=meta)
 
@@ -248,43 +247,11 @@ def parse_additive(bits: Bits) -> AdditiveLabel:
     return parse_additive_set([bits])[0]
 
 
-def _encoding(a: AdditiveLabel) -> tuple:
-    return a.n, a.r, a.t, a.D, a.dom.size
-
-
-def _additive_pair(a: AdditiveLabel, b: AdditiveLabel) -> int:
-    if _encoding(a) != _encoding(b):
-        raise LabelError("additive labels come from different encodings")
-    best = INF
-    hit = a.ball.get(b.id)
-    if hit is not None and hit < best:
-        best = hit
-    hit = b.ball.get(a.id)
-    if hit is not None and hit < best:
-        best = hit
-    if a.dom.size:
-        m = int(np.add(a.dom, b.dom).min())
-        if m < INF and m < best:
-            best = m
-    cand = _full_pair(a.full, b.full)
-    return cand if cand < best else best
-
-
 def decode_additive(a: Bits, b: Bits) -> int:
     """Minimum over the ball hits, the best shared dominator route, and the
     embedded threshold decode; always within [dist, dist + r] when the pair
     is connected, INF otherwise."""
-    return _additive_pair(parse_additive(a), parse_additive(b))
-
-
-def additive_matrix(parsed: list[AdditiveLabel]) -> np.ndarray:
-    if not parsed:
-        return np.zeros((0, 0), dtype=np.int64)
-    if any(_encoding(p) != _encoding(parsed[0]) for p in parsed):
-        raise LabelError("additive labels come from different encodings")
-    out = full_matrix([p.full for p in parsed])
-    np.minimum(out, _minplus([[p.dom] for p in parsed]), out=out)
-    return _min_scatter(out, enumerate(p.ball for p in parsed))
+    return _pair(*parse_additive_set([a, b]))
 
 
 def _encode(g: Graph, seed: int, opts: dict) -> LabelSet:
@@ -293,7 +260,7 @@ def _encode(g: Graph, seed: int, opts: dict) -> LabelSet:
 
 
 register(Scheme(
-    "additive", 7, _encode, parse_additive_set, _additive_pair, additive_matrix,
+    "additive", 7, _encode, parse_additive_set, _pair, _matrix,
     *gamma_fields(("r", 0), ("t", 0), ("D", 0), ("dominators", 1)),
     contract=lambda p, w, h, d: {
         "additive: decoded exceeds dist + r": (w != INF) & (d > w + p["r"]),

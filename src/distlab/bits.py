@@ -20,8 +20,8 @@ Every label encoder writes through the array encoders (`fixed_bits`,
 once as an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding
 exactly the bits the matching `BitWriter` calls write, plus each label's
 share.  `concat_ragged` then joins each node's share of every piece and
-packs each label once.  `BitWriter` stays the writer of the file framing;
-it and `pack_values` are the tests' reference for the array encoders.
+packs each label once.  `BitWriter` stays the writer of the file framing
+and the tests' reference for the array encoders.
 
 Bulk readers parse many labels at once with `SetReader`: the payloads are
 joined into one buffer, each label keeps its own bit position, and every
@@ -45,13 +45,10 @@ __all__ = [
     "BitCursor",
     "SetReader",
     "gamma_length",
-    "pack_values",
     "fixed_bits",
     "gamma_bits",
     "id_set_bits",
     "concat_ragged",
-    "bits_to_bytes",
-    "bits_from_bytes",
 ]
 
 
@@ -120,26 +117,6 @@ class Bits:
         return f"Bits({self.nbits} bits: {head})"
 
 
-def pack_values(values, width: int) -> tuple[int, int]:
-    """Pack an array of non-negative ints into one (value, total_width) field.
-
-    Each entry occupies exactly `width` bits, big-endian, in array order.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    total = int(values.size) * width
-    if values.size == 0 or width == 0:
-        if np.any(values):
-            raise CodecError("cannot pack nonzero values into width 0")
-        return 0, total
-    if np.any(values < 0) or np.any(values >> width):
-        raise CodecError(f"packed value out of range for width {width}")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    packed = np.packbits(bits)  # zero-pads at the end
-    value = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - total)
-    return value, total
-
-
 def _msb_columns(values: np.ndarray, nbytes: int) -> np.ndarray:
     """(len(values), 8 * nbytes) bit matrix: the low 8 * nbytes bits of each
     non-negative int64, MSB first."""
@@ -149,7 +126,7 @@ def _msb_columns(values: np.ndarray, nbytes: int) -> np.ndarray:
 
 def fixed_bits(values, width: int) -> np.ndarray:
     """Bit array of `values` as consecutive `width`-bit big-endian fields, the
-    bits pack_values(values, width) packs."""
+    bits as many write_fixed(value, width) calls write."""
     values = np.asarray(values, dtype=np.int64).ravel()
     if width < 0:
         raise CodecError("negative field width")
@@ -380,22 +357,6 @@ class BitCursor:
     def read_bits(self, width: int) -> Bits:
         return Bits.from_int(self.read(width), width)
 
-    def read_packed(self, count: int, width: int) -> np.ndarray:
-        """Read `count` consecutive fixed-width fields into an int64 array."""
-        total = count * width
-        raw = self.read(total)
-        if count == 0 or width == 0:
-            return np.zeros(count, dtype=np.int64)
-        nbytes = (total + 7) // 8
-        buf = (raw << (8 * nbytes - total)).to_bytes(nbytes, "big")
-        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:total]
-        weights = np.left_shift(np.int64(1), np.arange(width - 1, -1, -1, dtype=np.int64))
-        return bits.reshape(count, width).astype(np.int64) @ weights
-
-    def read_bitmap(self, count: int) -> np.ndarray:
-        """Read `count` flag bits into a boolean array."""
-        return self.read_packed(count, 1).astype(bool)
-
 
 _WINDOW = 57  # bits a 64-bit read holds past any bit offset within its first byte
 
@@ -527,18 +488,3 @@ class SetReader:
             last[:m] = cur
             ids[at[:m] + k] = cur
         return counts, ids
-
-
-def bits_to_bytes(bits: Bits) -> bytes:
-    """Standalone byte framing: gamma(nbits+1) header, payload, zero padding."""
-    w = BitWriter()
-    w.write_gamma(bits.nbits + 1)
-    w.write_bits(bits)
-    return w.getvalue().data
-
-
-def bits_from_bytes(buf: bytes) -> Bits:
-    """Inverse of bits_to_bytes; ignores the final-byte padding."""
-    cur = BitCursor(Bits(bytes(buf), 8 * len(buf)))
-    nbits = cur.read_gamma() - 1
-    return cur.read_bits(nbits)

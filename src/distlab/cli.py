@@ -31,14 +31,6 @@ def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "gnm":
         g = G.gen_gnm(args.n, args.m, args.seed)
-    elif kind == "path":
-        g = G.gen_path(args.n)
-    elif kind == "cycle":
-        g = G.gen_cycle(args.n)
-    elif kind == "grid":
-        g = G.gen_grid(args.rows, args.cols)
-    elif kind == "star":
-        g = G.gen_star(args.leaves)
     elif kind == "lowerbound":
         rng = random.Random(args.seed)
         adj = [[rng.getrandbits(1) for _ in range(args.k)] for _ in range(args.k)]
@@ -54,8 +46,8 @@ def cmd_gen(args) -> int:
         with open(args.out + ".family.json", "w", encoding="ascii") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown generator {kind!r}")
+    else:
+        g = G.gen_structured(kind, vars(args))
     G.save_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0

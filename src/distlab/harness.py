@@ -15,9 +15,12 @@ sparse     exact for every pair
 additive   decoded - dist in [0, r] for connected pairs
 =========  =====================================================
 
-Exhaustive mode checks all n(n-1)/2 pairs through the bulk matrix decoders
-(pinned elsewhere to agree with the per-pair decoders); sampled mode drives
-the per-pair decoders directly.  Both modes apply the same masks to arrays
+Exhaustive mode checks all n(n-1)/2 pairs through the scheme's registered
+bulk matrix decoder (pinned elsewhere to agree with its pair decoder);
+sampled mode drives the registered pair decoder directly.  Every scheme but
+trivial registers the same two, `preserving._pair` and `preserving._matrix`,
+and the label set parser is the one place that checks the labels of a set
+agree on their layout.  Both modes apply the same masks to arrays
 of (true weight, hops, decoded) per pair.  Also here: benchmark sweeps over
 G(n, m) corpora and the adjacency-reconstruction experiment that reads a
 random bipartite adjacency matrix back out of the labels alone.
@@ -351,8 +354,8 @@ def lower_bound_experiment(k: int, tail: int, seed: int = 0, trials: int = 20) -
     Each trial draws adjacency bits, builds the bipartite family whose left
     node i sits at distance exactly `tail` from path end w_j iff bit (i, j)
     is set, encodes with the full scheme at threshold `tail`, and re-reads
-    every bit as decode(L_i, w_j) == tail.  Any mismatch is a scheme bug.
-    The report also compares the queried label bits against the k^2/2
+    every bit as decode(L_i, w_j) == tail through the registered pair
+    decoder.  Any mismatch is a scheme bug.  The report also compares the queried label bits against the k^2/2
     information bound the family forces.
     """
     trial_results = []
@@ -364,10 +367,9 @@ def lower_bound_experiment(k: int, tail: int, seed: int = 0, trials: int = 20) -
         ls = _preserving.encode_full(
             g, _preserving.PreservingParams(D=tail, seed=(seed + 1) * 104729 + trial)
         )
-        parsed = ls.parsed()
+        parsed, pair = ls.parsed(), PAIR_DECODERS[ls.scheme]
         recovered = [
-            [1 if _preserving._full_pair(parsed[left[i]], parsed[ends[j]]) == tail else 0
-             for j in range(k)]
+            [1 if pair(parsed[left[i]], parsed[ends[j]]) == tail else 0 for j in range(k)]
             for i in range(k)
         ]
         exact = recovered == adj

@@ -21,7 +21,11 @@ on graphs that contain 0-weight edges, which the degree-reduction transform
 introduces.  On all-unit-weight graphs hop distance equals weighted distance.
 
 Decoders see only the two labels: every label embeds the node count and all
-per-level parameters.  Encoding reads the graph's cached all-pairs tables
+per-level parameters.  One pair decoder and one bulk decoder (`_pair`,
+`_matrix`, see "Decoders" below) serve warmup, medium and full here and the
+bdeg, sparse and additive schemes built on them; trivial looks its answer
+up.  The set parsers are the one place that checks the labels of a set
+share a layout.  Encoding reads the graph's cached all-pairs tables
 and its cached shortest-path DAG (built once per graph, O(m * n / 8) bytes of
 edge masks), then runs one bit-parallel certification pass per level and
 sampling attempt, which only propagates landmark bits along the DAG (oracle
@@ -256,13 +260,24 @@ def _build_level(g: Graph, D: int, seed: int, cap: int, count: int):
     return _LevelData(D, rs, sick, table, window, weight), meta
 
 
+def _table_bits(holds: np.ndarray, sizes: np.ndarray, ids, values, width: int) -> list:
+    """Per-node {id: value} tables, the layout _read_tables reads, as two
+    pieces: an id set, then one `width`-bit value per id.  Only the nodes
+    where `holds` is True write a table; node u's table is the next sizes[u]
+    entries of `ids` and `values` (sizes[u] is 0 where `holds` is False)."""
+    set_bits, set_len = id_set_bits(ids, sizes[holds])
+    set_lengths = np.zeros(holds.size, dtype=np.intp)
+    set_lengths[holds] = set_len
+    return [(set_bits, set_lengths), (fixed_bits(values, width), width * sizes)]
+
+
 def _level_bits(lvl: _LevelData, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Level bodies of nodes 0..count-1, as (bits, per-node lengths) pieces.
 
     A body is gamma(D), gamma(size+1), the sick bit, the presence bitmap of
     the node's landmark row (entries <= 2D) and the present values at
-    _w2d(D) bits each; a healthy node then adds its uncovered window peers
-    as an id set and their weights at _w2d(D) bits each.
+    _w2d(D) bits each; a healthy node then adds the table of its uncovered
+    window peers and their weights at _w2d(D) bits each.
     """
     D, w = lvl.D, _w2d(lvl.D)
     table = lvl.table[:count]
@@ -278,14 +293,10 @@ def _level_bits(lvl: _LevelData, count: int) -> list[tuple[np.ndarray, np.ndarra
     listed = np.diff(starts[:count + 1])
     nwin = listed * healthy  # a sick node writes no window
     ids = cols[:starts[count]][np.repeat(healthy, listed)]
-    set_bits, set_len = id_set_bits(ids, nwin[healthy])
-    set_lengths = np.zeros(count, dtype=np.intp)
-    set_lengths[healthy] = set_len
     return [
         (head.ravel(), np.full(count, head.shape[1])),
         (fixed_bits(table[present], w), w * present.sum(axis=1)),
-        (set_bits, set_lengths),
-        (fixed_bits(lvl.weight[np.repeat(np.arange(count), nwin), ids], w), w * nwin),
+        *_table_bits(healthy, nwin, ids, lvl.weight[np.repeat(np.arange(count), nwin), ids], w),
     ]
 
 
@@ -313,9 +324,10 @@ def _row_bits(rows, n: int):
 # at once through a SetReader; the public parse_* functions apply it to a
 # one-label set.  All labels of a genuine encoding share one layout (n, the
 # level count, each level's D and size, the scheme parameters), so a set
-# whose labels differ there is refused with LabelError, as the bulk decoders
-# refuse it.  Each parser reads inside `with SetReader(...)`, so a label
-# with bits left over after its last field is a CodecError.
+# whose labels differ there is refused with LabelError.  This is the one
+# layout check: the decoders trust the labels of one parsed set to agree.
+# Each parser reads inside `with SetReader(...)`, so a label with bits left
+# over after its last field is a CodecError.
 
 
 def _shared(values: np.ndarray, what: str) -> int:
@@ -381,23 +393,6 @@ def _read_levels(rd: SetReader, n: int, count: int) -> list[list[MediumLevel]]:
     ]
 
 
-def _level_candidate(a: MediumLevel, aid: int, b: MediumLevel, bid: int) -> int:
-    if a.D != b.D or a.size != b.size:
-        raise LabelError("labels come from different encodings (level mismatch)")
-    best = INF
-    hit = a.uc.get(bid)
-    if hit is not None and hit < best:
-        best = hit
-    hit = b.uc.get(aid)
-    if hit is not None and hit < best:
-        best = hit
-    if a.size:
-        m = int(np.add(a.lm, b.lm).min())
-        if m < INF and m < best:
-            best = m
-    return best
-
-
 # ---------------------------------------------------------------------------
 # warmup scheme
 
@@ -407,6 +402,9 @@ class WarmupLabel:
     n: int
     id: int
     row: np.ndarray  # int64 distances to the shared landmark list, INF if unreachable
+
+    def __post_init__(self):
+        self.routes, self.tables = [self.row], []  # decode candidates, see _pair
 
 
 def _warmup_draws(n: int, D: int, c: float) -> int:
@@ -467,19 +465,10 @@ def parse_warmup(bits: Bits) -> WarmupLabel:
     return parse_warmup_set([bits])[0]
 
 
-def _warmup_pair(a: WarmupLabel, b: WarmupLabel) -> int:
-    if a.n != b.n or a.row.size != b.row.size:
-        raise LabelError("warmup labels have mismatched landmark tables")
-    if a.row.size == 0:
-        return INF
-    m = int(np.add(a.row, b.row).min())
-    return m if m < INF else INF
-
-
 def decode_warmup(a: Bits, b: Bits) -> int:
     """Minimum over landmarks of the two stored distances; INF if no landmark
     is reachable from both.  Always an upper bound on the true distance."""
-    return _warmup_pair(parse_warmup(a), parse_warmup(b))
+    return _pair(*parse_warmup_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +480,9 @@ class MediumLabel:
     n: int
     id: int
     level: MediumLevel
+
+    def __post_init__(self):
+        self.routes, self.tables = [self.level.lm], [self.level.uc]
 
 
 def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
@@ -518,17 +510,11 @@ def parse_medium(bits: Bits) -> MediumLabel:
     return parse_medium_set([bits])[0]
 
 
-def _medium_pair(a: MediumLabel, b: MediumLabel) -> int:
-    if a.n != b.n:
-        raise LabelError("medium labels describe different graphs")
-    return _level_candidate(a.level, a.id, b.level, b.id)
-
-
 def decode_medium(a: Bits, b: Bits) -> int:
     """Minimum over: the peer's entry in either uncovered list, and the best
     route through the shared landmark table.  Exact when the hop distance
     lies in [D, 2D]; an upper bound (possibly INF) otherwise."""
-    return _medium_pair(parse_medium(a), parse_medium(b))
+    return _pair(*parse_medium_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -541,33 +527,40 @@ class FullLabel:
     id: int
     levels: list[MediumLevel]
 
+    def __post_init__(self):
+        self.routes = [lv.lm for lv in self.levels]
+        self.tables = [lv.uc for lv in self.levels]
 
-def encode_full(g: Graph, p: PreservingParams, *, _count=None) -> LabelSet:
-    """Concatenated medium levels for thresholds D * 2^i, i = 0..floor(lg(n/D)).
 
-    Exact for every pair with hop distance >= D.  For D <= 1 this routes to
-    encode_trivial, which is exact everywhere.  `_count` (internal) writes
-    only the labels of nodes 0.._count-1; levels are still built on all of g.
-    """
-    if p.D <= 1:
-        return encode_trivial(g)
+def _full_pieces(g: Graph, p: PreservingParams, count: int) -> tuple[list, dict, dict]:
+    """The full scheme's label pieces for nodes 0..count-1 (levels are
+    built on all of g), plus the encoding's params and meta.  The bdeg and
+    additive encoders splice the pieces into their own labels."""
     n = g.n
-    if n == 0:
-        return LabelSet("full", 0, {"D": p.D, "levels": 0, "landmark_counts": []}, [])
-    k = max(0, (n // p.D).bit_length() - 1)
-    count = n if _count is None else _count
-    bodies, landmark_counts, metas = [], [], []
-    for i in range(k + 1):
+    levels = max(1, (n // p.D).bit_length()) if n else 0
+    pieces, landmark_counts, metas = [_header_bits(n, count, levels)], [], []
+    for i in range(levels):
         lvl, meta = _build_level(
             g, p.D << i, _mix(p.seed, 1009 * (i + 1)), p.resample_cap, count
         )
-        bodies.extend(_level_bits(lvl, count))
+        pieces.extend(_level_bits(lvl, count))
         landmark_counts.append(len(lvl.rs))
         metas.append(meta)
         del lvl  # its landmark table is no longer needed once written
-    labels = concat_ragged([_header_bits(n, count, k + 1), *bodies])
-    params = {"D": p.D, "levels": k + 1, "landmark_counts": landmark_counts}
-    return LabelSet("full", n, params, labels, meta={"levels": metas})
+    params = {"D": p.D, "levels": levels, "landmark_counts": landmark_counts}
+    return pieces, params, {"levels": metas}
+
+
+def encode_full(g: Graph, p: PreservingParams) -> LabelSet:
+    """Concatenated medium levels for thresholds D * 2^i, i = 0..floor(lg(n/D)).
+
+    Exact for every pair with hop distance >= D.  For D <= 1 this routes to
+    encode_trivial, which is exact everywhere.
+    """
+    if p.D <= 1:
+        return encode_trivial(g)
+    pieces, params, meta = _full_pieces(g, p, g.n)
+    return LabelSet("full", g.n, params, concat_ragged(pieces), meta=meta)
 
 
 def _full_labels(rd: SetReader) -> list[FullLabel]:
@@ -589,22 +582,9 @@ def parse_full(bits: Bits) -> FullLabel:
     return parse_full_set([bits])[0]
 
 
-def _full_pair(a: FullLabel, b: FullLabel) -> int:
-    if a.n != b.n:
-        raise LabelError("full labels describe different graphs")
-    if len(a.levels) != len(b.levels):
-        raise LabelError("full labels have mismatched level counts")
-    best = INF
-    for la, lb in zip(a.levels, b.levels):
-        cand = _level_candidate(la, a.id, lb, b.id)
-        if cand < best:
-            best = cand
-    return best
-
-
 def decode_full(a: Bits, b: Bits) -> int:
     """Minimum of the per-level decodes; exact when hop distance >= D."""
-    return _full_pair(parse_full(a), parse_full(b))
+    return _pair(*parse_full_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -637,30 +617,67 @@ def parse_trivial(bits: Bits) -> TrivialLabel:
 
 
 def _trivial_pair(a: TrivialLabel, b: TrivialLabel) -> int:
-    if a.n != b.n:
-        raise LabelError("trivial labels describe different graphs")
     return int(min(a.row[b.id], b.row[a.id]))
 
 
 def decode_trivial(a: Bits, b: Bits) -> int:
-    return _trivial_pair(parse_trivial(a), parse_trivial(b))
+    return _trivial_pair(*parse_trivial_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
-# Bulk (all-pairs) decoders.  These compute exactly what the per-pair
-# decoders compute, as matrix operations; the test suite pins the
-# equivalence.  Every landmark or dominator route goes through one min-plus
-# kernel: the levels of a multi-level label are concatenated column-wise
-# first, since the min over levels of the min over a level's columns is the
-# min over all columns.  Entries on the diagonal are whatever the candidate
-# rules give and are not part of any contract.
+# Decoders.  Every scheme but trivial decodes a pair by one rule: the
+# minimum over two kinds of candidate, each an upper bound on the distance.
+#
+# * routes  -- int64 rows (INF where absent) whose columns are shared nodes:
+#   a level's landmarks, or the additive scheme's dominators.  Two labels
+#   route through column l at ra[l] + rb[l].
+# * tables  -- {id: distance} dicts of a label's listed peers: a level's
+#   uncovered window, a near table, a ball.  A hit is ta[b.id] or tb[a.id].
+#
+# Each parsed label lists its routes and tables once, at parse time: warmup
+# [row] and no table; medium and full each level's lm and uc; bdeg and
+# sparse the embedded full label's, with the near table first among the
+# tables; additive the full label's, with the dominator row first among the
+# routes and the ball first among the tables.  `_pair` decodes one pair,
+# `_matrix` every pair of a set; the test suite pins that they agree.
+# Entries on the diagonal are whatever the candidate rules give and are not
+# part of any contract.
+
+
+def _pair(a, b) -> int:
+    """The smallest table hit and route sum of two labels of one set; INF
+    when there is none."""
+    best = INF
+    for ta, tb in zip(a.tables, b.tables):
+        hit = ta.get(b.id, INF)
+        if hit < best:
+            best = hit
+        hit = tb.get(a.id, INF)
+        if hit < best:
+            best = hit
+    for ra, rb in zip(a.routes, b.routes):
+        if ra.size:
+            m = int(np.add(ra, rb).min())
+            if m < best:
+                best = m
+    return best
+
+
+def _matrix(parsed: list) -> np.ndarray:
+    """`_pair` for every pair of a parsed set: one min-plus pass over each
+    label's routes side by side (the min over routes of the min over a
+    route's columns is the min over all columns), then the table hits."""
+    if not parsed:
+        return np.zeros((0, 0), dtype=np.int64)
+    out = _minplus([p.routes for p in parsed])
+    return _min_scatter(out, ((u, t) for u, p in enumerate(parsed) for t in p.tables))
 
 
 def _minplus(rows) -> np.ndarray:
     """out[u, v] = min over columns l of T[u, l] + T[v, l], where row u of the
     int64 table T (INF entries) is the concatenation of the 1-D pieces in
     rows[u]; INF where the smallest sum reaches INF (no column is finite in
-    both rows, or there is no column), as the pair decoders read it.
+    both rows, or there is no column), as `_pair` reads it.
 
     When every finite entry is below 64 the table is built directly as uint8
     with sentinel 127 (two finite entries sum below it, two sentinels do not
@@ -704,14 +721,6 @@ def _min_scatter(out: np.ndarray, hits) -> np.ndarray:
     return out
 
 
-def warmup_matrix(parsed: list[WarmupLabel]) -> np.ndarray:
-    if not parsed:
-        return np.zeros((0, 0), dtype=np.int64)
-    if any(p.n != parsed[0].n or p.row.size != parsed[0].row.size for p in parsed):
-        raise LabelError("warmup labels have mismatched landmark tables")
-    return _minplus([[p.row] for p in parsed])
-
-
 def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
     if not parsed:
         return np.zeros((0, 0), dtype=np.int64)
@@ -719,30 +728,6 @@ def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
         raise LabelError(f"trivial labels must describe the {len(parsed)} nodes of their set")
     rows = np.stack([p.row for p in parsed])
     return np.minimum(rows, rows.T)
-
-
-def _levels_matrix(parsed, level_lists: list[list[MediumLevel]]) -> np.ndarray:
-    if not parsed:
-        return np.zeros((0, 0), dtype=np.int64)
-    if any(p.n != parsed[0].n for p in parsed):
-        raise LabelError("labels describe different graphs")
-    nlev = len(level_lists[0])
-    if any(len(lv) != nlev for lv in level_lists):
-        raise LabelError("labels have mismatched level counts")
-    for li in range(nlev):
-        d0, s0 = level_lists[0][li].D, level_lists[0][li].size
-        if any(lab[li].D != d0 or lab[li].size != s0 for lab in level_lists):
-            raise LabelError("labels come from different encodings (level mismatch)")
-    out = _minplus([[lv.lm for lv in lab] for lab in level_lists])
-    return _min_scatter(out, ((u, lv.uc) for u, lab in enumerate(level_lists) for lv in lab))
-
-
-def medium_matrix(parsed: list[MediumLabel]) -> np.ndarray:
-    return _levels_matrix(parsed, [[p.level] for p in parsed])
-
-
-def full_matrix(parsed: list[FullLabel]) -> np.ndarray:
-    return _levels_matrix(parsed, [p.levels for p in parsed])
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +774,7 @@ _one_table = _header(
 )
 register(Scheme(
     "warmup", 2, lambda g, seed, opts: encode_warmup(g, _threshold_params("warmup", seed, opts)),
-    parse_warmup_set, _warmup_pair, warmup_matrix, *_one_table,
+    parse_warmup_set, _pair, _matrix, *_one_table,
     contract=lambda p, w, h, d: {
         "window: exact required for dist >= D": (w != INF) & (w >= p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(n) ** 2,
@@ -797,7 +782,7 @@ register(Scheme(
 ))
 register(Scheme(
     "medium", 3, lambda g, seed, opts: encode_medium(g, _threshold_params("medium", seed, opts)),
-    parse_medium_set, _medium_pair, medium_matrix, *_one_table,
+    parse_medium_set, _pair, _matrix, *_one_table,
     contract=lambda p, w, h, d: {
         "window: exact required for hops in [D, 2D]":
             (h != INF) & (h >= p["D"]) & (h <= 2 * p["D"]) & (d != w)},
@@ -806,7 +791,7 @@ register(Scheme(
 ))
 register(Scheme(
     "full", 4, lambda g, seed, opts: encode_full(g, _threshold_params("full", seed, opts)),
-    parse_full_set, _full_pair, full_matrix,
+    parse_full_set, _pair, _matrix,
     *_header(lambda p: p["landmark_counts"],
              lambda D, c: {"D": D, "levels": len(c), "landmark_counts": c}),
     contract=lambda p, w, h, d: {

@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import Bits, SetReader, concat_ragged, fixed_bits, id_set_bits
-from .errors import GraphError, LabelError
-from .graph import INF, Graph
+from .bits import Bits, SetReader, concat_ragged
+from .errors import GraphError
+from .graph import Graph
 from .labels import LabelSet, Scheme, gamma_fields, register
-from . import preserving
 from .preserving import (
-    FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pair, _header_bits,
-    _min_scatter, _mix, _read_headers, _read_tables, _shared, full_matrix,
+    FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pieces, _header_bits,
+    _matrix, _mix, _pair, _read_headers, _read_tables, _shared, _table_bits,
 )
 
 __all__ = [
@@ -119,6 +118,9 @@ class BoundedLabel:
     near: dict  # node id -> true weighted distance, for hop distance < D
     full: FullLabel
 
+    def __post_init__(self):  # decode candidates, see preserving._pair
+        self.routes, self.tables = self.full.routes, [self.near, *self.full.tables]
+
 
 def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -> LabelSet:
     """Near table (hop-radius D-1 ball, true weighted distances) plus a
@@ -136,18 +138,17 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     count = n if _count is None else _count
     D = bounded_degree_threshold(n, delta)
     weight, hops = g.apsp()
-    full_ls = preserving.encode_full(g, PreservingParams(D=D, seed=_mix(seed, 71)), _count=_count)
+    full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(seed, 71)), count)
     near_width = max(1, (D - 1).bit_length() + 1)
     rows, cols = np.nonzero(hops[:count] <= D - 1)
     near_sizes = np.bincount(rows, minlength=count)
     labels = concat_ragged([
         _header_bits(n, count, delta + 1, D),
-        id_set_bits(cols, near_sizes),
-        (fixed_bits(weight[rows, cols], near_width), near_width * near_sizes),
-        (b.to_array() for b in full_ls.labels),
+        *_table_bits(np.ones(count, dtype=bool), near_sizes, cols, weight[rows, cols], near_width),
+        *full,
     ])
     params = {"delta": delta, "D": D, "k": delta}
-    meta = {"near_sizes": near_sizes.tolist(), "full": full_ls.meta}
+    meta = {"near_sizes": near_sizes.tolist(), "full": full_meta}
     return LabelSet("bdeg", n, params, labels, meta=meta)
 
 
@@ -165,24 +166,10 @@ def parse_bounded(bits: Bits) -> BoundedLabel:
     return parse_bounded_set([bits])[0]
 
 
-def _bounded_pair(a: BoundedLabel, b: BoundedLabel) -> int:
-    if a.n != b.n or a.delta != b.delta or a.D != b.D:
-        raise LabelError("bounded-degree labels come from different encodings")
-    best = INF
-    hit = a.near.get(b.id)
-    if hit is not None and hit < best:
-        best = hit
-    hit = b.near.get(a.id)
-    if hit is not None and hit < best:
-        best = hit
-    cand = _full_pair(a.full, b.full)
-    return cand if cand < best else best
-
-
 def decode_bounded_degree(a: Bits, b: Bits) -> int:
     """Near-table hit if the pair is close, threshold decode otherwise; the
     minimum of the candidates is exact for every pair."""
-    return _bounded_pair(parse_bounded(a), parse_bounded(b))
+    return _pair(*parse_bounded_set([a, b]))
 
 
 def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
@@ -211,21 +198,13 @@ def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
 decode_sparse = decode_bounded_degree
 
 
-def bounded_matrix(parsed: list[BoundedLabel]) -> np.ndarray:
-    """All-pairs bulk decode over the labelled nodes (near tables may mention
-    split copies beyond the labelled range; those entries never match)."""
-    if any((p.n, p.delta, p.D) != (parsed[0].n, parsed[0].delta, parsed[0].D) for p in parsed):
-        raise LabelError("bounded-degree labels come from different encodings")
-    return _min_scatter(full_matrix([p.full for p in parsed]), enumerate(p.near for p in parsed))
-
-
 def _encode_bdeg(g: Graph, seed: int, opts: dict) -> LabelSet:
     delta = opts.get("delta")
     return encode_bounded_degree(g, max(2, g.max_degree()) if delta is None else delta, seed)
 
 
 _bdeg = Scheme(
-    "bdeg", 5, _encode_bdeg, parse_bounded_set, _bounded_pair, bounded_matrix,
+    "bdeg", 5, _encode_bdeg, parse_bounded_set, _pair, _matrix,
     *gamma_fields(("delta", 1), ("D", 0), ("k", 0)),
     contract=_exact_everywhere, bound=lambda n, p: float(n),
     carried=lambda label: {"delta": label.delta, "D": label.D},

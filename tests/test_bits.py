@@ -11,14 +11,11 @@ from distlab.bits import (
     BitWriter,
     Bits,
     SetReader,
-    bits_from_bytes,
-    bits_to_bytes,
     concat_ragged,
     fixed_bits,
     gamma_bits,
     gamma_length,
     id_set_bits,
-    pack_values,
 )
 from distlab.errors import CodecError
 
@@ -199,43 +196,7 @@ def test_concatenated_heterogeneous_fields_roundtrip():
         assert cur.remaining == 0
 
 
-# --- packed arrays and bitmaps ----------------------------------------------
-
-def test_pack_values_matches_individual_fixed_writes():
-    rng = random.Random(5)
-    for _ in range(30):
-        width = rng.randrange(1, 24)
-        vals = [rng.randrange(1 << width) for _ in range(rng.randrange(0, 50))]
-        val, nbits = pack_values(vals, width)
-        w = BitWriter()
-        w.write(val, nbits)
-        single = BitWriter()
-        for x in vals:
-            single.write_fixed(x, width)
-        assert w.getvalue() == single.getvalue()
-        arr = BitCursor(w.getvalue()).read_packed(len(vals), width)
-        assert arr.tolist() == vals
-
-
-def test_bitmap_roundtrip():
-    rng = random.Random(9)
-    flags = [rng.randrange(2) for _ in range(301)]
-    val, nbits = pack_values(flags, 1)
-    w = BitWriter()
-    w.write(val, nbits)
-    got = BitCursor(w.getvalue()).read_bitmap(len(flags))
-    assert got.astype(int).tolist() == flags
-
-
 # --- Bits / serialization -----------------------------------------------------
-
-def test_bits_byte_framing_roundtrip():
-    rng = random.Random(13)
-    for _ in range(50):
-        nbits = rng.randrange(0, 300)
-        b = Bits.from_int(rng.randrange(1 << nbits) if nbits else 0, nbits)
-        assert bits_from_bytes(bits_to_bytes(b)) == b
-
 
 def test_bits_padding_is_zero_and_equality_holds():
     b = Bits.from_int(0b101, 3)
@@ -308,8 +269,6 @@ def test_fixed_bits_matches_writer(width):
     for x in vals:
         expect.write_fixed(x, width)
     assert as_bits(fixed_bits(vals, width)) == expect.getvalue()
-    val, nbits = pack_values(vals, width)
-    assert as_bits(fixed_bits(vals, width)) == Bits.from_int(val, nbits)
 
 
 def test_fixed_bits_empty_and_zero_width():
@@ -328,8 +287,6 @@ def test_fixed_bits_wider_than_64():
 
 def test_fixed_bits_out_of_range_rejected_like_pack_values():
     for vals, width in (([4], 2), ([1 << 20], 20), ([-1], 8), ([1], 0), ([0, 255, 256], 8)):
-        with pytest.raises(CodecError):
-            pack_values(vals, width)
         with pytest.raises(CodecError):
             fixed_bits(vals, width)
     with pytest.raises(CodecError):

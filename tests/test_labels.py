@@ -27,7 +27,7 @@ from distlab.bits import BitCursor, BitWriter
 from distlab.errors import LabelError
 from distlab.harness import PARSERS
 from distlab.labels import MAGIC, dumps, load_labels, loads, save_labels
-from distlab.preserving import decode_trivial, parse_full
+from distlab.preserving import decode_full, decode_trivial, parse_full
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -251,8 +251,9 @@ def test_set_parse_rows_are_views_of_one_table():
         assert all(lv.lm.base is table for lv in p.levels)
 
 
-@pytest.mark.parametrize("scheme", list(PINNED_SEED1))
-def test_mixed_layout_set_refused_by_parsed(scheme):
+@pytest.mark.parametrize("case", [*PINNED_SEED1, "full-n33"])
+def test_mixed_layout_set_refused_by_parsed(case):
+    scheme = case.split("-")[0]
     g = gen_gnm(24, 48, seed=1)
     other = {
         "trivial": lambda: encode_trivial(gen_gnm(26, 48, seed=1)),
@@ -262,11 +263,16 @@ def test_mixed_layout_set_refused_by_parsed(scheme):
         "bdeg": lambda: encode_bounded_degree(g, max(2, g.max_degree()) + 1, 1),
         "sparse": lambda: encode_sparse(gen_gnm(24, 96, seed=1), 1),
         "additive": lambda: encode_additive(g, AdditiveParams(r=4, t=6, D=2, seed=1)),
-    }[scheme]()
+        # same scheme and levels, another graph size
+        "full-n33": lambda: encode_full(gen_gnm(33, 64, seed=1), PreservingParams(D=3, seed=1)),
+    }[case]()
     ls = all_scheme_labelsets(seed=1)[1][scheme]
     ls.labels[5] = other.labels[5]
     with pytest.raises(LabelError, match="different"):
         loads(dumps(ls)).parsed()
+    if case == "full-n33":  # the public pair decoder parses its two labels as one set
+        with pytest.raises(LabelError):
+            decode_full(ls.labels[0], ls.labels[5])
 
 
 # --- label ids out of range --------------------------------------------------
@@ -321,16 +327,16 @@ def embedded_full_start(scheme, label):
         D = cur.read_gamma()
         ndom = cur.read_gamma() - 1
         high = cur.read_bit()
-        present = cur.read_bitmap(ndom)
-        cur.read_packed(int(present.sum()), max(1, n.bit_length()))
+        present = sum(cur.read_bit() for _ in range(ndom))
+        cur.read_fixed(present * max(1, n.bit_length()))
         if not high:
             ids = cur.read_id_set()
-            cur.read_packed(len(ids), max(1, D.bit_length()))
+            cur.read_fixed(len(ids) * max(1, D.bit_length()))
     else:
         cur.read_gamma()
         D = cur.read_gamma()
         ids = cur.read_id_set()
-        cur.read_packed(len(ids), max(1, (D - 1).bit_length() + 1))
+        cur.read_fixed(len(ids) * max(1, (D - 1).bit_length() + 1))
     return cur.pos
 
 

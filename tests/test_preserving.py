@@ -3,13 +3,13 @@ window exactness, soundness, label sizes, and bulk/per-pair agreement."""
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from distlab import (
     INF,
+    AdditiveParams,
     all_pairs,
     all_pairs_with_hops,
     build_graph,
@@ -18,6 +18,8 @@ from distlab import (
     decode_medium,
     decode_trivial,
     decode_warmup,
+    encode_additive,
+    encode_bounded_degree,
     encode_full,
     encode_medium,
     encode_trivial,
@@ -35,7 +37,7 @@ from distlab import (
 )
 from distlab.errors import GraphError, LabelError
 from distlab.labels import LabelSet
-from distlab.preserving import _full_pair, _minplus, full_matrix, parse_full
+from distlab.preserving import _minplus
 
 from conftest import random_01_graph
 
@@ -423,16 +425,6 @@ def test_full_level_count_mismatch_rejected():
         decode_full(a.labels[0], b.labels[1])
 
 
-def test_full_mixed_graphs_rejected():
-    ls = encode_full(gen_gnm(32, 64, seed=1), PreservingParams(D=2, seed=1))
-    parsed = [parse_full(b) for b in ls.labels]
-    parsed[5] = replace(parsed[5], n=33)  # same levels, different graph size
-    with pytest.raises(LabelError):
-        _full_pair(parsed[0], parsed[5])
-    with pytest.raises(LabelError):
-        full_matrix(parsed)
-
-
 # --- trivial ---------------------------------------------------------------------
 
 def test_trivial_exact_everywhere():
@@ -501,19 +493,33 @@ def test_full_size_doubling_growth():
     ("warmup", "gnm"), ("medium", "01"), ("full", "01"), ("trivial", "01"),
     # stored values reach 99 >= 64, so the kernel takes its int64 path
     ("warmup", "path"), ("full", "path"),
-], ids=["warmup", "medium", "full", "trivial", "warmup-path100", "full-path100"])
+    # dominator and level values >= 64 share the one int64 min-plus pass
+    ("additive", "path"),
+    # INF dominator and landmark routes between the components
+    ("additive", "split"),
+    ("bdeg", "cycle"),
+], ids=["warmup", "medium", "full", "trivial", "warmup-path100", "full-path100",
+        "additive-path100", "additive-disconnected", "bdeg-cycle"])
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
 def test_matrix_decoder_matches_pair_decoder(scheme, graph):
     g = {
         "gnm": lambda: gen_gnm(28, 64, seed=14),
         "01": lambda: random_01_graph(28, 64, seed=14),
         "path": lambda: gen_path(100),
+        "split": lambda: build_graph(28, [
+            (u + shift, v + shift) for shift in (0, 14) for u, v, _ in gen_gnm(14, 30, 14).edges
+        ]),
+        "cycle": lambda: gen_cycle(40),
     }[graph]()
     p = PreservingParams(D=3, seed=14)
     ls = {
-        "warmup": encode_warmup,
-        "medium": encode_medium,
-        "full": encode_full,
-    }[scheme](g, p) if scheme != "trivial" else encode_trivial(g)
+        "warmup": lambda: encode_warmup(g, p),
+        "medium": lambda: encode_medium(g, p),
+        "full": lambda: encode_full(g, p),
+        "trivial": lambda: encode_trivial(g),
+        "additive": lambda: encode_additive(g, AdditiveParams(r=4, t=4, D=3, seed=14)),
+        "bdeg": lambda: encode_bounded_degree(g, 2, 14),
+    }[scheme]()
     dec = decode_matrix(ls)
     for u in range(g.n):
         for v in range(u + 1, g.n):
