@@ -57,7 +57,7 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_apsp", "_dag")
+    __slots__ = ("n", "edges", "adj", "_con", "_apsp", "_dag")
 
     def __init__(self, n: int, edge_list=()):
         n = int(n)
@@ -89,6 +89,7 @@ class Graph:
             adj[v].append((u, w))
         self.edges = edges
         self.adj = adj
+        self._con = None
         self._apsp = None
         self._dag = None
 
@@ -107,6 +108,13 @@ class Graph:
 
     def is_unit_weight(self) -> bool:
         return all(w == 1 for _, _, w in self.edges)
+
+    def _contraction(self) -> "_Contraction":
+        """Cached 0-weight contraction and its weight table, which both apsp()
+        and sp_dag() read."""
+        if self._con is None:
+            self._con = _contract(self)
+        return self._con
 
     def apsp(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached all-pairs (weight, hops) tables; see all_pairs_with_hops."""
@@ -172,19 +180,28 @@ def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# All-pairs oracle: a multi-source BFS that moves 64 sources per machine word.
-# A bitset table has one row per node and one bit per source (source s at bit
-# s % 64 of word s // 64).  The keys (weight, hops) are visited in
-# lexicographic order, and the frontier of key (w, h) -- the (node, source)
-# pairs at exactly that distance -- is
+# All-pairs oracle.  Members of one 0-weight component are at weight 0 from
+# each other, so they share a weight row: the weight table is a unit-weight
+# BFS on the contracted graph (one node per component, each unit edge between
+# two components once), expanded through the component map.  A path has
+# minimum weight exactly when each of its edges x -> v is tight for the
+# source s, d(s, v) = d(s, x) + w(x, v).  A 0-weight edge always is, and a
+# unit edge inside one component never is, so the hops table is a plain BFS
+# on the original graph in which each edge only carries the sources it is
+# tight for: a unit edge between two components carries the shortest-path
+# DAG mask of its contracted edge, with the source bits mapped from
+# components to nodes.
 #
-#     (N0(frontier(w, h-1)) | N1(frontier(w-1, h-1))) & ~reached
-#
-# where N0 / N1 OR together the rows of a node's 0-weight / 1-weight
-# neighbours.  Weight and hops are kept as bit planes (plane b holds the pairs
-# whose key has bit b set) and unpacked once at the end.  The work is
-# O(L * (n^2 + m*n) / 64) word operations for L distinct keys, so graphs with
-# a long hop diameter are the slow case.
+# Both passes are one multi-source BFS that moves 64 sources per machine
+# word.  A bitset table has one row per node and one bit per source (source s
+# at bit s % 64 of word s // 64).  Each distance level ORs every node's
+# neighbours' frontier rows, each ANDed with its edge's source bitset when
+# the edges have them, and drops the pairs already reached.  Distances are
+# kept as bit planes (plane b holds the pairs whose distance has bit b set)
+# and unpacked once at the end into a narrow table.  For n_c components, Lw
+# weight levels and Lh hop levels the work is O(Lw * (n_c^2 + m*n_c) / 64)
+# plus O(Lh * (n^2 + m*n) / 64) word operations, and an O(m * n) mask build;
+# without 0-weight edges the graph is its own contraction and weight is hops.
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray):
@@ -200,13 +217,38 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray):
     return rows, (np.cumsum(counts) - counts)[rows], cols
 
 
-def _or_neighbours(bits: np.ndarray, csr) -> np.ndarray:
-    """Row v of the result ORs the rows of `bits` at v's neighbours."""
+def _heads(csr) -> np.ndarray:
+    """heads[p] is the node whose segment holds p, for the edge cols[p] -> heads[p]."""
     rows, starts, cols = csr
-    out = np.zeros_like(bits)
-    if rows.size:
-        out[rows] = np.bitwise_or.reduceat(bits[cols], starts, axis=0)
+    return np.repeat(rows, np.diff(np.append(starts, cols.size)))
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component of each node under the edges a[i]-b[i], numbered in order of
+    smallest member."""
+    low = np.arange(n)  # a node of v's component, never above v
+    while a.size:
+        nxt = low.copy()
+        np.minimum.at(nxt, a, low[b])
+        np.minimum.at(nxt, b, low[a])
+        nxt = nxt[nxt]  # pointer jumping: paths of 0-weight edges take log steps
+        if np.array_equal(nxt, low):
+            break
+        low = nxt
+    return np.unique(low, return_inverse=True)[1]
+
+
+def _bitset(bits: np.ndarray) -> np.ndarray:
+    """Rows of a boolean (rows, k) array as bitsets, column j at bit j % 64
+    of word j // 64."""
+    out = np.zeros((len(bits), (bits.shape[1] + 63) // 64), dtype=np.uint64)
+    out.view(np.uint8)[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return out
+
+
+def _unbits(bits: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of _bitset: the first k bits of each row, one uint8 per bit."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
 def _record(planes: list, key: int, bits: np.ndarray) -> None:
@@ -218,66 +260,114 @@ def _record(planes: list, key: int, bits: np.ndarray) -> None:
             planes[b] |= bits
 
 
-def _unpack(planes: list, unreached: np.ndarray) -> np.ndarray:
-    """Read-only int64 table whose bit b is plane b's bit, INF where unreached."""
-    n = unreached.shape[0]
-    dt = np.min_scalar_type((1 << len(planes)) - 1)
-    acc = np.zeros((n, n), dtype=dt)
+def _bfs(n: int, csr, masks=None) -> tuple[np.ndarray, int]:
+    """Hop distances between every two nodes of 0..n-1 over the edges of
+    csr, as a narrow (n, n) table and the value it holds for unreachable
+    pairs: top + 2 for the largest finite distance top, which no finite
+    distance plus one equals.  The edge cols[p] -> v carries the sources
+    whose bit is set in masks[p], or every source when masks is None."""
+    rows, starts, cols = csr
+    ids = np.arange(n)
+    front = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    front[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    unreached = ~front
+    planes: list[np.ndarray] = []
+    top = 0
+    while True:
+        nxt = np.zeros_like(front)
+        if rows.size:
+            gathered = front[cols]
+            if masks is not None:
+                gathered &= masks
+            nxt[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        nxt &= unreached
+        if not nxt.any():
+            break
+        top += 1
+        unreached &= ~nxt
+        _record(planes, top, nxt)
+        front = nxt
+    dt = np.min_scalar_type(top + 3)
+    table = np.zeros((n, n), dtype=dt)
     for b, plane in enumerate(planes):
-        bit = np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
-        acc |= bit.astype(dt) << dt.type(b)
-    out = acc.astype(np.int64)
-    out[np.unpackbits(unreached.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)] = INF
+        bit = _unbits(plane, n).astype(dt, copy=False)
+        bit <<= dt.type(b)
+        table |= bit
+    table[_unbits(unreached, n).view(bool)] = top + 2
+    return table, top + 2
+
+
+def _widen(table: np.ndarray, far: int) -> np.ndarray:
+    """Read-only int64 copy of a narrow table, with INF where it holds far."""
+    out = table.astype(np.int64)
+    out[table == far] = INF
     out.setflags(write=False)
     return out
 
 
-def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    n = g.n
+def _tight(table: np.ndarray, heads: np.ndarray, tails: np.ndarray, sources=None) -> np.ndarray:
+    """Source bitsets of the edges tails[i] -> heads[i] between components of
+    a contracted weight table: bit j is set when the edge lies on a shortest
+    path from source j, table[heads[i], j] = table[tails[i], j] + w, where w
+    is 0 inside one component and 1 between two.  `sources`, if given, maps
+    each bit to its column of the table.  Built a few MB at a time."""
+    width = table.shape[1] if sources is None else sources.size
+    out = np.empty((heads.size, (width + 63) // 64), dtype=np.uint64)
+    step = max(1, (1 << 19) // max(width, 1))
+    for i in range(0, heads.size, step):
+        h, t = heads[i:i + step], tails[i:i + step]
+        tail = table[t]
+        tail += (h != t)[:, None]
+        tight = table[h] == tail
+        out[i:i + step] = _bitset(tight if sources is None else np.take(tight, sources, axis=1))
+    return out
+
+
+class _Contraction(NamedTuple):
+    """The graph with each 0-weight component contracted to one node: comp
+    maps each node to its component (numbered by smallest member), csr is
+    the contracted unit-weight adjacency (rows, starts, cols) without loops
+    or parallel edges, and table is its narrow weight table, holding far for
+    unreachable pairs (see _bfs)."""
+
+    comp: np.ndarray
+    csr: tuple
+    table: np.ndarray
+    far: int
+
+
+def _contract(g: Graph) -> _Contraction:
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
-    unit = e[:, 2] == 1
-    zero = None if unit.all() else _csr(n, e[~unit, 0], e[~unit, 1])
-    one = _csr(n, e[unit, 0], e[unit, 1])
-    ids = np.arange(n)
-    start = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    start[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-    unreached = np.full_like(start, ~np.uint64(0))
-    wplanes: list[np.ndarray] = []
-    hplanes: list[np.ndarray] = []
-    arriving = {0: start}  # h -> bits entering weight w at hop h (the sources at w = 0)
-    w = 0
-    while arriving:
-        level = []
-        h, last = min(arriving), max(arriving)
-        front = None
-        while front is not None or h <= last:
-            cand = arriving.pop(h, None)
-            if front is not None and zero is not None:
-                z = _or_neighbours(front, zero)
-                cand = z if cand is None else cand | z
-            front = None
-            if cand is not None:
-                cand &= unreached
-                if cand.any():
-                    front = cand
-                    unreached &= ~front
-                    _record(wplanes, w, front)
-                    if zero is not None:
-                        _record(hplanes, h, front)
-                    level.append((h, front))
-            h += 1
-        arriving = {h + 1: _or_neighbours(front, one) for h, front in level}
-        w += 1
-    weight = _unpack(wplanes, unreached)
-    # without 0-weight edges every minimum-weight path has as many hops as weight
-    return weight, weight if zero is None else _unpack(hplanes, unreached)
+    zero = e[e[:, 2] == 0]
+    comp = _components(g.n, zero[:, 0], zero[:, 1])
+    ncomp = int(comp.max(initial=-1)) + 1
+    # contracted unit-weight edges, once each, as keys lo * ncomp + hi
+    a, b = comp[e[e[:, 2] == 1, :2]].T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = np.unique((lo * ncomp + hi)[lo != hi])
+    csr = _csr(ncomp, keys // ncomp, keys % ncomp)
+    return _Contraction(comp, csr, *_bfs(ncomp, csr))
+
+
+def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    comp, _, table, far = g._contraction()
+    if len(table) == g.n:  # no 0-weight edge: every minimum-weight path has as many hops as weight
+        weight = _widen(table, far)
+        return weight, weight
+    weight = _widen(np.take(np.take(table, comp, axis=0), comp, axis=1), far)
+    # every 0-weight edge, and each unit edge between two components (one
+    # inside a component lies on no minimum-weight path)
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
+    e = e[(e[:, 2] == 0) | (comp[e[:, 0]] != comp[e[:, 1]])]
+    csr = _csr(g.n, e[:, 0], e[:, 1])
+    masks = _tight(table, comp[_heads(csr)], comp[csr[2]], comp)
+    return weight, _widen(*_bfs(g.n, csr, masks))
 
 
 # ---------------------------------------------------------------------------
-# Shortest-path DAG.  Members of one 0-weight component share a weight row,
-# so shortest paths are asked about on the contracted unit-weight graph.  Its
-# DAG for source s holds the edge x -> v when d(s, v) = d(s, x) + 1; one
-# bitset per directed edge holds the sources whose DAG has it.
+# Shortest-path DAG of every source at once, on the contraction: it holds the
+# edge x -> v for source s when d(s, v) = d(s, x) + 1, and one bitset per
+# directed contracted edge holds the sources whose DAG has it.
 
 
 class ShortestPathDag(NamedTuple):
@@ -289,8 +379,10 @@ class ShortestPathDag(NamedTuple):
     bitset of the edge cols[p] -> v, for the v whose segment holds p;
     unreached[v] is the bitset of the sources that cannot reach component
     v.  A bitset has one bit per source component s, at bit s % 64 of word
-    s // 64, so unreached has shape (components, words).  Memory is
-    O(m * components / 8) bytes.
+    s // 64, so unreached has shape (components, words).  All of it is read
+    off the contraction the all-pairs oracle builds (the masks by the same
+    tight-edge test the hops table uses), a few MB of temporaries at a time,
+    in O(m * components) time.  Memory is O(m * components / 8) bytes.
     """
 
     comp: np.ndarray
@@ -300,40 +392,8 @@ class ShortestPathDag(NamedTuple):
 
 
 def _sp_dag(g: Graph) -> ShortestPathDag:
-    weight = g.apsp()[0]
-    # the members of a 0-weight component are the nodes at weight 0 from each
-    # other, so the first 0 of a row is its component's smallest member
-    rep, comp = np.unique((weight == 0).argmax(axis=1), return_inverse=True)
-    ncomp = rep.size
-    words = (ncomp + 63) // 64
-    # a narrow copy of the contracted table, sources padded to whole words;
-    # unreachable pairs (and the padding) hold top + 2, which no finite
-    # distance plus one can equal
-    top = int(weight.max(initial=0, where=weight < INF))
-    table = np.full((ncomp, 64 * words), top + 2, dtype=np.min_scalar_type(top + 3))
-    step = max(1, (1 << 19) // g.n)  # rows per block of a few MB
-    block = np.empty((step, g.n), dtype=table.dtype)
-    for i in range(0, ncomp, step):
-        ids = rep[i:i + step]
-        part = block[:ids.size]
-        np.minimum(weight[ids], top + 2, out=part, casting="unsafe")
-        table[i:i + ids.size, :ncomp] = np.take(part, rep, axis=1)
-    # contracted unit-weight edges, once each, as keys lo * ncomp + hi
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
-    lo, hi = np.sort(comp[e[e[:, 2] == 1, :2]], axis=1).T
-    keys = np.unique((lo * ncomp + hi)[lo != hi])
-    csr = _csr(ncomp, keys // ncomp, keys % ncomp)
-    rows, starts, cols = csr
-    heads = np.repeat(rows, np.diff(np.append(starts, cols.size)))
-    masks = np.empty((cols.size, words), dtype=np.uint64)
-    for i in range(0, cols.size, step):
-        tail = table[cols[i:i + step]]
-        tail += 1
-        masks[i:i + step] = np.packbits(
-            table[heads[i:i + step]] == tail, axis=1, bitorder="little"
-        ).view(np.uint64)
-    unreached = np.packbits(table == top + 2, axis=1, bitorder="little").view(np.uint64)
-    return ShortestPathDag(comp, csr, masks, unreached)
+    comp, csr, table, far = g._contraction()
+    return ShortestPathDag(comp, csr, _tight(table, _heads(csr), csr[2]), _bitset(table == far))
 
 
 def all_pairs_with_hops(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distlab
 from distlab import (
@@ -136,6 +139,14 @@ def test_all_pairs_matches_repeated_sssp():
         ("split-star", split_transform(gen_star(40), 3).gprime),  # 40 copies on a 0-weight chain
         ("path130", gen_path(130)),  # 129 distance levels
         ("path300", gen_path(300)),  # distances past one byte
+        ("split-gnm200", split_transform(gen_gnm(200, 800, seed=7), 4).gprime),
+        # a unit edge inside one 0-component is on no minimum-weight path
+        ("unit-in-0-comp", build_graph(4, [(0, 1, 0), (1, 2, 0), (0, 2, 1), (2, 3, 1)])),
+        # two unit edges between the same pair of 0-components
+        ("parallel-units", build_graph(5, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (3, 4, 1)])),
+        ("zero-only", build_graph(6, [(0, 1, 0), (1, 2, 0), (3, 4, 0), (2, 5, 0)])),
+        # 0-components that cannot reach each other
+        ("0-comps-apart", build_graph(7, [(0, 1, 0), (1, 2, 1), (3, 4, 0), (5, 6, 0), (4, 5, 1)])),
     ]
     for name, g in cases:
         w, h = all_pairs_with_hops(g)
@@ -144,6 +155,37 @@ def test_all_pairs_matches_repeated_sssp():
             ws, hs = sssp(g, s)
             assert w[s].tolist() == ws, (name, s)
             assert h[s].tolist() == hs, (name, s)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1)),
+             min_size=n, max_size=3 * n),
+)))
+def test_all_pairs_matches_dijkstra_on_random_01_graphs(case):
+    n, raw = case
+    edges = {}
+    for u, v, w in raw:
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), w)
+    g = build_graph(n, [(u, v, w) for (u, v), w in edges.items()])
+    w, h = all_pairs_with_hops(g)
+    for s in range(n):
+        ws, hs = dijkstra_ref(g, s)
+        assert w[s].tolist() == ws, s
+        assert h[s].tolist() == hs, s
+
+
+@pytest.mark.parametrize("g", [build_graph(0, []), build_graph(1, []), build_graph(5, [])],
+                         ids=["n0", "n1", "edgeless"])
+def test_sp_dag_of_graphs_without_edges(g):
+    dag = g.sp_dag()
+    assert dag.comp.tolist() == list(range(g.n))
+    assert dag.csr[2].size == 0 and dag.masks.shape == (0, (g.n + 63) // 64)
+    # every node reaches only itself
+    reach = np.unpackbits(dag.unreached.view(np.uint8), axis=1, count=g.n, bitorder="little")
+    assert reach.shape == (g.n, g.n) and (reach == 1 - np.eye(g.n, dtype=np.uint8)).all()
 
 
 def test_all_pairs_symmetric_and_triangle():

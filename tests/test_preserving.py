@@ -218,14 +218,35 @@ def test_classify_on_a_shared_graph_matches_a_fresh_graph(make):
 def test_certification_state_built_once_per_graph(monkeypatch):
     import distlab.graph as G
 
-    built = []
-    real = G._sp_dag
-    monkeypatch.setattr(G, "_sp_dag", lambda g: built.append(g) or real(g))
+    # the contraction, the oracle tables and the DAG read off the contraction
+    built = {name: [] for name in ("_contract", "_apsp_tables", "_sp_dag")}
+    for name, log in built.items():
+        real = getattr(G, name)
+        monkeypatch.setattr(G, name, lambda g, real=real, log=log: log.append(g) or real(g))
     g = gen_gnm(256, 512, seed=1)
     for _ in range(2):
         ls = encode_full(g, PreservingParams(D=4, seed=1))
     assert sum(lv["attempts"] for lv in ls.meta["levels"]) >= ls.params["levels"] == 7
-    assert built == [g]
+    assert all(log == [g] for log in built.values())
+    # on a split graph the hops table is read off the contraction as well
+    split = _split_chains()
+    for _ in range(2):
+        encode_bounded_degree(split, split.max_degree(), seed=1)
+    assert all(log == [g, split] for log in built.values())
+
+
+def test_unit_weight_oracle_builds_no_dag(monkeypatch):
+    import distlab.graph as G
+
+    def forbidden(g):
+        raise AssertionError("apsp() on a unit-weight graph built the shortest-path DAG")
+
+    monkeypatch.setattr(G, "_sp_dag", forbidden)
+    g = gen_gnm(200, 400, seed=2)
+    weight, hops = g.apsp()
+    assert weight is hops
+    # exhaustive verify of a fresh graph reads the oracle tables only
+    assert verify_labels(gen_gnm(200, 400, seed=2), encode_trivial(g)).violation_count == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 16])
