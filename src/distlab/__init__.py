@@ -29,14 +29,10 @@ from .graph import (
     save_edge_list,
     sssp,
 )
-from .labels import LabelSet, load_labels, save_labels
+from .labels import LabelSet, decode_pair, load_labels, save_labels
 from .preserving import (
     PreservingParams,
     classify_nodes,
-    decode_full,
-    decode_medium,
-    decode_trivial,
-    decode_warmup,
     encode_full,
     encode_medium,
     encode_trivial,
@@ -45,8 +41,6 @@ from .preserving import (
 )
 from .sparse import (
     SplitResult,
-    decode_bounded_degree,
-    decode_sparse,
     encode_bounded_degree,
     encode_sparse,
     split_transform,
@@ -54,7 +48,6 @@ from .sparse import (
 from .additive import (
     AdditiveParams,
     ball_in_induced,
-    decode_additive,
     encode_additive,
     greedy_dominating_set,
     high_degree_set,

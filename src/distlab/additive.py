@@ -45,7 +45,6 @@ __all__ = [
     "greedy_dominating_set",
     "ball_in_induced",
     "encode_additive",
-    "decode_additive",
 ]
 
 
@@ -241,17 +240,6 @@ def parse_additive_set(labels: list[Bits]) -> list[AdditiveLabel]:
         AdditiveLabel(n, i, r, t, D, h, row, ball, f)
         for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), dom, balls, full)
     ]
-
-
-def parse_additive(bits: Bits) -> AdditiveLabel:
-    return parse_additive_set([bits])[0]
-
-
-def decode_additive(a: Bits, b: Bits) -> int:
-    """Minimum over the ball hits, the best shared dominator route, and the
-    embedded threshold decode; always within [dist, dist + r] when the pair
-    is connected, INF otherwise."""
-    return _pair(*parse_additive_set([a, b]))
 
 
 def _encode(g: Graph, seed: int, opts: dict) -> LabelSet:

@@ -55,10 +55,7 @@ def cmd_gen(args) -> int:
 
 def cmd_encode(args) -> int:
     g = G.load_edge_list(getattr(args, "in"))
-    opts = {
-        "D": args.d, "r": args.r, "t": args.t, "dd": args.dd, "delta": args.delta,
-        "c": args.c, "resample_cap": args.resample_cap,
-    }
+    opts = {"D": args.d, "r": args.r, "t": args.t, "dd": args.dd, "delta": args.delta}
     t0 = time.perf_counter()
     ls = labels.lookup(labels.SCHEMES, args.scheme).encode(g, args.seed, opts)
     elapsed = time.perf_counter() - t0
@@ -165,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--t", type=int, default=None, help="additive degree threshold override")
     enc.add_argument("--dd", type=int, default=None, help="additive embedded threshold override")
     enc.add_argument("--delta", type=int, default=None, help="degree bound for bdeg")
-    enc.add_argument("--c", type=float, default=3.0, help="warmup oversampling constant")
-    enc.add_argument("--resample-cap", type=int, default=50)
     enc.add_argument("--seed", type=int, default=0)
     enc.add_argument("--out", required=True)
     enc.set_defaults(func=cmd_encode)

@@ -28,10 +28,8 @@ random bipartite adjacency matrix back out of the labels alone.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +41,6 @@ from .graph import Graph, gen_gnm, gen_lower_bound_family
 from .labels import MATRIX_DECODERS, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, lookup
 
 __all__ = [
-    "PARSERS",
     "SET_PARSERS",
     "PAIR_DECODERS",
     "MATRIX_DECODERS",
@@ -55,14 +52,8 @@ __all__ = [
     "bound_value",
     "bench_sweep",
     "lower_bound_experiment",
-    "worker_count",
     "EXHAUSTIVE_CAP",
 ]
-
-# one label at a time: each scheme's set parser applied to a one-label set
-PARSERS = {
-    name: (lambda bits, parse=parse: parse([bits])[0]) for name, parse in SET_PARSERS.items()
-}
 
 EXHAUSTIVE_CAP = 2048  # above this the oracle table is too hot; sampling is forced
 
@@ -70,14 +61,6 @@ EXHAUSTIVE_CAP = 2048  # above this the oracle table is too hot; sampling is for
 def decode_matrix(ls: LabelSet) -> np.ndarray:
     """All-pairs decoded distances, same candidate rules as the pair decoders."""
     return lookup(MATRIX_DECODERS, ls.scheme)(ls.parsed())
-
-
-def worker_count() -> int:
-    """Parallelism cap from DISTLAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("DISTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -167,8 +150,11 @@ def verify_labels(
 ) -> VerifyReport:
     """Check every contract the scheme promises against the BFS oracle.
 
-    Sampled mode draws `sample_count` (>= 1) random pairs of distinct nodes.
+    `mode` is "exhaustive" or "sampled"; sampled mode draws `sample_count`
+    (>= 1) random pairs of distinct nodes.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown verify mode {mode!r}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     contract = lookup(SCHEMES, ls.scheme).contract
@@ -209,8 +195,6 @@ def verify_labels(
             graph_id, ls.scheme, ls.params, mode, pairs, count, entries,
             encode_seconds=encode_seconds, warnings=warnings_, **stats,
         )
-    if not mode.startswith("sampled"):
-        raise ValueError(f"unknown verify mode {mode!r}")
     try:
         ls.parsed()
     except (LabelError, CodecError) as exc:
@@ -323,11 +307,8 @@ def parse_m_rule(rule: str, n: int) -> int:
 
 
 def bench_sweep(scheme: str, ns, m_rule: str, seeds, opts_list) -> list[BenchRow]:
-    """One row per (n, seed, opts) point; rows come back in sweep order.
-
-    Points are independent, so they run on a thread pool sized by
-    DISTLAB_THREADS (default 1).
-    """
+    """One row per (n, seed, opts) point, measured one after another in
+    sweep order."""
     points = [
         (n, parse_m_rule(m_rule, n), seed, opts)
         for n in ns
@@ -336,12 +317,7 @@ def bench_sweep(scheme: str, ns, m_rule: str, seeds, opts_list) -> list[BenchRow
     ]
     if not points:
         raise ValueError("empty benchmark sweep")
-    workers = worker_count()
-    if workers == 1:
-        return [bench_point(scheme, n, m, seed, opts) for n, m, seed, opts in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(bench_point, scheme, n, m, seed, opts) for n, m, seed, opts in points]
-        return [f.result() for f in futs]
+    return [bench_point(scheme, n, m, seed, opts) for n, m, seed, opts in points]
 
 
 # ---------------------------------------------------------------------------

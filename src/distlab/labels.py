@@ -3,13 +3,14 @@
 File layout: the ASCII magic ``DLAB1``, then a single bit stream holding the
 gamma-coded scheme tag, the scheme's gamma-coded parameters, the gamma-coded
 label count, and one record per node: gamma(id+1), gamma(bit length+1), and
-the raw label bits.  The final byte is zero-padded.  The same input always
-produces byte-identical files.
+the raw label bits.  The final byte is zero-padded, and any other tail is a
+CodecError.  The same input always produces byte-identical files.
 
 Each scheme is one `Scheme` record, which the module defining the scheme
 registers on import; everything else looks a scheme up by name.  Decoders
 are dispatched through the tables the registry fills (`SET_PARSERS`,
-`PAIR_DECODERS`, `MATRIX_DECODERS`), so rebinding an entry reaches every caller.
+`PAIR_DECODERS`, `MATRIX_DECODERS`), so rebinding an entry reaches every caller;
+`decode_pair` decodes two loose labels of a scheme.
 
 `LabelSet.parsed()` reads the whole set in one pass: the scheme's set parser
 reads each field for all labels at once through `bits.SetReader`.  The
@@ -29,12 +30,12 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitCursor, Bits, BitWriter
-from .errors import GraphError, LabelError
+from .errors import CodecError, GraphError, LabelError
 
 __all__ = [
     "LabelSet", "MAGIC", "Scheme", "SCHEMES", "SET_PARSERS", "PAIR_DECODERS", "MATRIX_DECODERS",
-    "register", "lookup", "gamma_fields", "required", "save_labels", "load_labels", "dumps",
-    "loads",
+    "register", "lookup", "gamma_fields", "header_value", "required", "decode_pair",
+    "save_labels", "load_labels", "dumps", "loads",
 ]
 
 MAGIC = b"DLAB1"
@@ -45,11 +46,11 @@ class Scheme:
     """Everything the codec, the harness and the CLI know about one scheme.
 
     encode(g, seed, opts) -> LabelSet reads the encode/bench options by name
-    (D, r, t, dd, delta, c, resample_cap; None means unset).  write_params /
-    read_params are the file-header codec.  contract(params, w, h, d) maps
-    each violation kind of the scheme's own window to a bool mask over pairs
-    of true weight w, hops h and decoded d (int64 arrays); universal soundness
-    is the harness's.  bound(n, params) is the benchmark's reference size.
+    (D, r, t, dd, delta; None means unset).  write_params / read_params are
+    the file-header codec.  contract(params, w, h, d) maps each violation
+    kind of the scheme's own window to a bool mask over pairs of true weight
+    w, hops h and decoded d (int64 arrays); universal soundness is the
+    harness's.  bound(n, params) is the benchmark's reference size.
     carried(label) gives the header params that one parsed label carries
     itself, which `LabelSet.parsed()` holds the header to.
     """
@@ -92,13 +93,28 @@ def lookup(table: dict, name: str):
         raise LabelError(f"unknown scheme {name!r}") from None
 
 
+def header_value(key: str, value, offset: int) -> int:
+    """`value` + `offset`, the gamma-coded number a file header stores for
+    the param `key`; LabelError when the value is None (the param is
+    missing), is not an integer, or leaves that number below 1."""
+    if value is None:
+        raise LabelError(f"header param {key} is missing")
+    try:
+        x = operator.index(value) + offset
+    except TypeError:
+        raise LabelError(f"header param {key}={value!r} is not an integer") from None
+    if x < 1:
+        raise LabelError(f"header param {key}={value!r} is out of range")
+    return x
+
+
 def gamma_fields(*spec: tuple[str, int]) -> tuple[Callable, Callable]:
     """Header codec (write_params, read_params) storing each param `key` of
     (key, offset) in `spec` as gamma(params[key] + offset), in order."""
 
     def write(w: BitWriter, params: dict) -> None:
         for key, offset in spec:
-            w.write_gamma(int(params[key]) + offset)
+            w.write_gamma(header_value(key, params.get(key), offset))
 
     def read(cur: BitCursor) -> dict:
         return {key: cur.read_gamma() - offset for key, offset in spec}
@@ -177,6 +193,12 @@ class LabelSet:
         return PAIR_DECODERS[self.scheme](p[u], p[v])
 
 
+def decode_pair(scheme: str, a: Bits, b: Bits) -> int:
+    """Distance reported by two labels of `scheme` alone.  They are parsed
+    as one set, so two labels of different encodings raise LabelError."""
+    return PAIR_DECODERS[scheme](*lookup(SET_PARSERS, scheme)([a, b]))
+
+
 def dumps(ls: LabelSet) -> bytes:
     scheme = lookup(SCHEMES, ls.scheme)
     if len(ls.labels) != ls.n:
@@ -210,6 +232,9 @@ def loads(buf: bytes) -> LabelSet:
             raise LabelError(f"record {i} carries id {ident}")
         nbits = cur.read_gamma() - 1
         labels.append(cur.read_bits(nbits))
+    tail = cur.remaining
+    if tail > 7 or cur.read(tail):
+        raise CodecError(f"the {tail} bits after the last record are not zero padding")
     return LabelSet(scheme.name, n, params, labels)
 
 

@@ -47,44 +47,34 @@ from .bits import (
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .graph import INF, Graph
-from .labels import LabelSet, Scheme, register, required
+from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
     "PreservingParams",
     "sample_landmarks",
     "classify_nodes",
     "encode_warmup",
-    "decode_warmup",
     "encode_medium",
-    "decode_medium",
     "encode_full",
-    "decode_full",
     "encode_trivial",
-    "decode_trivial",
 ]
+
+WARMUP_C = 3.0  # warmup oversampling constant; the resampling loop needs c > 2
+RESAMPLE_CAP = 50  # landmark samples drawn per level before encoding fails
 
 
 @dataclass(frozen=True)
 class PreservingParams:
-    """Knobs for the threshold schemes.
-
-    D is the exactness threshold (D <= 1 routes encode_full to the trivial
-    table scheme).  `c` is the warmup oversampling constant and must exceed 2
-    for the resampling loop to terminate quickly.
-    """
+    """Parameters of the threshold schemes: the exactness threshold D (D <= 1
+    routes encode_full to the trivial table scheme) and the landmark seed.
+    Each level draws at most RESAMPLE_CAP landmark samples."""
 
     D: int
     seed: int = 0
-    resample_cap: int = 50
-    c: float = 3.0
 
     def __post_init__(self):
         if self.D < 1:
             raise GraphError(f"threshold D must be >= 1, got {self.D}")
-        if self.resample_cap < 1:
-            raise GraphError("resample_cap must be >= 1")
-        if self.c <= 2:
-            raise GraphError("warmup oversampling constant c must be > 2")
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -207,59 +197,6 @@ class MediumLevel:
     uc: dict        # uncovered node id -> weighted distance (healthy nodes only)
 
 
-class _LevelData:
-    """Encoder-side view of one level, shared by all nodes."""
-
-    __slots__ = ("D", "rs", "sick", "table", "window", "weight")
-
-    def __init__(self, D, rs, sick, table, window, weight):
-        self.D = D
-        self.rs = rs
-        self.sick = sick
-        self.table = table
-        # (starts, cols): u's uncovered peers within hop 2D are cols[starts[u]:starts[u + 1]]
-        self.window = window
-        self.weight = weight
-
-
-def _build_level(g: Graph, D: int, seed: int, cap: int, count: int):
-    """Sample landmarks for one level, resampling until the sick set is small;
-    the level's rows are built for nodes 0..count-1, the ones that get a
-    label (sick counts still cover every node)."""
-    n = g.n
-    draws = max(1, math.ceil(2 * (n / D) * math.log(D)))
-    history: list[int] = []
-    landmarks: list[int] = []
-    sick_ids: list[int] = []
-    unc = None
-    for attempt in range(cap):
-        landmarks = sample_landmarks(g, draws, _mix(seed, attempt))
-        sick_ids, unc = _classify(g, landmarks, D)
-        history.append(len(sick_ids))
-        if len(sick_ids) < 2 * n / D:
-            break
-    else:
-        raise EncodingFailure(
-            f"sick set stayed at |S|={history[-1]} >= {2 * n / D:.1f} for "
-            f"{cap} samples (n={n}, D={D})"
-        )
-    weight, hops = g.apsp()
-    rs = sorted(set(landmarks) | set(sick_ids))
-    sick = np.zeros(n, dtype=bool)
-    sick[sick_ids] = True
-    table = weight[:count, rs]
-    rows, cols = np.nonzero(unc[:count] & (hops[:count] <= 2 * D))
-    window = (np.searchsorted(rows, np.arange(count + 1)), cols)
-    meta = {
-        "draws": draws,
-        "attempts": len(history),
-        "sick_history": history,
-        "landmarks": landmarks,
-        "sick": sick_ids,
-    }
-    return _LevelData(D, rs, sick, table, window, weight), meta
-
-
 def _table_bits(holds: np.ndarray, sizes: np.ndarray, ids, values, width: int) -> list:
     """Per-node {id: value} tables, the layout _read_tables reads, as two
     pieces: an id set, then one `width`-bit value per id.  Only the nodes
@@ -271,33 +208,67 @@ def _table_bits(holds: np.ndarray, sizes: np.ndarray, ids, values, width: int) -
     return [(set_bits, set_lengths), (fixed_bits(values, width), width * sizes)]
 
 
-def _level_bits(lvl: _LevelData, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Level bodies of nodes 0..count-1, as (bits, per-node lengths) pieces.
+def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
+    """One level of threshold D: landmarks are sampled, and resampled until
+    the sick set is small (sick counts cover every node), then the level
+    bodies of nodes 0..count-1 are written.  Returns the bodies as (bits,
+    per-node lengths) pieces, the level's landmark count and its meta; the
+    level's landmark table is freed on return, before the next level is
+    certified.
 
     A body is gamma(D), gamma(size+1), the sick bit, the presence bitmap of
     the node's landmark row (entries <= 2D) and the present values at
     _w2d(D) bits each; a healthy node then adds the table of its uncovered
-    window peers and their weights at _w2d(D) bits each.
+    peers within hop 2D and their weights at _w2d(D) bits each.
     """
-    D, w = lvl.D, _w2d(lvl.D)
-    table = lvl.table[:count]
-    sick = lvl.sick[:count]
+    n = g.n
+    draws = max(1, math.ceil(2 * (n / D) * math.log(D)))
+    history: list[int] = []
+    landmarks: list[int] = []
+    sick_ids: list[int] = []
+    unc = None
+    for attempt in range(RESAMPLE_CAP):
+        landmarks = sample_landmarks(g, draws, _mix(seed, attempt))
+        sick_ids, unc = _classify(g, landmarks, D)
+        history.append(len(sick_ids))
+        if len(sick_ids) < 2 * n / D:
+            break
+    else:
+        raise EncodingFailure(
+            f"sick set stayed at |S|={history[-1]} >= {2 * n / D:.1f} for "
+            f"{RESAMPLE_CAP} samples (n={n}, D={D})"
+        )
+    weight, hops = g.apsp()
+    rs = sorted(set(landmarks) | set(sick_ids))
+    sick = np.zeros(n, dtype=bool)
+    sick[sick_ids] = True
+    sick = sick[:count]
+    win = hops[:count] <= 2 * D
+    win &= unc[:count]
+    win[sick] = False  # a sick node writes no window
+    rows, cols = np.nonzero(win)
+    del unc, win
+    w = _w2d(D)
+    table = weight[:count, rs]
     present = table <= 2 * D
-    prefix = gamma_bits([D, len(lvl.rs) + 1])[0]
+    prefix = gamma_bits([D, len(rs) + 1])[0]
     head = np.empty((count, prefix.size + 1 + present.shape[1]), dtype=np.uint8)
     head[:, :prefix.size] = prefix
     head[:, prefix.size] = sick
     head[:, prefix.size + 1:] = present
-    starts, cols = lvl.window
-    healthy = ~sick
-    listed = np.diff(starts[:count + 1])
-    nwin = listed * healthy  # a sick node writes no window
-    ids = cols[:starts[count]][np.repeat(healthy, listed)]
-    return [
+    pieces = [
         (head.ravel(), np.full(count, head.shape[1])),
         (fixed_bits(table[present], w), w * present.sum(axis=1)),
-        *_table_bits(healthy, nwin, ids, lvl.weight[np.repeat(np.arange(count), nwin), ids], w),
+        *_table_bits(~sick, np.bincount(rows, minlength=count), cols, weight[rows, cols], w),
     ]
+    meta = {
+        "draws": draws,
+        "attempts": len(history),
+        "sick_history": history,
+        "landmarks": landmarks,
+        "sick": sick_ids,
+    }
+    return pieces, len(rs), meta
 
 
 def _header_bits(n: int, count: int, *extra: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,8 +292,8 @@ def _row_bits(rows, n: int):
 
 # ---------------------------------------------------------------------------
 # Set parsers.  Each format has one parser, which reads every label of a set
-# at once through a SetReader; the public parse_* functions apply it to a
-# one-label set.  All labels of a genuine encoding share one layout (n, the
+# at once through a SetReader (`labels.decode_pair` hands it a two-label
+# set).  All labels of a genuine encoding share one layout (n, the
 # level count, each level's D and size, the scheme parameters), so a set
 # whose labels differ there is refused with LabelError.  This is the one
 # layout check: the decoders trust the labels of one parsed set to agree.
@@ -365,7 +336,7 @@ def _read_tables(rd: SetReader, n: int, width: int, rows: np.ndarray) -> list[di
 
 
 def _read_levels(rd: SetReader, n: int, count: int) -> list[list[MediumLevel]]:
-    """`count` consecutive level bodies (layout in _level_bits) of every
+    """`count` consecutive level bodies (layout in _level) of every
     label, as each label's list of levels.
 
     All landmark rows go into one (labels x total size) table, a label's
@@ -407,8 +378,8 @@ class WarmupLabel:
         self.routes, self.tables = [self.row], []  # decode candidates, see _pair
 
 
-def _warmup_draws(n: int, D: int, c: float) -> int:
-    return max(1, math.ceil(c * (n / D) * math.log(n)))
+def _warmup_draws(n: int, D: int) -> int:
+    return max(1, math.ceil(WARMUP_C * (n / D) * math.log(n)))
 
 
 def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
@@ -429,10 +400,10 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
     if landmarks is not None:
         chosen = _landmark_ids(g, landmarks)
     else:
-        draws = _warmup_draws(n, p.D, p.c)
+        draws = _warmup_draws(n, p.D)
         need = weight >= p.D
         chosen = []
-        for attempt in range(p.resample_cap):
+        for attempt in range(RESAMPLE_CAP):
             chosen = sample_landmarks(g, draws, _mix(p.seed, attempt))
             attempts = attempt + 1
             if bool((_covered(g, chosen) | ~need).all()):
@@ -440,7 +411,7 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
         else:
             raise EncodingFailure(
                 f"no sample of {draws} landmarks covered all pairs at distance "
-                f">= {p.D} within {p.resample_cap} attempts (n={n})"
+                f">= {p.D} within {RESAMPLE_CAP} attempts (n={n})"
             )
     labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), _row_bits(weight[:, chosen], n)])
     meta = {"landmarks": chosen, "draws": draws, "attempts": attempts}
@@ -459,16 +430,6 @@ def parse_warmup_set(labels: list[Bits]) -> list[WarmupLabel]:
         n, ids = _read_headers(rd)
         rows = _read_rows(rd, _shared(rd.gamma() - 1, "landmark count"), _row_width(n))
     return [WarmupLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
-
-
-def parse_warmup(bits: Bits) -> WarmupLabel:
-    return parse_warmup_set([bits])[0]
-
-
-def decode_warmup(a: Bits, b: Bits) -> int:
-    """Minimum over landmarks of the two stored distances; INF if no landmark
-    is reachable from both.  Always an upper bound on the true distance."""
-    return _pair(*parse_warmup_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +453,9 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
     n = g.n
     if n == 0:
         return LabelSet("medium", 0, {"D": p.D, "landmarks": 0}, [])
-    lvl, meta = _build_level(g, p.D, _mix(p.seed, 17), p.resample_cap, n)
-    labels = concat_ragged([_header_bits(n, n), *_level_bits(lvl, n)])
-    return LabelSet(
-        "medium", n, {"D": p.D, "landmarks": len(lvl.rs)}, labels, meta=meta
-    )
+    pieces, size, meta = _level(g, p.D, _mix(p.seed, 17), n)
+    labels = concat_ragged([_header_bits(n, n), *pieces])
+    return LabelSet("medium", n, {"D": p.D, "landmarks": size}, labels, meta=meta)
 
 
 def parse_medium_set(labels: list[Bits]) -> list[MediumLabel]:
@@ -504,17 +463,6 @@ def parse_medium_set(labels: list[Bits]) -> list[MediumLabel]:
         n, ids = _read_headers(rd)
         levels = _read_levels(rd, n, 1)
     return [MediumLabel(n, i, lv) for i, (lv,) in zip(ids.tolist(), levels)]
-
-
-def parse_medium(bits: Bits) -> MediumLabel:
-    return parse_medium_set([bits])[0]
-
-
-def decode_medium(a: Bits, b: Bits) -> int:
-    """Minimum over: the peer's entry in either uncovered list, and the best
-    route through the shared landmark table.  Exact when the hop distance
-    lies in [D, 2D]; an upper bound (possibly INF) otherwise."""
-    return _pair(*parse_medium_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +488,10 @@ def _full_pieces(g: Graph, p: PreservingParams, count: int) -> tuple[list, dict,
     levels = max(1, (n // p.D).bit_length()) if n else 0
     pieces, landmark_counts, metas = [_header_bits(n, count, levels)], [], []
     for i in range(levels):
-        lvl, meta = _build_level(
-            g, p.D << i, _mix(p.seed, 1009 * (i + 1)), p.resample_cap, count
-        )
-        pieces.extend(_level_bits(lvl, count))
-        landmark_counts.append(len(lvl.rs))
+        level, size, meta = _level(g, p.D << i, _mix(p.seed, 1009 * (i + 1)), count)
+        pieces.extend(level)
+        landmark_counts.append(size)
         metas.append(meta)
-        del lvl  # its landmark table is no longer needed once written
     params = {"D": p.D, "levels": levels, "landmark_counts": landmark_counts}
     return pieces, params, {"levels": metas}
 
@@ -578,15 +523,6 @@ def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
         return _full_labels(rd)
 
 
-def parse_full(bits: Bits) -> FullLabel:
-    return parse_full_set([bits])[0]
-
-
-def decode_full(a: Bits, b: Bits) -> int:
-    """Minimum of the per-level decodes; exact when hop distance >= D."""
-    return _pair(*parse_full_set([a, b]))
-
-
 # ---------------------------------------------------------------------------
 # trivial scheme (full distance row; D = 1 fallback)
 
@@ -612,16 +548,8 @@ def parse_trivial_set(labels: list[Bits]) -> list[TrivialLabel]:
     return [TrivialLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
 
 
-def parse_trivial(bits: Bits) -> TrivialLabel:
-    return parse_trivial_set([bits])[0]
-
-
 def _trivial_pair(a: TrivialLabel, b: TrivialLabel) -> int:
     return int(min(a.row[b.id], b.row[a.id]))
-
-
-def decode_trivial(a: Bits, b: Bits) -> int:
-    return _trivial_pair(*parse_trivial_set([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -735,19 +663,21 @@ def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
 
 
 def _threshold_params(name: str, seed: int, opts: dict) -> PreservingParams:
-    tuning = {k: opts[k] for k in ("resample_cap", "c") if opts.get(k) is not None}
-    return PreservingParams(D=required(opts, "D", name), seed=seed, **tuning)
+    return PreservingParams(D=required(opts, "D", name), seed=seed)
 
 
-def _header(counts, params):
+def _header(key, params, many=False):
     """Header codec (write_params, read_params) of a threshold scheme:
     gamma(D), gamma(k + 1), then gamma(c + 1) for each of the k landmark
-    counts c that counts(params) lists; params(D, counts) rebuilds the
-    params on read."""
+    counts c of the param `key` (none without a key; one, or with `many` a
+    list of them); params(D, counts) rebuilds the params on read."""
     def write(w: BitWriter, p: dict) -> None:
-        listed = counts(p)
-        for x in (p.get("D", 1), len(listed) + 1, *(c + 1 for c in listed)):
-            w.write_gamma(int(x))
+        listed = p.get(key, [None]) if many else [p.get(key)] if key else []
+        if not isinstance(listed, list):
+            raise LabelError(f"header param {key}={listed!r} is not a list")
+        for x in (header_value("D", p.get("D"), 0), len(listed) + 1,
+                  *(header_value(key, c, 1) for c in listed)):
+            w.write_gamma(x)
 
     def read(cur: BitCursor) -> dict:
         D = cur.read_gamma()
@@ -765,13 +695,11 @@ def _lg(x: float) -> float:
 
 register(Scheme(
     "trivial", 1, lambda g, seed, opts: encode_trivial(g),
-    parse_trivial_set, _trivial_pair, trivial_matrix, *_header(lambda p: [], lambda D, c: {"D": D}),
+    parse_trivial_set, _trivial_pair, trivial_matrix, *_header(None, lambda D, c: {"D": D}),
     contract=_exact_everywhere, bound=lambda n, p: n * _lg(n), carried=lambda label: {},
 ))
 # warmup and medium store a single landmark count
-_one_table = _header(
-    lambda p: [p["landmarks"]], lambda D, c: {"D": D, "landmarks": c[0] if c else 0}
-)
+_one_table = _header("landmarks", lambda D, c: {"D": D, "landmarks": c[0] if c else 0})
 register(Scheme(
     "warmup", 2, lambda g, seed, opts: encode_warmup(g, _threshold_params("warmup", seed, opts)),
     parse_warmup_set, _pair, _matrix, *_one_table,
@@ -792,8 +720,8 @@ register(Scheme(
 register(Scheme(
     "full", 4, lambda g, seed, opts: encode_full(g, _threshold_params("full", seed, opts)),
     parse_full_set, _pair, _matrix,
-    *_header(lambda p: p["landmark_counts"],
-             lambda D, c: {"D": D, "levels": len(c), "landmark_counts": c}),
+    *_header("landmark_counts", lambda D, c: {"D": D, "levels": len(c), "landmark_counts": c},
+             many=True),
     contract=lambda p, w, h, d: {
         "window: exact required for hops >= D": (h != INF) & (h >= p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,

@@ -33,9 +33,7 @@ __all__ = [
     "SplitResult",
     "split_transform",
     "encode_bounded_degree",
-    "decode_bounded_degree",
     "encode_sparse",
-    "decode_sparse",
     "bounded_degree_threshold",
 ]
 
@@ -162,16 +160,6 @@ def parse_bounded_set(labels: list[Bits]) -> list[BoundedLabel]:
     return [BoundedLabel(n, i, delta, D, d, f) for i, d, f in zip(ids.tolist(), near, full)]
 
 
-def parse_bounded(bits: Bits) -> BoundedLabel:
-    return parse_bounded_set([bits])[0]
-
-
-def decode_bounded_degree(a: Bits, b: Bits) -> int:
-    """Near-table hit if the pair is close, threshold decode otherwise; the
-    minimum of the candidates is exact for every pair."""
-    return _pair(*parse_bounded_set([a, b]))
-
-
 def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
     """Exact labels for any unit-weight graph, sized for sparse inputs.
 
@@ -193,9 +181,6 @@ def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
         "inner": inner.meta,
     }
     return LabelSet("sparse", g.n, params, inner.labels, meta=meta)
-
-
-decode_sparse = decode_bounded_degree
 
 
 def _encode_bdeg(g: Graph, seed: int, opts: dict) -> LabelSet:

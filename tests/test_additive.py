@@ -9,7 +9,6 @@ from distlab import (
     AdditiveParams,
     all_pairs,
     build_graph,
-    decode_additive,
     decode_matrix,
     encode_additive,
     gen_cycle,
@@ -24,7 +23,7 @@ from distlab import (
     verify_labels,
 )
 from distlab.errors import GraphError, LabelError
-from distlab.labels import LabelSet
+from distlab.labels import LabelSet, decode_pair
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -158,7 +157,7 @@ def test_additive_no_high_degree_case():
 def test_additive_adjacent_low_degree_pair_exact():
     g = gen_path(16)
     ls = encode_additive(g, AdditiveParams(r=4, t=50, D=3, seed=3))
-    assert decode_additive(ls.labels[3], ls.labels[4]) == 1
+    assert decode_pair("additive", ls.labels[3], ls.labels[4]) == 1
 
 
 def test_additive_far_pairs_exact_via_embedded_threshold():
@@ -241,7 +240,7 @@ def test_additive_incompatible_labels():
     a = encode_additive(g, AdditiveParams(r=2, t=8, D=2, seed=9))
     b = encode_additive(g, AdditiveParams(r=4, t=8, D=2, seed=9))
     with pytest.raises(LabelError):
-        decode_additive(a.labels[0], b.labels[1])
+        decode_pair("additive", a.labels[0], b.labels[1])
     # dominator tables of different lengths: the bulk decoder must refuse the
     # mix with a typed error, and verify must report it, not crash
     g = gen_gnm(32, 64, seed=1)

@@ -20,16 +20,14 @@ from distlab.bits import Bits
 from distlab.cli import SCHEMES, main
 from distlab.errors import CodecError, GraphError, LabelError
 from distlab.harness import (
-    PARSERS,
     bench_sweep,
     bound_value,
     decode_matrix,
     lower_bound_experiment,
     parse_m_rule,
-    worker_count,
 )
 from distlab.labels import SCHEMES as REGISTRY
-from distlab.labels import LabelSet, dumps, load_labels, loads
+from distlab.labels import SET_PARSERS, LabelSet, dumps, load_labels, loads
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -59,6 +57,14 @@ def test_verify_sampled_count_must_be_positive(count):
     ls = encode_full(g, PreservingParams(D=2, seed=2))
     with pytest.raises(ValueError, match="sample_count"):
         verify_labels(g, ls, mode="sampled", sample_count=count)
+
+
+@pytest.mark.parametrize("mode", ["sampledx", "sampled:5", "sampled "])
+def test_verify_accepts_only_the_two_mode_names(mode):
+    g = gen_gnm(16, 32, seed=2)
+    ls = encode_full(g, PreservingParams(D=2, seed=2))
+    with pytest.raises(ValueError, match="unknown verify mode"):
+        verify_labels(g, ls, mode=mode, sample_count=10)
 
 
 def test_verify_sampled_on_fewer_than_two_nodes_checks_no_pair():
@@ -149,7 +155,7 @@ def test_trailing_label_bits_are_refused(name):
     labels = list(ls.labels)
     labels[3] = Bits.from_array(np.concatenate([labels[3].to_array(), [1, 0, 1, 1, 0]]))
     with pytest.raises(CodecError, match="label 0 has 5 trailing bits"):
-        PARSERS[name](labels[3])
+        SET_PARSERS[name]([labels[3]])[0]
     padded = loads(dumps(LabelSet(ls.scheme, ls.n, ls.params, labels)))
     with pytest.raises(CodecError, match="label 3 has 5 trailing bits"):
         padded.parsed()
@@ -214,15 +220,6 @@ def test_parse_m_rule():
     assert parse_m_rule("2n", 50) == 100
     assert parse_m_rule("4n", 50) == 200
     assert parse_m_rule("123", 50) == 123
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("DISTLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("DISTLAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("DISTLAB_THREADS", "junk")
-    assert worker_count() == 1
 
 
 def test_lower_bound_experiment_all_zero_and_all_one():

@@ -21,13 +21,15 @@ from distlab import (
     encode_trivial,
     encode_warmup,
     gen_gnm,
+    gen_path,
     verify_labels,
 )
-from distlab.bits import BitCursor, BitWriter
-from distlab.errors import LabelError
-from distlab.harness import PARSERS
-from distlab.labels import MAGIC, dumps, load_labels, loads, save_labels
-from distlab.preserving import decode_full, decode_trivial, parse_full
+from distlab.bits import BitCursor, BitWriter, gamma_length
+from distlab.errors import CodecError, LabelError
+from distlab.labels import (
+    MAGIC, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads, save_labels,
+)
+from distlab.preserving import parse_full_set
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -86,10 +88,65 @@ def test_label_count_must_match_n():
 def test_truncated_file_rejected():
     _, sets = all_scheme_labelsets()
     blob = dumps(sets["medium"])
-    from distlab.errors import CodecError
-
     with pytest.raises((LabelError, CodecError)):
         loads(blob[: len(blob) // 2])
+
+
+def test_bytes_after_the_last_record_rejected():
+    for ls in all_scheme_labelsets()[1].values():
+        with pytest.raises(CodecError, match="not zero padding"):
+            loads(dumps(ls) + b"\0\0\0")
+
+
+def test_set_padding_bit_rejected():
+    # a trivial file holds gamma(tag=1), gamma(D=1), gamma(1), gamma(n+1),
+    # then per label gamma(id+1), gamma(bits+1) and the bits
+    checked = 0
+    for n in range(1, 9):
+        ls = encode_trivial(gen_path(n))
+        used = 3 + gamma_length(n + 1) + sum(
+            gamma_length(i + 1) + gamma_length(b.nbits + 1) + b.nbits
+            for i, b in enumerate(ls.labels)
+        )
+        blob = dumps(ls)
+        assert len(blob) == len(MAGIC) + (used + 7) // 8
+        assert loads(blob).labels == ls.labels
+        for bit in range(-used % 8):  # each padding bit of the last byte
+            with pytest.raises(CodecError, match="not zero padding"):
+                loads(blob[:-1] + bytes([blob[-1] | 1 << bit]))
+            checked += 1
+    assert checked
+
+
+BAD_HEADER_PARAMS = [  # (scheme, param, value or None to drop it, error)
+    ("trivial", "D", None, "header param D is missing"),
+    ("warmup", "landmarks", None, "header param landmarks is missing"),
+    ("full", "landmark_counts", None, "header param landmark_counts is missing"),
+    ("bdeg", "delta", None, "header param delta is missing"),
+    ("additive", "dominators", None, "header param dominators is missing"),
+    ("full", "D", 2.5, "not an integer"),
+    ("medium", "landmarks", "7", "not an integer"),
+    ("full", "landmark_counts", [4, 2.0], "not an integer"),
+    ("full", "landmark_counts", 4, "not a list"),
+    ("additive", "r", 2.5, "not an integer"),
+    ("medium", "D", 0, "out of range"),
+    ("warmup", "landmarks", -1, "out of range"),
+    ("full", "landmark_counts", [4, -1], "out of range"),
+    ("bdeg", "delta", -2, "out of range"),
+    ("sparse", "k", 0, "out of range"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,message", BAD_HEADER_PARAMS)
+def test_dumps_refuses_a_bad_header_param(name, key, value, message):
+    ls = all_scheme_labelsets()[1][name]
+    params = dict(ls.params)
+    if value is None:
+        del params[key]
+    else:
+        params[key] = value
+    with pytest.raises(LabelError, match=message):
+        dumps(LabelSet(ls.scheme, ls.n, params, ls.labels))
 
 
 # --- pinned file contents ----------------------------------------------------
@@ -231,7 +288,7 @@ def test_set_parse_equals_per_label_parse(name):
     ls = set_parse_cases()[name]
     back = loads(dumps(ls))
     assert back.n == ls.n
-    assert_same_parse(back.parsed(), [PARSERS[ls.scheme](b) for b in ls.labels])
+    assert_same_parse(back.parsed(), [SET_PARSERS[ls.scheme]([b])[0] for b in ls.labels])
     if name.endswith("disconnected"):  # unreachable entries are read as INF
         tables = {
             "trivial": lambda p: [p.row],
@@ -272,7 +329,7 @@ def test_mixed_layout_set_refused_by_parsed(case):
         loads(dumps(ls)).parsed()
     if case == "full-n33":  # the public pair decoder parses its two labels as one set
         with pytest.raises(LabelError):
-            decode_full(ls.labels[0], ls.labels[5])
+            decode_pair("full", ls.labels[0], ls.labels[5])
 
 
 # --- label ids out of range --------------------------------------------------
@@ -294,7 +351,7 @@ def test_trivial_id_out_of_range_is_a_label_error():
     ls = encode_trivial(g)
     ls.labels[3] = with_id(ls.labels[3], 50)
     with pytest.raises(LabelError, match="out of range"):
-        decode_trivial(ls.labels[3], ls.labels[0])
+        decode_pair("trivial", ls.labels[3], ls.labels[0])
     back = loads(dumps(ls))
     with pytest.raises(LabelError, match="out of range"):
         back.decode(3, 0)
@@ -351,7 +408,7 @@ def test_embedded_full_header_id_checked(scheme):
     w = BitWriter()
     w.write_bits(cur.read_bits(start))
     tail = cur.read_bits(cur.remaining)
-    assert_same_parse(parse_full(tail), PARSERS[scheme](label).full)
+    assert_same_parse(parse_full_set([tail])[0], SET_PARSERS[scheme]([label])[0].full)
     w.write_bits(with_id(tail, BitCursor(tail).read_gamma() - 1))
     ls.labels[3] = w.getvalue()
     with pytest.raises(LabelError, match="out of range"):

@@ -14,10 +14,6 @@ from distlab import (
     all_pairs_with_hops,
     build_graph,
     classify_nodes,
-    decode_full,
-    decode_medium,
-    decode_trivial,
-    decode_warmup,
     encode_additive,
     encode_bounded_degree,
     encode_full,
@@ -36,7 +32,7 @@ from distlab import (
     PreservingParams,
 )
 from distlab.errors import GraphError, LabelError
-from distlab.labels import LabelSet
+from distlab.labels import LabelSet, decode_pair
 from distlab.preserving import _minplus
 
 from conftest import random_01_graph
@@ -80,7 +76,7 @@ def test_sample_eventually_covers_everything():
 def test_warmup_path_exact_far_pair():
     g = gen_path(5)
     ls = encode_warmup(g, PreservingParams(D=2, seed=0))
-    assert decode_warmup(ls.labels[0], ls.labels[4]) == 4
+    assert decode_pair("warmup", ls.labels[0], ls.labels[4]) == 4
 
 
 def test_warmup_draw_count_formula():
@@ -100,7 +96,7 @@ def test_warmup_forced_landmark_upper_bound():
     # with the sample pinned to {0} on a path, decode(1, 2) routes through 0
     g = gen_path(5)
     ls = encode_warmup(g, PreservingParams(D=2), landmarks=[0])
-    assert decode_warmup(ls.labels[1], ls.labels[2]) == 3
+    assert decode_pair("warmup", ls.labels[1], ls.labels[2]) == 3
     assert ls.decode(1, 2) >= all_pairs(g)[1, 2]
 
 
@@ -110,7 +106,7 @@ def test_warmup_self_decode():
     w = all_pairs(g)
     landmarks = ls.meta["landmarks"]
     for u in range(g.n):
-        d = decode_warmup(ls.labels[u], ls.labels[u])
+        d = decode_pair("warmup", ls.labels[u], ls.labels[u])
         assert d >= 0
         if u in landmarks:
             assert d == 0
@@ -135,7 +131,7 @@ def test_warmup_table_length_mismatch_rejected():
     a = encode_warmup(g, PreservingParams(D=2), landmarks=[0])
     b = encode_warmup(g, PreservingParams(D=2), landmarks=[0, 3])
     with pytest.raises(LabelError):
-        decode_warmup(a.labels[0], b.labels[1])
+        decode_pair("warmup", a.labels[0], b.labels[1])
     mixed = LabelSet("warmup", g.n, a.params, a.labels[:3] + b.labels[3:])
     with pytest.raises(LabelError):
         decode_matrix(mixed)
@@ -266,7 +262,7 @@ def test_warmup_rejects_out_of_range_landmarks(bad):
 def test_medium_small_path_window():
     g = gen_path(3)
     ls = encode_medium(g, PreservingParams(D=2, seed=1))
-    assert decode_medium(ls.labels[0], ls.labels[2]) == 2
+    assert decode_pair("medium", ls.labels[0], ls.labels[2]) == 2
 
 
 def test_medium_rejects_d_below_two():
@@ -277,8 +273,8 @@ def test_medium_rejects_d_below_two():
 def test_medium_isolated_pair_is_unreachable():
     g = build_graph(4, [(0, 1, 1)])
     ls = encode_medium(g, PreservingParams(D=2, seed=0))
-    assert decode_medium(ls.labels[2], ls.labels[3]) == INF
-    assert decode_medium(ls.labels[0], ls.labels[2]) == INF
+    assert decode_pair("medium", ls.labels[2], ls.labels[3]) == INF
+    assert decode_pair("medium", ls.labels[0], ls.labels[2]) == INF
 
 
 def test_medium_window_exact_grid():
@@ -316,7 +312,7 @@ def test_medium_handles_sick_pairs_via_shared_table():
     for u in range(9):
         for v in range(u + 1, 9):
             if D <= h[u, v] <= 2 * D:
-                assert decode_medium(ls.labels[u], ls.labels[v]) == w[u, v]
+                assert decode_pair("medium", ls.labels[u], ls.labels[v]) == w[u, v]
 
 
 def test_medium_certified_pair_is_exact():
@@ -333,7 +329,7 @@ def test_medium_certified_pair_is_exact():
                 continue
             if any(w[u, x] + w[x, v] == w[u, v] for x in landmarks):
                 hits += 1
-                assert decode_medium(ls.labels[u], ls.labels[v]) <= w[u, v]
+                assert decode_pair("medium", ls.labels[u], ls.labels[v]) <= w[u, v]
     assert hits > 0
 
 
@@ -353,7 +349,7 @@ def test_medium_resample_cap_exhaustion(monkeypatch):
 
     monkeypatch.setattr(P, "_classify", every_node_sick)
     with pytest.raises(EncodingFailure, match=r"\|S\|=20"):
-        encode_medium(gen_gnm(20, 40, seed=1), PreservingParams(D=4, seed=1, resample_cap=3))
+        encode_medium(gen_gnm(20, 40, seed=1), PreservingParams(D=4, seed=1))
 
 
 def test_medium_incompatible_labels():
@@ -361,7 +357,7 @@ def test_medium_incompatible_labels():
     a = encode_medium(g, PreservingParams(D=2, seed=1))
     b = encode_medium(g, PreservingParams(D=4, seed=1))
     with pytest.raises(LabelError):
-        decode_medium(a.labels[0], b.labels[1])
+        decode_pair("medium", a.labels[0], b.labels[1])
 
 
 # --- full ------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def test_full_routes_to_trivial_for_tiny_threshold():
 def test_full_path_pair_at_intermediate_level():
     g = gen_path(9)
     ls = encode_full(g, PreservingParams(D=2, seed=4))
-    assert decode_full(ls.labels[0], ls.labels[8]) == 8
+    assert decode_pair("full", ls.labels[0], ls.labels[8]) == 8
 
 
 def test_full_exact_beyond_threshold_many_seeds():
@@ -424,7 +420,7 @@ def test_full_near_pairs_only_upper_bounded():
     g = gen_path(6)
     ls = encode_full(g, PreservingParams(D=4, seed=5))
     w = all_pairs(g)
-    assert decode_full(ls.labels[0], ls.labels[1]) >= w[0, 1]
+    assert decode_pair("full", ls.labels[0], ls.labels[1]) >= w[0, 1]
 
 
 def test_full_reconstructs_adjacency_family():
@@ -435,7 +431,7 @@ def test_full_reconstructs_adjacency_family():
     ls = encode_full(g, PreservingParams(D=tail, seed=6))
     for i in range(k):
         for j in range(k):
-            got = decode_full(ls.labels[left[i]], ls.labels[ends[j]])
+            got = decode_pair("full", ls.labels[left[i]], ls.labels[ends[j]])
             assert (got == tail) == bool(adj[i][j])
 
 
@@ -443,7 +439,7 @@ def test_full_level_count_mismatch_rejected():
     a = encode_full(gen_gnm(32, 64, seed=1), PreservingParams(D=2, seed=1))
     b = encode_full(gen_gnm(32, 64, seed=1), PreservingParams(D=8, seed=1))
     with pytest.raises(LabelError):
-        decode_full(a.labels[0], b.labels[1])
+        decode_pair("full", a.labels[0], b.labels[1])
 
 
 # --- trivial ---------------------------------------------------------------------
@@ -470,7 +466,7 @@ def test_trivial_mixed_graphs_rejected():
     a = encode_trivial(g)
     b = encode_trivial(gen_path(8))
     with pytest.raises(LabelError):
-        decode_trivial(a.labels[0], b.labels[1])
+        decode_pair("trivial", a.labels[0], b.labels[1])
     mixed = LabelSet("trivial", g.n, a.params, a.labels[:3] + b.labels[3:6])
     with pytest.raises(LabelError):
         decode_matrix(mixed)
@@ -485,7 +481,7 @@ def test_trivial_complete_graph():
     for u in range(4):
         for v in range(4):
             if u != v:
-                assert decode_trivial(ls.labels[u], ls.labels[v]) == 1
+                assert decode_pair("trivial", ls.labels[u], ls.labels[v]) == 1
 
 
 # --- sizes -----------------------------------------------------------------------

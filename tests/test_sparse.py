@@ -8,9 +8,7 @@ import pytest
 from distlab import (
     INF,
     all_pairs,
-    decode_bounded_degree,
     decode_matrix,
-    decode_sparse,
     encode_bounded_degree,
     encode_sparse,
     gen_gnm,
@@ -21,8 +19,8 @@ from distlab import (
     verify_labels,
 )
 from distlab.errors import GraphError, LabelError
-from distlab.labels import LabelSet
-from distlab.sparse import bounded_degree_threshold, parse_bounded
+from distlab.labels import SET_PARSERS, LabelSet, decode_pair
+from distlab.sparse import bounded_degree_threshold
 
 
 def triu(n):
@@ -102,7 +100,7 @@ def test_bounded_path_near_tables_and_exactness():
     dec = decode_matrix(ls)
     iu, iv = triu(64)
     assert (dec[iu, iv] == w[iu, iv]).all()
-    assert decode_bounded_degree(ls.labels[0], ls.labels[63]) == 63
+    assert decode_pair("bdeg", ls.labels[0], ls.labels[63]) == 63
 
 
 def test_bounded_near_table_within_ball_bound():
@@ -118,7 +116,7 @@ def test_bounded_adjacent_pair_from_near_table():
     g = gen_gnm(40, 60, seed=3)
     ls = encode_bounded_degree(g, max(2, g.max_degree()), 3)
     u, v, _ = g.edges[0]
-    assert decode_bounded_degree(ls.labels[u], ls.labels[v]) == 1
+    assert decode_pair("bdeg", ls.labels[u], ls.labels[v]) == 1
 
 
 def test_bounded_rejects_degree_violation():
@@ -186,7 +184,7 @@ def test_sparse_exact_random_graph():
     dec = decode_matrix(ls)
     iu, iv = triu(128)
     assert (dec[iu, iv] == w[iu, iv]).all()
-    assert decode_sparse(ls.labels[0], ls.labels[1]) == w[0, 1]
+    assert decode_pair("sparse", ls.labels[0], ls.labels[1]) == w[0, 1]
 
 
 def test_sparse_exact_star_with_heavy_split():
@@ -230,7 +228,7 @@ def test_sparse_incompatible_labels_rejected():
     a = encode_sparse(gen_gnm(32, 64, seed=1), seed=1)
     b = encode_sparse(gen_gnm(32, 128, seed=1), seed=1)
     with pytest.raises(LabelError):
-        decode_sparse(a.labels[0], b.labels[1])
+        decode_pair("sparse", a.labels[0], b.labels[1])
 
 
 def test_bounded_degree_mixed_delta_rejected():
@@ -251,7 +249,7 @@ def test_sparse_matrix_matches_pair_decoder():
     g = gen_gnm(40, 120, seed=9)
     ls = encode_sparse(g, seed=9)
     dec = decode_matrix(ls)
-    parsed = [parse_bounded(b) for b in ls.labels]
+    parsed = [SET_PARSERS["sparse"]([b])[0] for b in ls.labels]
     assert all(p.id == i for i, p in enumerate(parsed))
     for u in range(g.n):
         for v in range(u + 1, g.n):
