@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged, fixed_bits
 from .errors import GraphError
-from .graph import INF, Graph, distances_from
+from .graph import INF, Graph, _far, _within
 from .labels import LabelSet, Scheme, gamma_fields, register, required
 from .preserving import (
     FullLabel, PreservingParams, _full_labels, _full_pieces, _header_bits, _matrix, _mix, _pair,
@@ -108,7 +108,7 @@ def power_graph(g: Graph, radius: int) -> Graph:
     _check_unit(g, "power graph")
     if radius < 1:
         raise GraphError(f"power-graph radius must be >= 1, got {radius}")
-    us, vs = np.nonzero(np.triu(g.apsp()[0] <= radius, 1))
+    us, vs = np.nonzero(np.triu(_within(g.tables()[0], radius), 1))
     return Graph(g.n, zip(us.tolist(), vs.tolist()))
 
 
@@ -157,8 +157,8 @@ def ball_in_induced(g: Graph, excluded, u: int, depth: int) -> dict[int, int]:
     if u in excluded:
         raise GraphError(f"ball center {u} is in the excluded set")
     ids, sub = _induced(g, excluded)
-    row = sub.apsp()[0][np.searchsorted(ids, u)]
-    near = np.flatnonzero(row <= depth)
+    row = sub.tables()[0][np.searchsorted(ids, u)]
+    near = np.flatnonzero(_within(row, depth))
     return dict(zip(ids[near].tolist(), row[near].tolist()))
 
 
@@ -191,19 +191,19 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
     gr = power_graph(g, r // 2)
     high = high_degree_set(gr, t)
     dominators = sorted(greedy_dominating_set(gr, high))
-    dom_table = distances_from(g, dominators).T
+    dom_table = g.tables()[0][np.asarray(dominators, dtype=np.intp)].T  # narrow
     full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(p.seed, 313)), n)
     dom_width = max(1, n.bit_length())
     ball_width = max(1, D.bit_length())
     is_high = np.zeros(n, dtype=bool)
     is_high[list(high)] = True
-    present = dom_table != INF
+    present = dom_table != _far(dom_table)
     flags = np.column_stack([is_high, present]).astype(np.uint8)  # high bit, dominator bitmap
     # each low-degree node's radius-D ball in the subgraph the low-degree
     # nodes induce; a high-degree node writes none
     low, sub = _induced(g, high)
-    sub_weight = sub.apsp()[0]
-    rows, cols = np.nonzero(sub_weight <= D)
+    sub_weight = sub.tables()[0]
+    rows, cols = np.nonzero(_within(sub_weight, D))
     ball_sizes = np.zeros(n, dtype=np.intp)
     ball_sizes[low] = np.bincount(rows, minlength=low.size)
     labels = concat_ragged([

@@ -57,23 +57,25 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_con", "_apsp", "_dag")
+    __slots__ = ("n", "edges", "adj", "_con", "_tables", "_apsp", "_dag")
 
     def __init__(self, n: int, edge_list=()):
-        n = int(n)
+        n = _integer(n, "node count")
         if n < 0:
             raise GraphError(f"node count must be >= 0, got {n}")
         self.n = n
         seen: set[tuple[int, int]] = set()
         edges: list[tuple[int, int, int]] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        index = operator.index
         for e in edge_list:
-            if len(e) == 2:
-                u, v, w = int(e[0]), int(e[1]), 1
-            elif len(e) == 3:
-                u, v, w = int(e[0]), int(e[1]), int(e[2])
-            else:
-                raise GraphError(f"edge {e!r}: expected (u, v) or (u, v, w)")
+            try:
+                size = len(e)
+                if size not in (2, 3):
+                    raise TypeError
+                u, v, w = index(e[0]), index(e[1]), index(e[2]) if size == 3 else 1
+            except TypeError:
+                raise GraphError(f"edge {e!r}: expected (u, v) or (u, v, w) of integers") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}, {w}): node id out of range 0..{n - 1}")
             if u == v:
@@ -90,6 +92,7 @@ class Graph:
         self.edges = edges
         self.adj = adj
         self._con = None
+        self._tables = None
         self._apsp = None
         self._dag = None
 
@@ -110,16 +113,28 @@ class Graph:
         return all(w == 1 for _, _, w in self.edges)
 
     def _contraction(self) -> "_Contraction":
-        """Cached 0-weight contraction and its weight table, which both apsp()
-        and sp_dag() read."""
+        """Cached 0-weight contraction and its narrow weight table, which
+        tables() and sp_dag() read."""
         if self._con is None:
             self._con = _contract(self)
         return self._con
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached narrow all-pairs (weight, hops) tables, the oracle the
+        library reads: the narrowest unsigned dtype that holds every finite
+        distance below its max, which marks unreachable pairs (see _far and
+        _within).  Without 0-weight edges both are the contraction's table."""
+        if self._tables is None:
+            self._tables = _apsp_tables(self)
+        return self._tables
+
     def apsp(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached all-pairs (weight, hops) tables; see all_pairs_with_hops."""
+        """Cached read-only int64 (weight, hops) tables with INF for
+        unreachable pairs, widened from tables(); see all_pairs_with_hops."""
         if self._apsp is None:
-            self._apsp = _apsp_tables(self)
+            weight, hops = self.tables()
+            wide = _widen(weight)
+            self._apsp = (wide, wide if hops is weight else _widen(hops))
         return self._apsp
 
     def sp_dag(self) -> "ShortestPathDag":
@@ -138,12 +153,18 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n, edge_list)
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int; GraphError unless it is an integer (a bool or a
+    NumPy integer counts; a float, a string or None does not)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphError(f"{what} {x!r} is not an integer") from None
+
+
 def _source_id(g: Graph, s) -> int:
     """s as a node id of g; GraphError unless it is an integer in 0..n-1."""
-    try:
-        i = operator.index(s)
-    except TypeError:
-        raise GraphError(f"source {s!r} is not an integer node id") from None
+    i = _integer(s, "source")
     if not 0 <= i < g.n:
         raise GraphError(f"source {i} out of range 0..{g.n - 1}")
     return i
@@ -202,6 +223,14 @@ def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
 # weight levels and Lh hop levels the work is O(Lw * (n_c^2 + m*n_c) / 64)
 # plus O(Lh * (n^2 + m*n) / 64) word operations, and an O(m * n) mask build;
 # without 0-weight edges the graph is its own contraction and weight is hops.
+#
+# The tables stay narrow: each is the narrowest unsigned dtype in which every
+# finite distance lies below the dtype's max, and the max marks unreachable
+# pairs, so the oracle costs n^2 bytes per table on graphs whose distances
+# fit in a byte (two tables with 0-weight edges, one without).  The library
+# reads them through Graph.tables() and compares through _within, which never
+# counts the sentinel as a distance; only the public API (Graph.apsp and the
+# functions below that read it) widens them to int64 with INF.
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray):
@@ -260,12 +289,11 @@ def _record(planes: list, key: int, bits: np.ndarray) -> None:
             planes[b] |= bits
 
 
-def _bfs(n: int, csr, masks=None) -> tuple[np.ndarray, int]:
+def _bfs(n: int, csr, masks=None) -> np.ndarray:
     """Hop distances between every two nodes of 0..n-1 over the edges of
-    csr, as a narrow (n, n) table and the value it holds for unreachable
-    pairs: top + 2 for the largest finite distance top, which no finite
-    distance plus one equals.  The edge cols[p] -> v carries the sources
-    whose bit is set in masks[p], or every source when masks is None."""
+    csr, as a narrow (n, n) table holding _far(table) for unreachable pairs.
+    The edge cols[p] -> v carries the sources whose bit is set in masks[p],
+    or every source when masks is None."""
     rows, starts, cols = csr
     ids = np.arange(n)
     front = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
@@ -287,20 +315,39 @@ def _bfs(n: int, csr, masks=None) -> tuple[np.ndarray, int]:
         unreached &= ~nxt
         _record(planes, top, nxt)
         front = nxt
-    dt = np.min_scalar_type(top + 3)
+    dt = np.min_scalar_type(top + 1)  # its max, the sentinel, lies above top
     table = np.zeros((n, n), dtype=dt)
     for b, plane in enumerate(planes):
         bit = _unbits(plane, n).astype(dt, copy=False)
         bit <<= dt.type(b)
         table |= bit
-    table[_unbits(unreached, n).view(bool)] = top + 2
-    return table, top + 2
+    table[_unbits(unreached, n).view(bool)] = _far(table)
+    return table
 
 
-def _widen(table: np.ndarray, far: int) -> np.ndarray:
-    """Read-only int64 copy of a narrow table, with INF where it holds far."""
-    out = table.astype(np.int64)
-    out[table == far] = INF
+def _far(table: np.ndarray) -> int:
+    """The value a narrow oracle table holds for unreachable pairs: the max
+    of its dtype, above every finite distance in it."""
+    return int(np.iinfo(table.dtype).max)
+
+
+def _within(table: np.ndarray, bound: int) -> np.ndarray:
+    """table <= bound as a boolean array, False for unreachable pairs however
+    large the bound (the bound is never cast to the table's dtype)."""
+    return table <= min(bound, _far(table) - 1)
+
+
+def _int64(values: np.ndarray) -> np.ndarray:
+    """int64 copy of narrow oracle entries, with INF for unreachable pairs."""
+    out = np.array(values, dtype=np.int64)
+    out[values == _far(values)] = INF
+    return out
+
+
+def _widen(table: np.ndarray) -> np.ndarray:
+    """Read-only int64 copy of a whole narrow table, with INF for unreachable
+    pairs: the public oracle, built only by Graph.apsp()."""
+    out = _int64(table)
     out.setflags(write=False)
     return out
 
@@ -308,17 +355,21 @@ def _widen(table: np.ndarray, far: int) -> np.ndarray:
 def _tight(table: np.ndarray, heads: np.ndarray, tails: np.ndarray, sources=None) -> np.ndarray:
     """Source bitsets of the edges tails[i] -> heads[i] between components of
     a contracted weight table: bit j is set when the edge lies on a shortest
-    path from source j, table[heads[i], j] = table[tails[i], j] + w, where w
-    is 0 inside one component and 1 between two.  `sources`, if given, maps
-    each bit to its column of the table.  Built a few MB at a time."""
+    path from source j, table[heads[i], j] = table[tails[i], j] + w with both
+    finite, where w is 0 inside one component and 1 between two.  `sources`,
+    if given, maps each bit to its column of the table.  Built a few MB at a
+    time."""
     width = table.shape[1] if sources is None else sources.size
     out = np.empty((heads.size, (width + 63) // 64), dtype=np.uint64)
     step = max(1, (1 << 19) // max(width, 1))
+    far = _far(table)
     for i in range(0, heads.size, step):
         h, t = heads[i:i + step], tails[i:i + step]
         tail = table[t]
-        tail += (h != t)[:, None]
+        reached = tail != far
+        tail += (h != t)[:, None]  # the sentinel wraps to 0 here; `reached` drops it
         tight = table[h] == tail
+        tight &= reached
         out[i:i + step] = _bitset(tight if sources is None else np.take(tight, sources, axis=1))
     return out
 
@@ -327,13 +378,13 @@ class _Contraction(NamedTuple):
     """The graph with each 0-weight component contracted to one node: comp
     maps each node to its component (numbered by smallest member), csr is
     the contracted unit-weight adjacency (rows, starts, cols) without loops
-    or parallel edges, and table is its narrow weight table, holding far for
-    unreachable pairs (see _bfs)."""
+    or parallel edges, and table is its narrow weight table (see _bfs).
+    Without 0-weight edges comp is the identity and table is the graph's
+    weight and hops table, Graph.tables() itself."""
 
     comp: np.ndarray
     csr: tuple
     table: np.ndarray
-    far: int
 
 
 def _contract(g: Graph) -> _Contraction:
@@ -346,22 +397,21 @@ def _contract(g: Graph) -> _Contraction:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keys = np.unique((lo * ncomp + hi)[lo != hi])
     csr = _csr(ncomp, keys // ncomp, keys % ncomp)
-    return _Contraction(comp, csr, *_bfs(ncomp, csr))
+    return _Contraction(comp, csr, _bfs(ncomp, csr))
 
 
 def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    comp, _, table, far = g._contraction()
+    comp, _, table = g._contraction()
     if len(table) == g.n:  # no 0-weight edge: every minimum-weight path has as many hops as weight
-        weight = _widen(table, far)
-        return weight, weight
-    weight = _widen(np.take(np.take(table, comp, axis=0), comp, axis=1), far)
+        return table, table
+    weight = np.take(np.take(table, comp, axis=0), comp, axis=1)
     # every 0-weight edge, and each unit edge between two components (one
     # inside a component lies on no minimum-weight path)
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
     e = e[(e[:, 2] == 0) | (comp[e[:, 0]] != comp[e[:, 1]])]
     csr = _csr(g.n, e[:, 0], e[:, 1])
     masks = _tight(table, comp[_heads(csr)], comp[csr[2]], comp)
-    return weight, _widen(*_bfs(g.n, csr, masks))
+    return weight, _bfs(g.n, csr, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +430,10 @@ class ShortestPathDag(NamedTuple):
     unreached[v] is the bitset of the sources that cannot reach component
     v.  A bitset has one bit per source component s, at bit s % 64 of word
     s // 64, so unreached has shape (components, words).  All of it is read
-    off the contraction the all-pairs oracle builds (the masks by the same
-    tight-edge test the hops table uses), a few MB of temporaries at a time,
-    in O(m * components) time.  Memory is O(m * components / 8) bytes.
+    off the contraction's narrow weight table (the masks by the same
+    tight-edge test the hops table uses, unreached where the table holds
+    its sentinel), a few MB of temporaries at a time, in O(m * components)
+    time.  Memory is O(m * components / 8) bytes.
     """
 
     comp: np.ndarray
@@ -392,14 +443,16 @@ class ShortestPathDag(NamedTuple):
 
 
 def _sp_dag(g: Graph) -> ShortestPathDag:
-    comp, csr, table, far = g._contraction()
-    return ShortestPathDag(comp, csr, _tight(table, _heads(csr), csr[2]), _bitset(table == far))
+    comp, csr, table = g._contraction()
+    return ShortestPathDag(comp, csr, _tight(table, _heads(csr), csr[2]), _bitset(table == _far(table)))
 
 
 def all_pairs_with_hops(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs (weight, hops) tables as read-only int64 arrays with INF
-    for unreachable pairs.  Agrees with n runs of sssp; this is the oracle
-    the test harness trusts."""
+    for unreachable pairs (one array for both on a graph without 0-weight
+    edges).  Agrees with n runs of sssp; this is the oracle the test harness
+    trusts.  It is widened once per graph from the narrow tables the library
+    reads (Graph.tables), at 8 bytes per pair and table."""
     return g.apsp()
 
 
@@ -409,13 +462,12 @@ def all_pairs(g: Graph) -> np.ndarray:
 
 
 def distances_from(g: Graph, sources) -> np.ndarray:
-    """Weight rows from the given source nodes, as a (len(sources), n) table
-    sliced from the cached all-pairs table.  Raises GraphError unless every
-    source is an integer node id."""
-    sources = [_source_id(g, s) for s in sources]
-    if not sources:
-        return np.zeros((0, g.n), dtype=np.int64)
-    return g.apsp()[0][sources]
+    """Weight rows from the given source nodes, as a (len(sources), n) int64
+    table with INF for unreachable pairs, widened from those rows of the
+    narrow weight table.  Raises GraphError unless every source is an integer
+    node id."""
+    rows = np.array([_source_id(g, s) for s in sources], dtype=np.intp)
+    return _int64(g.tables()[0][rows])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from . import additive, sparse  # noqa: F401 -- importing a scheme module registers it
 from . import preserving as _preserving
 from .errors import CodecError, LabelError
-from .graph import Graph, gen_gnm, gen_lower_bound_family
+from .graph import Graph, _int64, gen_gnm, gen_lower_bound_family
 from .labels import MATRIX_DECODERS, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, lookup
 
 __all__ = [
@@ -126,9 +126,11 @@ class VerifyReport:
 
 def _violations(contract, params, weight, hops, iu, iv, d) -> tuple[int, list]:
     """Violation count and up to 50 example entries for the pairs (iu, iv)
-    that decoded to d: soundness plus the scheme's contract mask."""
-    w = weight[iu, iv]
-    h = hops[iu, iv]
+    that decoded to d: soundness plus the scheme's contract mask.  The
+    pairs' entries are gathered from the narrow oracle tables and only
+    they are widened to int64 with INF, the values the masks compare."""
+    w = _int64(weight[iu, iv])
+    h = w if hops is weight else _int64(hops[iu, iv])
     kinds = {"soundness: decoded below true distance": d < w, **contract(params, w, h, d)}
     entries = []
     total = 0
@@ -173,7 +175,7 @@ def verify_labels(
         p50_bits=float(np.percentile(sizes, 50)) if sizes.size else 0.0,
         p95_bits=float(np.percentile(sizes, 95)) if sizes.size else 0.0,
     )
-    weight, hops = g.apsp()
+    weight, hops = g.tables()
 
     def unreadable(exc: Exception, report_mode: str) -> VerifyReport:
         # a label set that does not decode is one violation, not one per pair
@@ -211,7 +213,7 @@ def verify_labels(
         try:
             decoded.append(ls.decode(u, v))
         except (LabelError, CodecError) as exc:
-            errors.append((u, v, int(weight[u, v]), -1, f"decode error: {exc}"))
+            errors.append((u, v, int(_int64(weight[u, v])), -1, f"decode error: {exc}"))
             continue
         us.append(u)
         vs.append(v)

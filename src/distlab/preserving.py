@@ -25,13 +25,14 @@ per-level parameters.  One pair decoder and one bulk decoder (`_pair`,
 `_matrix`, see "Decoders" below) serve warmup, medium and full here and the
 bdeg, sparse and additive schemes built on them; trivial looks its answer
 up.  The set parsers are the one place that checks the labels of a set
-share a layout.  Encoding reads the graph's cached all-pairs tables
-and its cached shortest-path DAG (built once per graph, O(m * n / 8) bytes of
-edge masks), then runs one bit-parallel certification pass per level and
-sampling attempt, which only propagates landmark bits along the DAG (oracle
-grade, O(n^2) memory for the answer); that is deliberate and fine at desk
-scale.  All decode functions are pure and thread-safe; encoding
-touches only immutable graph state.
+share a layout.  Encoding reads the graph's cached narrow all-pairs tables
+(`Graph.tables`, a byte per pair on small-diameter graphs, compared through
+`graph._within`) and its cached shortest-path DAG (built once per graph,
+O(m * n / 8) bytes of edge masks), then runs one bit-parallel
+certification pass per level and sampling attempt, which only propagates
+landmark bits along the DAG (oracle grade, O(n^2) memory for the answer);
+that is deliberate and fine at desk scale.  All decode functions are pure
+and thread-safe; encoding touches only immutable graph state.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .bits import (
     BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph
+from .graph import INF, Graph, _far, _within
 from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
@@ -153,9 +154,10 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
 
 def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.ndarray]:
     """Sick node ids plus the boolean uncovered matrix for threshold D."""
-    _, hops = g.apsp()
-    unc = hops >= D
-    unc &= ~_covered(g, landmarks)
+    _, hops = g.tables()
+    unc = _within(hops, D - 1)  # unc = (hops >= D) & ~covered, as ~(hops < D | covered)
+    unc |= _covered(g, landmarks)
+    np.logical_not(unc, out=unc)
     counts = unc.sum(axis=1)
     return [int(u) for u in np.flatnonzero(counts > g.n / D)], unc
 
@@ -238,19 +240,19 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
             f"sick set stayed at |S|={history[-1]} >= {2 * n / D:.1f} for "
             f"{RESAMPLE_CAP} samples (n={n}, D={D})"
         )
-    weight, hops = g.apsp()
+    weight, hops = g.tables()
     rs = sorted(set(landmarks) | set(sick_ids))
     sick = np.zeros(n, dtype=bool)
     sick[sick_ids] = True
     sick = sick[:count]
-    win = hops[:count] <= 2 * D
+    win = _within(hops[:count], 2 * D)
     win &= unc[:count]
     win[sick] = False  # a sick node writes no window
     rows, cols = np.nonzero(win)
     del unc, win
     w = _w2d(D)
     table = weight[:count, rs]
-    present = table <= 2 * D
+    present = _within(table, 2 * D)
     prefix = gamma_bits([D, len(rs) + 1])[0]
     head = np.empty((count, prefix.size + 1 + present.shape[1]), dtype=np.uint8)
     head[:, :prefix.size] = prefix
@@ -281,13 +283,17 @@ def _header_bits(n: int, count: int, *extra: int) -> tuple[np.ndarray, np.ndarra
     return bits, lengths.reshape(fields.shape).sum(axis=1)
 
 
-def _row_bits(rows, n: int):
-    """Each distance row at _row_width(n) bits per entry, INF written as the
-    all-ones marker: one bit array per row, made one row at a time (a whole
-    table at once would hold a byte per bit of every label)."""
+def _row_bits(rows: np.ndarray, n: int):
+    """Each row of a narrow oracle table at _row_width(n) bits per entry,
+    unreachable written as the all-ones marker: one bit array per row, made
+    one row at a time (a whole table at once would hold a byte per bit of
+    every label)."""
     width = _row_width(n)
-    marker = (1 << width) - 1
-    return (fixed_bits(np.where(row == INF, marker, row), width) for row in rows)
+    far = _far(rows)
+    for row in rows:
+        wide = row.astype(np.int64)
+        wide[row == far] = (1 << width) - 1
+        yield fixed_bits(wide, width)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +400,19 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
     n = g.n
     if n == 0:
         return LabelSet("warmup", 0, {"D": p.D, "landmarks": 0}, [])
-    weight = g.apsp()[0]
+    weight = g.tables()[0]
     draws = 0
     attempts = 0
     if landmarks is not None:
         chosen = _landmark_ids(g, landmarks)
     else:
         draws = _warmup_draws(n, p.D)
-        need = weight >= p.D
+        near = _within(weight, p.D - 1)  # the pairs below D, which need no landmark
         chosen = []
         for attempt in range(RESAMPLE_CAP):
             chosen = sample_landmarks(g, draws, _mix(p.seed, attempt))
             attempts = attempt + 1
-            if bool((_covered(g, chosen) | ~need).all()):
+            if bool((_covered(g, chosen) | near).all()):
                 break
         else:
             raise EncodingFailure(
@@ -537,7 +543,7 @@ class TrivialLabel:
 def encode_trivial(g: Graph) -> LabelSet:
     """Each label stores the node's whole distance row; decoding is lookup."""
     n = g.n
-    labels = concat_ragged([_header_bits(n, n), _row_bits(g.apsp()[0], n)])
+    labels = concat_ragged([_header_bits(n, n), _row_bits(g.tables()[0], n)])
     return LabelSet("trivial", n, {"D": 1}, labels)
 
 

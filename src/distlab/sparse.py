@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged
 from .errors import GraphError
-from .graph import Graph
+from .graph import Graph, _within
 from .labels import LabelSet, Scheme, gamma_fields, register
 from .preserving import (
     FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pieces, _header_bits,
@@ -135,10 +135,10 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     n = g.n
     count = n if _count is None else _count
     D = bounded_degree_threshold(n, delta)
-    weight, hops = g.apsp()
+    weight, hops = g.tables()
     full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(seed, 71)), count)
     near_width = max(1, (D - 1).bit_length() + 1)
-    rows, cols = np.nonzero(hops[:count] <= D - 1)
+    rows, cols = np.nonzero(_within(hops[:count], D - 1))
     near_sizes = np.bincount(rows, minlength=count)
     labels = concat_ragged([
         _header_bits(n, count, delta + 1, D),

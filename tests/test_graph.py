@@ -71,6 +71,39 @@ def test_build_rejects_malformed(n, edges, msg):
         build_graph(n, edges)
 
 
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (3, [(0, 1, 1.5)]),
+        (3, [(0, 1, 1.0)]),
+        (3, [(1.9, 2)]),
+        (2.7, []),
+        ("3", []),
+        (None, []),
+        (2, [("0", "1")]),
+        (2, [(None, 1)]),
+        (2, [(0, np.float64(1))]),
+    ],
+    ids=["float-weight", "integral-float-weight", "float-id", "float-n", "str-n", "none-n",
+         "str-ids", "none-id", "numpy-float-id"],
+)
+def test_build_rejects_non_integers(n, edges):
+    with pytest.raises(GraphError, match="integer"):
+        Graph(n, edges)
+
+
+@pytest.mark.parametrize("edge", [5, (0,), (0, 1, 1, 1)], ids=["int", "short", "long"])
+def test_build_rejects_an_edge_of_the_wrong_shape(edge):
+    with pytest.raises(GraphError, match="expected"):
+        Graph(3, [edge])
+
+
+def test_build_accepts_numpy_integers():
+    g = Graph(np.int64(3), [(np.int32(0), np.uint8(1), np.int64(0)), (np.intp(1), np.int16(2))])
+    assert g.n == 3 and g.edges == [(0, 1, 0), (1, 2, 1)]
+    assert all(type(x) is int for x in (g.n, *(x for e in g.edges for x in e)))
+
+
 # --- sssp -------------------------------------------------------------------
 
 def test_sssp_unit_path():
