@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged, fixed_bits
 from .errors import GraphError
-from .graph import INF, Graph, _far, _within
+from .graph import INF, Graph, _far, _integer, _within
 from .labels import LabelSet, Scheme, gamma_fields, register, required
 from .preserving import (
     FullLabel, PreservingParams, _full_labels, _full_pieces, _header_bits, _matrix, _mix, _pair,
@@ -58,7 +58,11 @@ class AdditiveParams:
     D: int | None = None
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self):  # NumPy integers are stored as ints; t and D may stay None
+        for key in ("r", "t", "D", "seed"):
+            value = getattr(self, key)
+            if value is not None or key in ("r", "seed"):
+                object.__setattr__(self, key, _integer(value, f"additive param {key}"))
         if self.r < 2:
             raise GraphError(f"additive error budget r must be >= 2, got {self.r}")
         if self.t is not None and self.t < 1:
@@ -106,7 +110,7 @@ def _induced(g: Graph, excluded) -> tuple[np.ndarray, Graph]:
 def power_graph(g: Graph, radius: int) -> Graph:
     """Graph with an edge between every pair at distance 1..radius in g."""
     _check_unit(g, "power graph")
-    if radius < 1:
+    if _integer(radius, "power-graph radius") < 1:
         raise GraphError(f"power-graph radius must be >= 1, got {radius}")
     us, vs = np.nonzero(np.triu(_within(g.tables()[0], radius), 1))
     return Graph(g.n, zip(us.tolist(), vs.tolist()))

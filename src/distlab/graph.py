@@ -476,6 +476,7 @@ def distances_from(g: Graph, sources) -> np.ndarray:
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly m unit-weight edges, seeded."""
+    n, m = _integer(n, "node count"), _integer(m, "edge count")
     total = n * (n - 1) // 2
     if m > total:
         raise GraphError(f"m={m} exceeds the {total} possible edges on {n} nodes")
@@ -493,19 +494,19 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
 
 
 def gen_path(n: int) -> Graph:
-    if n < 1:
+    if _integer(n, "node count") < 1:
         raise GraphError("path needs n >= 1")
     return Graph(n, [(i, i + 1, 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
-    if n < 3:
+    if _integer(n, "node count") < 3:
         raise GraphError("cycle needs n >= 3")
     return Graph(n, [(i, (i + 1) % n, 1) for i in range(n)])
 
 
 def gen_grid(rows: int, cols: int) -> Graph:
-    if rows < 1 or cols < 1:
+    if _integer(rows, "grid rows") < 1 or _integer(cols, "grid cols") < 1:
         raise GraphError("grid needs rows >= 1 and cols >= 1")
     edges = []
     for r in range(rows):
@@ -519,7 +520,7 @@ def gen_grid(rows: int, cols: int) -> Graph:
 
 
 def gen_star(leaves: int) -> Graph:
-    if leaves < 0:
+    if _integer(leaves, "leaf count") < 0:
         raise GraphError("star needs leaves >= 0")
     return Graph(leaves + 1, [(0, i, 1) for i in range(1, leaves + 1)])
 

@@ -15,22 +15,26 @@ sparse     exact for every pair
 additive   decoded - dist in [0, r] for connected pairs
 =========  =====================================================
 
-Exhaustive mode checks all n(n-1)/2 pairs through the scheme's registered
-bulk matrix decoder (pinned elsewhere to agree with its pair decoder);
-sampled mode drives the registered pair decoder directly.  Every scheme but
-trivial registers the same two, `preserving._pair` and `preserving._matrix`,
-and the label set parser is the one place that checks the labels of a set
-agree on their layout.  Both modes apply the same masks to arrays
-of (true weight, hops, decoded) per pair.  Also here: benchmark sweeps over
+`verify_labels` takes one path in both modes.  It parses the set once; the
+set parser is the one place that checks the labels of a set agree on their
+layout.  It then decodes either all n(n-1)/2 pairs u < v through the
+scheme's registered bulk matrix decoder (exhaustive; pinned elsewhere to
+agree with its pair decoder) or a seeded sample of pairs through the
+registered pair decoder (sampled).  Every scheme but trivial registers the
+same two, `preserving._pair` and `preserving._matrix`.  A set that does not
+parse or decode is one "decode error" violation.  Otherwise one pass
+applies soundness and the contract masks to arrays of (true weight, hops,
+decoded) per pair, and one report is built.  Also here: benchmark sweeps over
 G(n, m) corpora and the adjacency-reconstruction experiment that reads a
 random bipartite adjacency matrix back out of the labels alone.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -78,7 +82,6 @@ class VerifyReport:
     mean_bits: float = 0.0
     p50_bits: float = 0.0
     p95_bits: float = 0.0
-    encode_seconds: float | None = None
     warnings: list = field(default_factory=list)
 
     @property
@@ -93,8 +96,6 @@ class VerifyReport:
             f"labels:  max {self.max_bits} bits, mean {self.mean_bits:.1f}, "
             f"p50 {self.p50_bits:.0f}, p95 {self.p95_bits:.0f}",
         ]
-        if self.encode_seconds is not None:
-            lines.append(f"encode:  {self.encode_seconds:.3f}s")
         for w in self.warnings:
             lines.append(f"warning: {w}")
         if self.passed:
@@ -106,22 +107,7 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "scheme": self.scheme,
-            "params": self.params,
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "violation_count": self.violation_count,
-            "violations": self.violations[:100],
-            "max_bits": self.max_bits,
-            "mean_bits": self.mean_bits,
-            "p50_bits": self.p50_bits,
-            "p95_bits": self.p95_bits,
-            "encode_seconds": self.encode_seconds,
-            "warnings": self.warnings,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "violations": self.violations[:100], "passed": self.passed}
 
 
 def _violations(contract, params, weight, hops, iu, iv, d) -> tuple[int, list]:
@@ -148,17 +134,16 @@ def verify_labels(
     sample_count: int = 10_000,
     seed: int = 0,
     graph_id: str = "",
-    encode_seconds: float | None = None,
 ) -> VerifyReport:
     """Check every contract the scheme promises against the BFS oracle.
 
     `mode` is "exhaustive" or "sampled"; sampled mode draws `sample_count`
-    (>= 1) random pairs of distinct nodes.
+    (an integer >= 1) random pairs of distinct nodes.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verify mode {mode!r}")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
+        raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
     contract = lookup(SCHEMES, ls.scheme).contract
     if ls.n != g.n:
         raise LabelError(f"label set describes {ls.n} nodes, graph has {g.n}")
@@ -175,71 +160,34 @@ def verify_labels(
         p50_bits=float(np.percentile(sizes, 50)) if sizes.size else 0.0,
         p95_bits=float(np.percentile(sizes, 95)) if sizes.size else 0.0,
     )
-    weight, hops = g.tables()
-
-    def unreadable(exc: Exception, report_mode: str) -> VerifyReport:
-        # a label set that does not decode is one violation, not one per pair
-        return VerifyReport(
-            graph_id, ls.scheme, ls.params, report_mode, 0, 1,
-            [(-1, -1, -1, -1, f"decode error: {exc}")],
-            encode_seconds=encode_seconds, warnings=warnings_, **stats,
-        )
-
-    if mode == "exhaustive":
-        pairs = g.n * (g.n - 1) // 2
-        try:
-            dec = decode_matrix(ls)
-        except (LabelError, CodecError) as exc:
-            return unreadable(exc, mode)
-        iu, iv = np.triu_indices(dec.shape[0], 1)
-        count, entries = _violations(contract, ls.params, weight, hops, iu, iv, dec[iu, iv])
-        return VerifyReport(
-            graph_id, ls.scheme, ls.params, mode, pairs, count, entries,
-            encode_seconds=encode_seconds, warnings=warnings_, **stats,
-        )
     try:
         ls.parsed()
+        if mode == "exhaustive":
+            iu, iv = np.triu_indices(g.n, 1)
+            d = decode_matrix(ls)[iu, iv]
+        else:
+            rng = random.Random(seed)
+            pairs = []
+            for _ in range(sample_count if g.n >= 2 else 0):
+                u = rng.randrange(g.n)
+                v = rng.randrange(g.n - 1)
+                pairs.append((u, v + (v >= u)))
+            iu, iv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            d = np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64)
     except (LabelError, CodecError) as exc:
-        return unreadable(exc, "sampled")
-    rng = random.Random(seed)
-    errors: list = []
-    us, vs, decoded = [], [], []
-    checked = sample_count if g.n >= 2 else 0
-    for _ in range(checked):
-        u = rng.randrange(g.n)
-        v = rng.randrange(g.n - 1)
-        if v >= u:
-            v += 1
-        try:
-            decoded.append(ls.decode(u, v))
-        except (LabelError, CodecError) as exc:
-            errors.append((u, v, int(_int64(weight[u, v])), -1, f"decode error: {exc}"))
-            continue
-        us.append(u)
-        vs.append(v)
-    iu, iv, d = (np.array(x, dtype=np.int64) for x in (us, vs, decoded))
-    count, entries = _violations(contract, ls.params, weight, hops, iu, iv, d)
+        # a label set that does not decode is one violation, not one per pair
+        checked, count, entries = 0, 1, [(-1, -1, -1, -1, f"decode error: {exc}")]
+    else:
+        weight, hops = g.tables()
+        checked = d.size
+        count, entries = _violations(contract, ls.params, weight, hops, iu, iv, d)
     return VerifyReport(
-        graph_id, ls.scheme, ls.params, "sampled", checked, count + len(errors), errors + entries,
-        encode_seconds=encode_seconds, warnings=warnings_, **stats,
+        graph_id, ls.scheme, ls.params, mode, checked, count, entries, warnings=warnings_, **stats
     )
 
 
 # ---------------------------------------------------------------------------
 # Benchmark sweeps
-
-BENCH_COLUMNS = [
-    "n",
-    "m",
-    "scheme",
-    "params",
-    "max_label_bits",
-    "mean_label_bits",
-    "bound_value",
-    "ratio",
-    "encode_seconds",
-    "seed",
-]
 
 
 @dataclass
@@ -270,6 +218,9 @@ class BenchRow:
             f"{self.encode_seconds:.4f}",
             self.seed,
         ]
+
+
+BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 def bound_value(scheme: str, n: int, m: int, params: dict) -> float:

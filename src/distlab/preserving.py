@@ -47,7 +47,7 @@ from .bits import (
     BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph, _far, _within
+from .graph import INF, Graph, _far, _integer, _within
 from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
@@ -73,7 +73,9 @@ class PreservingParams:
     D: int
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self):  # NumPy integers are stored as ints
+        object.__setattr__(self, "D", _integer(self.D, "threshold D"))
+        object.__setattr__(self, "seed", _integer(self.seed, "landmark seed"))
         if self.D < 1:
             raise GraphError(f"threshold D must be >= 1, got {self.D}")
 
@@ -91,7 +93,7 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
     """
     if g.n < 1:
         raise GraphError("cannot sample landmarks from an empty graph")
-    if size < 1:
+    if _integer(size, "landmark sample size") < 1:
         raise GraphError("landmark sample size must be >= 1")
     rng = random.Random(seed)
     return sorted({rng.randrange(g.n) for _ in range(size)})
@@ -175,6 +177,25 @@ def classify_nodes(g: Graph, landmarks, D: int) -> tuple[set[int], dict[int, lis
     return set(sick), uc
 
 
+def _sample(g: Graph, draws: int, D: int, seed: int, done) -> tuple:
+    """The resampling loop every encoder draws its landmarks through: sample
+    `draws` landmarks with seed _mix(seed, attempt) and classify them for
+    threshold D until done(sick, unc) holds.  Returns the landmarks, the
+    sick ids, the uncovered matrix and the sick-set size of every attempt;
+    EncodingFailure after RESAMPLE_CAP samples."""
+    history = []
+    for attempt in range(RESAMPLE_CAP):
+        landmarks = sample_landmarks(g, draws, _mix(seed, attempt))
+        sick, unc = _classify(g, landmarks, D)
+        history.append(len(sick))
+        if done(sick, unc):
+            return landmarks, sick, unc, history
+    raise EncodingFailure(
+        f"no sample of {draws} landmarks passed within {RESAMPLE_CAP} attempts; the last left "
+        f"|S|={history[-1]} sick nodes and {int(unc.sum()) // 2} uncovered pairs (n={g.n}, D={D})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Shared label pieces
 
@@ -225,21 +246,8 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     """
     n = g.n
     draws = max(1, math.ceil(2 * (n / D) * math.log(D)))
-    history: list[int] = []
-    landmarks: list[int] = []
-    sick_ids: list[int] = []
-    unc = None
-    for attempt in range(RESAMPLE_CAP):
-        landmarks = sample_landmarks(g, draws, _mix(seed, attempt))
-        sick_ids, unc = _classify(g, landmarks, D)
-        history.append(len(sick_ids))
-        if len(sick_ids) < 2 * n / D:
-            break
-    else:
-        raise EncodingFailure(
-            f"sick set stayed at |S|={history[-1]} >= {2 * n / D:.1f} for "
-            f"{RESAMPLE_CAP} samples (n={n}, D={D})"
-        )
+    landmarks, sick_ids, unc, history = _sample(
+        g, draws, D, seed, lambda sick, unc: len(sick) < 2 * n / D)
     weight, hops = g.tables()
     rs = sorted(set(landmarks) | set(sick_ids))
     sick = np.zeros(n, dtype=bool)
@@ -400,25 +408,15 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
     n = g.n
     if n == 0:
         return LabelSet("warmup", 0, {"D": p.D, "landmarks": 0}, [])
-    weight = g.tables()[0]
-    draws = 0
-    attempts = 0
+    draws = attempts = 0
     if landmarks is not None:
         chosen = _landmark_ids(g, landmarks)
     else:
+        # on unit weights hops are distances: a sample passes when no pair is uncovered
         draws = _warmup_draws(n, p.D)
-        near = _within(weight, p.D - 1)  # the pairs below D, which need no landmark
-        chosen = []
-        for attempt in range(RESAMPLE_CAP):
-            chosen = sample_landmarks(g, draws, _mix(p.seed, attempt))
-            attempts = attempt + 1
-            if bool((_covered(g, chosen) | near).all()):
-                break
-        else:
-            raise EncodingFailure(
-                f"no sample of {draws} landmarks covered all pairs at distance "
-                f">= {p.D} within {RESAMPLE_CAP} attempts (n={n})"
-            )
+        chosen, _, _, history = _sample(g, draws, p.D, p.seed, lambda sick, unc: not unc.any())
+        attempts = len(history)
+    weight = g.tables()[0]
     labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), _row_bits(weight[:, chosen], n)])
     meta = {"landmarks": chosen, "draws": draws, "attempts": attempts}
     return LabelSet("warmup", n, {"D": p.D, "landmarks": len(chosen)}, labels, meta=meta)
@@ -613,14 +611,15 @@ def _minplus(rows) -> np.ndarray:
     rows[u]; INF where the smallest sum reaches INF (no column is finite in
     both rows, or there is no column), as `_pair` reads it.
 
-    When every finite entry is below 64 the table is built directly as uint8
-    with sentinel 127 (two finite entries sum below it, two sentinels do not
-    wrap); otherwise it is int64 with INF.  The result is symmetric, so only
-    v >= u is computed and then mirrored.
+    The table is built directly in the narrowest unsigned dtype that holds
+    twice the sentinel inf = 2 * top + 1, where top is the largest finite
+    entry: two finite entries sum below inf, and two sentinels do not wrap.
+    The result is symmetric, so only v >= u is computed and then mirrored.
     """
     count = len(rows)
     top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
-    dtype, inf = (np.uint8, 127) if top < 64 else (np.int64, INF)
+    inf = 2 * top + 1
+    dtype = np.min_scalar_type(2 * inf)
     A = np.empty((count, sum(x.size for x in rows[0]) if count else 0), dtype)
     for u, row in enumerate(rows):
         np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
@@ -702,7 +701,7 @@ def _lg(x: float) -> float:
 register(Scheme(
     "trivial", 1, lambda g, seed, opts: encode_trivial(g),
     parse_trivial_set, _trivial_pair, trivial_matrix, *_header(None, lambda D, c: {"D": D}),
-    contract=_exact_everywhere, bound=lambda n, p: n * _lg(n), carried=lambda label: {},
+    contract=_exact_everywhere, bound=lambda n, p: n * _lg(n), carried=lambda label: {"D": 1},
 ))
 # warmup and medium store a single landmark count
 _one_table = _header("landmarks", lambda D, c: {"D": D, "landmarks": c[0] if c else 0})

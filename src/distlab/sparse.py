@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged
 from .errors import GraphError
-from .graph import Graph, _within
+from .graph import Graph, _integer, _within
 from .labels import LabelSet, Scheme, gamma_fields, register
 from .preserving import (
     FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pieces, _header_bits,
@@ -60,7 +60,7 @@ def split_transform(g: Graph, k: int) -> SplitResult:
     endpoint is assigned first-fit to a copy whose degree is still below k.
     Distances between first copies equal the original distances.
     """
-    if k < 3:
+    if _integer(k, "split parameter k") < 3:
         raise GraphError(f"split parameter k must be >= 3, got {k}")
     if not g.is_unit_weight():
         raise GraphError("split transform expects a unit-weight input graph")
@@ -127,6 +127,7 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     `_count` (internal) writes only the labels of nodes 0.._count-1; the
     threshold levels are still certified on all of g.
     """
+    delta = _integer(delta, "degree bound")
     if delta < 0:
         raise GraphError("degree bound must be >= 0")
     for u in range(g.n):
@@ -192,7 +193,7 @@ _bdeg = Scheme(
     "bdeg", 5, _encode_bdeg, parse_bounded_set, _pair, _matrix,
     *gamma_fields(("delta", 1), ("D", 0), ("k", 0)),
     contract=_exact_everywhere, bound=lambda n, p: float(n),
-    carried=lambda label: {"delta": label.delta, "D": label.D},
+    carried=lambda label: {"delta": label.delta, "D": label.D, "k": label.delta},
 )
 register(_bdeg)
 register(replace(_bdeg, name="sparse", tag=6, encode=lambda g, seed, opts: encode_sparse(g, seed)))

@@ -92,6 +92,57 @@ def test_build_rejects_non_integers(n, edges):
         Graph(n, edges)
 
 
+_P10 = gen_path(10)
+
+
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+@pytest.mark.parametrize("call,error", [
+    (lambda: distlab.encode_full(_P10, distlab.PreservingParams(D=2.5)), GraphError),
+    (lambda: distlab.encode_additive(_P10, distlab.AdditiveParams(r=4, t=4, D=2.5)), GraphError),
+    (lambda: distlab.PreservingParams(D="3"), GraphError),
+    (lambda: distlab.PreservingParams(D=3, seed=1.5), GraphError),
+    (lambda: distlab.AdditiveParams(r=2.5), GraphError),
+    (lambda: distlab.AdditiveParams(r=4, t=4.5), GraphError),
+    (lambda: distlab.AdditiveParams(r=4, seed=1.5), GraphError),
+    (lambda: distlab.encode_bounded_degree(_P10, 9.5), GraphError),
+    (lambda: gen_gnm(10.5, 12, 1), GraphError),
+    (lambda: gen_gnm(10, 12.5, 1), GraphError),
+    (lambda: gen_path(2.5), GraphError),
+    (lambda: gen_grid(2.5, 3), GraphError),
+    (lambda: gen_grid(3, 2.5), GraphError),
+    (lambda: gen_star(2.5), GraphError),
+    (lambda: gen_cycle("5"), GraphError),
+    (lambda: distlab.sample_landmarks(_P10, 2.5, 1), GraphError),
+    (lambda: split_transform(_P10, 3.5), GraphError),
+    (lambda: distlab.power_graph(_P10, 1.5), GraphError),
+    (lambda: distlab.verify_labels(_P10, distlab.encode_trivial(_P10), mode="sampled",
+                                   sample_count=2.5), ValueError),
+], ids=["full-D", "additive-D", "preserving-D-str", "preserving-seed", "additive-r",
+        "additive-t", "additive-seed", "bdeg-delta", "gnm-n", "gnm-m", "path-n", "grid-rows",
+        "grid-cols", "star-leaves", "cycle-n-str", "sample-size", "split-k", "power-radius",
+        "verify-sample-count"])
+def test_non_integer_arguments_are_refused(call, error):
+    with pytest.raises(error, match="integer"):
+        call()
+
+
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+def test_numpy_integer_arguments_are_accepted():
+    g = gen_gnm(np.int64(24), np.int64(48), 1)
+    assert (g.n, g.m) == (24, 48)
+    p = distlab.PreservingParams(D=np.int64(3), seed=np.int64(2))
+    assert distlab.encode_full(g, p) == distlab.encode_full(g, distlab.PreservingParams(D=3, seed=2))
+    wide = distlab.AdditiveParams(r=np.int64(4), t=np.int64(4), D=np.int64(2), seed=np.int64(1))
+    plain = distlab.AdditiveParams(r=4, t=4, D=2, seed=1)
+    assert distlab.encode_additive(g, wide) == distlab.encode_additive(g, plain)
+    assert distlab.AdditiveParams(r=np.int64(4)).resolve(g.n)[0] == 4
+    assert distlab.encode_bounded_degree(g, np.int64(9), 1).params["delta"] == 9
+    assert split_transform(g, np.int64(4)).gprime.n >= g.n
+    rep = distlab.verify_labels(g, distlab.encode_trivial(g), mode="sampled",
+                                sample_count=np.int64(5))
+    assert rep.passed and rep.pairs_checked == 5
+
+
 @pytest.mark.parametrize("edge", [5, (0,), (0, 1, 1, 1)], ids=["int", "short", "long"])
 def test_build_rejects_an_edge_of_the_wrong_shape(edge):
     with pytest.raises(GraphError, match="expected"):

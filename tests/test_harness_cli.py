@@ -2,6 +2,7 @@
 exit codes, determinism, CSV output, and fault injection."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -135,6 +136,34 @@ def test_sampled_and_exhaustive_report_the_same_violation_kinds(name):
         assert {e[4] for e in sa.violations} == {e[4] for e in ex.violations}
 
 
+def test_sampled_verify_draws_the_same_pairs():
+    # the full labels and moved-edge graph of the test above, at seed 1: the
+    # seeded pair draw, and so the report, must not change
+    g = gen_gnm(24, 48, seed=1)
+    ls = REGISTRY["full"].encode(g, 1, SCHEME_OPTS)
+    moved = Graph(g.n, g.edges[1:] + [(0, 1, 1)])
+    rep = verify_labels(moved, ls, mode="sampled", sample_count=20_000, seed=1)
+    assert (rep.pairs_checked, rep.violation_count, len(rep.violations)) == (20_000, 1158, 40)
+    assert rep.violations[:3] == [
+        (0, 13, 3, 2, "soundness: decoded below true distance"),
+        (13, 0, 3, 2, "soundness: decoded below true distance"),
+        (2, 0, 2, 1, "soundness: decoded below true distance"),
+    ]
+    assert rep.violations[20][4] == "window: exact required for hops >= D"
+
+
+def test_report_dict_is_the_dataclass_plus_passed():
+    g = gen_gnm(16, 32, seed=1)
+    rep = verify_labels(g, encode_trivial(g))
+    rep.violations = [(0, 1, 1, 0, "planted")] * 150
+    rep.violation_count = 150
+    out = rep.to_dict()
+    assert set(out) == {f.name for f in dataclasses.fields(rep)} | {"passed"}
+    assert out["violations"] == rep.violations[:100] and out["passed"] is False
+    assert {k: v for k, v in out.items() if k not in ("violations", "passed")} == {
+        f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "violations"}
+
+
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_a_set_missing_a_label_fails_both_verify_modes(name):
     g = gen_gnm(40, 80, seed=1)
@@ -167,11 +196,12 @@ def test_trailing_label_bits_are_refused(name):
 
 # the header params each scheme's labels carry themselves
 CARRIED = {
+    "trivial": ["D"],
     "warmup": ["landmarks"],
     "medium": ["D", "landmarks"],
     "full": ["D", "levels", "landmark_counts"],
-    "bdeg": ["delta", "D"],
-    "sparse": ["delta", "D"],
+    "bdeg": ["delta", "D", "k"],
+    "sparse": ["delta", "D", "k"],
     "additive": ["r", "t", "D", "dominators"],
 }
 

@@ -352,6 +352,22 @@ def test_medium_resample_cap_exhaustion(monkeypatch):
         encode_medium(gen_gnm(20, 40, seed=1), PreservingParams(D=4, seed=1))
 
 
+def test_warmup_resample_cap_exhaustion(monkeypatch):
+    import distlab.preserving as P
+    from distlab.errors import EncodingFailure
+
+    calls = []
+
+    def every_pair_uncovered(g, landmarks, D):
+        calls.append(landmarks)
+        return [], np.ones((g.n, g.n), dtype=bool)
+
+    monkeypatch.setattr(P, "_classify", every_pair_uncovered)
+    with pytest.raises(EncodingFailure, match=r"\|S\|=0 sick nodes and \d+ uncovered"):
+        encode_warmup(gen_gnm(20, 40, seed=1), PreservingParams(D=3, seed=1))
+    assert len(calls) == P.RESAMPLE_CAP
+
+
 def test_medium_incompatible_labels():
     g = gen_gnm(20, 40, seed=1)
     a = encode_medium(g, PreservingParams(D=2, seed=1))
