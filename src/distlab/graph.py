@@ -154,8 +154,10 @@ def build_graph(n: int, edge_list) -> Graph:
 
 
 def _integer(x, what: str) -> int:
-    """x as a Python int; GraphError unless it is an integer (a bool or a
-    NumPy integer counts; a float, a string or None does not)."""
+    """x as a Python int; GraphError unless it is an integer (a bool, a NumPy
+    bool or a NumPy integer counts; a float, a string or None does not)."""
+    if isinstance(x, np.bool_):  # no __index__ on NumPy 2, a deprecated one before
+        return int(x)
     try:
         return operator.index(x)
     except TypeError:
@@ -528,13 +530,13 @@ def gen_star(leaves: int) -> Graph:
 def gen_structured(kind: str, params: dict) -> Graph:
     """Dispatch for the structured families: path, cycle, grid, star."""
     if kind == "path":
-        return gen_path(int(params["n"]))
+        return gen_path(params["n"])
     if kind == "cycle":
-        return gen_cycle(int(params["n"]))
+        return gen_cycle(params["n"])
     if kind == "grid":
-        return gen_grid(int(params["rows"]), int(params["cols"]))
+        return gen_grid(params["rows"], params["cols"])
     if kind == "star":
-        return gen_star(int(params["leaves"]))
+        return gen_star(params["leaves"])
     raise GraphError(f"unknown structured kind {kind!r}")
 
 
@@ -547,9 +549,10 @@ def gen_lower_bound_family(k: int, tail: int, adj) -> tuple[Graph, list[int], li
     is unreachable) otherwise, so the whole adjacency matrix can be read back
     from distance queries on 2k nodes.
     """
+    k, tail = _integer(k, "family size k"), _integer(tail, "path length")
     if k < 1 or tail < 1:
         raise GraphError("need k >= 1 and a path length >= 1")
-    adj = [[int(x) for x in row] for row in adj]
+    adj = [[_integer(x, "adjacency entry") for x in row] for row in adj]
     if len(adj) != k or any(len(row) != k for row in adj):
         raise GraphError(f"adjacency matrix must be {k}x{k}")
     if any(x not in (0, 1) for row in adj for x in row):

@@ -109,7 +109,7 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
 
 def _landmark_ids(g: Graph, landmarks) -> list[int]:
     """Sorted distinct landmark ids, each checked to name a node of g."""
-    ids = sorted({int(w) for w in landmarks})
+    ids = sorted({_integer(w, "landmark id") for w in landmarks})
     if ids and not (0 <= ids[0] and ids[-1] < g.n):
         raise GraphError(f"landmark ids {ids[0]}..{ids[-1]} out of range 0..{g.n - 1}")
     return ids
@@ -572,6 +572,10 @@ def _trivial_pair(a: TrivialLabel, b: TrivialLabel) -> int:
 # tables; additive the full label's, with the dominator row first among the
 # routes and the ball first among the tables.  `_pair` decodes one pair,
 # `_matrix` every pair of a set; the test suite pins that they agree.
+# Only `_matrix` skips the route columns that cannot give a smallest sum
+# (see `_minplus`): a set carries one landmark on several levels and split
+# copies with equal columns, and finding them is a pass over the whole set,
+# which pays only when every pair is decoded.  `_pair` reads every route.
 # Entries on the diagonal are whatever the candidate rules give and are not
 # part of any contract.
 
@@ -614,7 +618,13 @@ def _minplus(rows) -> np.ndarray:
     The table is built directly in the narrowest unsigned dtype that holds
     twice the sentinel inf = 2 * top + 1, where top is the largest finite
     entry: two finite entries sum below inf, and two sentinels do not wrap.
-    The result is symmetric, so only v >= u is computed and then mirrored.
+    Before the min-plus loop the columns that cannot give a smallest sum
+    are dropped (`_useful_columns`): exact duplicates (split copies in one
+    0-weight component, a landmark drawn twice), a landmark's column on a
+    lower level (the higher level's column cut at 2D), and columns with no
+    finite entry.  Each dropped column is >= a kept one in every entry, so
+    the result is unchanged.  The result is symmetric, so only v >= u is
+    computed and then mirrored.
     """
     count = len(rows)
     top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
@@ -623,6 +633,7 @@ def _minplus(rows) -> np.ndarray:
     A = np.empty((count, sum(x.size for x in rows[0]) if count else 0), dtype)
     for u, row in enumerate(rows):
         np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
+    A = np.take(A, _useful_columns(A, inf), axis=1)
     R = np.full((count, count), inf, dtype=dtype)
     buf = np.empty_like(A)  # reused by every row; per-row temporaries raised peak RSS
     for u in range(count):
@@ -632,6 +643,34 @@ def _minplus(rows) -> np.ndarray:
     out = R.astype(np.int64)
     out[R >= inf] = INF
     return out
+
+
+def _useful_columns(A: np.ndarray, inf: int) -> np.ndarray:
+    """Ascending indices of the columns of the min-plus table A (entries
+    below `inf` finite, `inf` where absent) that can give a smallest sum.
+
+    With t a column's largest finite entry, the column is dropped when it
+    equals a kept column with every entry above t set to inf, and when it has
+    no finite entry.  Columns are visited by t descending (ties in index
+    order), and a column is compared, as its bytes, with every kept column
+    cut at its own t.  Equal bytes are equal columns, so a dropped column is
+    >= a kept one in every entry and no smallest sum changes."""
+    cols = np.ascontiguousarray(A.T)
+    finite = cols < inf
+    tops = cols.max(axis=1, initial=0, where=finite)
+    alive = np.flatnonzero(finite.any(axis=1))
+    kept, seen, cut_at = [], set(), None
+    for j in alive[np.argsort(-tops[alive].astype(np.int64), kind="stable")].tolist():
+        t = tops[j]
+        if t != cut_at:  # the kept columns, cut at the new (lower) threshold
+            cut = cols[kept]
+            cut[cut > t] = inf
+            seen, cut_at = {c.tobytes() for c in cut}, t
+        key = cols[j].tobytes()
+        if key not in seen:
+            kept.append(j)
+            seen.add(key)
+    return np.sort(np.asarray(kept, dtype=np.intp))
 
 
 def _min_scatter(out: np.ndarray, hits) -> np.ndarray:

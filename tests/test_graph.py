@@ -117,10 +117,19 @@ _P10 = gen_path(10)
     (lambda: distlab.power_graph(_P10, 1.5), GraphError),
     (lambda: distlab.verify_labels(_P10, distlab.encode_trivial(_P10), mode="sampled",
                                    sample_count=2.5), ValueError),
+    (lambda: gen_structured("path", {"n": 5.7}), GraphError),
+    (lambda: gen_structured("grid", {"rows": 2.5, "cols": 3}), GraphError),
+    (lambda: distlab.encode_warmup(_P10, distlab.PreservingParams(D=2, seed=1),
+                                   landmarks=[2.9, 4.2]), GraphError),
+    (lambda: distlab.classify_nodes(_P10, [0, 2.9], D=2), GraphError),
+    (lambda: gen_lower_bound_family(2, 2, [[1.5, 0], [0, 1]]), GraphError),
+    (lambda: gen_lower_bound_family(2.0, 2, [[1, 0], [0, 1]]), GraphError),
+    (lambda: gen_lower_bound_family(2, 1.5, [[1, 0], [0, 1]]), GraphError),
 ], ids=["full-D", "additive-D", "preserving-D-str", "preserving-seed", "additive-r",
         "additive-t", "additive-seed", "bdeg-delta", "gnm-n", "gnm-m", "path-n", "grid-rows",
         "grid-cols", "star-leaves", "cycle-n-str", "sample-size", "split-k", "power-radius",
-        "verify-sample-count"])
+        "verify-sample-count", "structured-path-n", "structured-grid-rows", "warmup-landmarks",
+        "classify-landmarks", "family-adjacency", "family-k", "family-tail"])
 def test_non_integer_arguments_are_refused(call, error):
     with pytest.raises(error, match="integer"):
         call()
@@ -141,6 +150,14 @@ def test_numpy_integer_arguments_are_accepted():
     rep = distlab.verify_labels(g, distlab.encode_trivial(g), mode="sampled",
                                 sample_count=np.int64(5))
     assert rep.passed and rep.pairs_checked == 5
+    p = distlab.PreservingParams(D=2, seed=1)
+    assert distlab.encode_warmup(g, p, landmarks=np.array([2, 4])) == distlab.encode_warmup(
+        g, p, landmarks=[2, 4])
+    assert distlab.classify_nodes(g, np.arange(3), D=2) == distlab.classify_nodes(g, [0, 1, 2], 2)
+    adj = np.array([[True, False], [True, True]])
+    family = gen_lower_bound_family(np.int64(2), np.int64(2), adj)
+    plain = gen_lower_bound_family(2, 2, adj.astype(int).tolist())
+    assert family[0].edges == plain[0].edges and family[1:] == plain[1:]
 
 
 @pytest.mark.parametrize("edge", [5, (0,), (0, 1, 1, 1)], ids=["int", "short", "long"])

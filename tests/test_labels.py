@@ -13,6 +13,7 @@ from distlab import (
     AdditiveParams,
     Graph,
     PreservingParams,
+    decode_matrix,
     encode_additive,
     encode_bounded_degree,
     encode_full,
@@ -194,6 +195,40 @@ def test_label_files_pinned_every_scheme():
     assert sum((p.dom == INF).any() for p in sets["additive"].parsed()) == 6
     assert len(sets["additive"].meta["high_degree"]) == 4
     assert sets["sparse"].meta["split_nodes"] == 86
+
+
+# SHA-256 of decode_matrix() on the pinned encodings: the bulk decoder skips
+# the landmark columns that cannot give a smallest sum, and that must not
+# change one entry.  Where the decoder is exact on the 24-node graph, the
+# matrix is the distance matrix, so several schemes share a digest.
+PINNED_MATRIX_SEED1 = {
+    "warmup": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
+    "medium": "930c961f90d6e0d850e445cb13b3341f0fb04bc0a6ecf69a3517acf570966641",
+    "full": "da0810998a1d9cf9e2dd79c4bf9d3abca13d0d2ebc4ee5ad424af083f4928dfc",
+    "bdeg": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
+    "sparse": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
+    "additive": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
+}
+PINNED_MATRIX_DISCONNECTED = {
+    "warmup": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
+    "medium": "a8f0f6981712a65a17257a9b1ff5a8e5cfb1226e0305cd4c15780024ad820082",
+    "full": "fdb0fb32c12b612d4cfc4e0b57b38f6cc4cb04d18ecc9bba8a1f3f1bb9750443",
+    "bdeg": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
+    "sparse": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
+    "additive": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
+}
+
+
+def test_decode_matrix_pinned_every_scheme():
+    for pins, g in [(PINNED_MATRIX_SEED1, None),
+                    (PINNED_MATRIX_DISCONNECTED, disconnected_graph())]:
+        _, sets = all_scheme_labelsets(seed=1, g=g)
+        got = {}
+        for name in pins:
+            out = decode_matrix(sets[name])
+            assert out.dtype == np.int64 and out.shape == (sets[name].n,) * 2
+            got[name] = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        assert got == pins
 
 
 def broom() -> Graph:

@@ -18,6 +18,7 @@ from distlab import (
     encode_bounded_degree,
     encode_full,
     encode_medium,
+    encode_sparse,
     encode_trivial,
     encode_warmup,
     gen_cycle,
@@ -33,7 +34,7 @@ from distlab import (
 )
 from distlab.errors import GraphError, LabelError
 from distlab.labels import LabelSet, decode_pair
-from distlab.preserving import _minplus
+from distlab.preserving import _minplus, _useful_columns
 
 from conftest import random_01_graph
 
@@ -531,8 +532,10 @@ def test_full_size_doubling_growth():
     # INF dominator and landmark routes between the components
     ("additive", "split"),
     ("bdeg", "cycle"),
+    # split copies in one 0-weight component carry equal landmark columns
+    ("sparse", "gnm"),
 ], ids=["warmup", "medium", "full", "trivial", "warmup-path100", "full-path100",
-        "additive-path100", "additive-disconnected", "bdeg-cycle"])
+        "additive-path100", "additive-disconnected", "bdeg-cycle", "sparse-gnm"])
 @pytest.mark.filterwarnings("ignore:r=.*exceeds")
 def test_matrix_decoder_matches_pair_decoder(scheme, graph):
     g = {
@@ -552,6 +555,7 @@ def test_matrix_decoder_matches_pair_decoder(scheme, graph):
         "trivial": lambda: encode_trivial(g),
         "additive": lambda: encode_additive(g, AdditiveParams(r=4, t=4, D=3, seed=14)),
         "bdeg": lambda: encode_bounded_degree(g, 2, 14),
+        "sparse": lambda: encode_sparse(g, 14),
     }[scheme]()
     dec = decode_matrix(ls)
     for u in range(g.n):
@@ -578,6 +582,49 @@ def test_minplus_matches_bruteforce(top, shape):
         T[1] = INF  # a row with no finite entry
     if shape[1] > 2:
         T[:, 2] = INF  # a column with no finite entry
-    got = _minplus([np.array_split(row, 3) for row in T])  # rows given as pieces
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _minplus_reference(T))
+    # the same table with exact and cut copies of its columns, shuffled in
+    picks = rng.integers(0, shape[1], size=2 * shape[1])
+    cuts = rng.integers(0, top + 1, size=picks.size)
+    copies = np.where(T[:, picks] <= cuts, T[:, picks], INF)
+    wide = np.concatenate([T, T[:, picks], copies], axis=1)
+    wide = wide[:, rng.permutation(wide.shape[1])]
+    for table in (T, wide):
+        got = _minplus([np.array_split(row, 3) for row in table])  # rows given as pieces
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _minplus_reference(T))
+
+
+def _narrow(columns):
+    """The min-plus table with `columns` as its columns, narrowed the way
+    _minplus narrows it, plus its sentinel."""
+    T = np.array(columns, dtype=np.int64).reshape(len(columns), -1).T
+    inf = 2 * int(T.max(initial=0, where=T < INF)) + 1
+    return np.minimum(T, inf).astype(np.min_scalar_type(2 * inf)), inf
+
+
+def test_useful_columns_keep_the_lower_of_equal_columns():
+    x, y = [0, 1, 2, 3], [3, 2, 1, 0]
+    assert _useful_columns(*_narrow([y, x, y, x, x])).tolist() == [0, 1]
+
+
+def test_useful_columns_keep_the_widest_level_of_a_landmark():
+    # one landmark on three levels: its column cut at 2, at 4 and not at all
+    x = np.array([0, 1, 2, 3, 4, 5, INF])
+    levels = [np.where(x <= t, x, INF) for t in (2, 4, INF)]
+    assert _useful_columns(*_narrow(levels)).tolist() == [2]
+    # columns that are no cut of another stay, even one above x in every entry
+    above = [1, 2, 3, 4, 5, 6, INF]
+    assert _useful_columns(*_narrow([levels[0][::-1], x, above])).tolist() == [0, 1, 2]
+
+
+def test_useful_columns_drop_columns_without_a_finite_entry():
+    x, absent = [0, 1, INF], [INF, INF, INF]
+    assert _useful_columns(*_narrow([absent, x, absent])).tolist() == [1]
+    assert _useful_columns(*_narrow([absent, absent])).tolist() == []
+
+
+@pytest.mark.parametrize("rows,cols,kept", [(0, 4, []), (4, 0, []), (1, 1, [0])])
+def test_useful_columns_edge_shapes(rows, cols, kept):
+    A = np.zeros((rows, cols), dtype=np.uint8)
+    assert _useful_columns(A, 1).tolist() == kept
+    assert _useful_columns(np.ones((rows, cols), dtype=np.uint8), 1).tolist() == []
