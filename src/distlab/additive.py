@@ -31,11 +31,11 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged, fixed_bits
 from .errors import GraphError
-from .graph import INF, Graph, _far, _integer, _within
+from .graph import INF, Graph, _far, _integer, _node_ids, _within
 from .labels import LabelSet, Scheme, gamma_fields, register, required
 from .preserving import (
     FullLabel, PreservingParams, _full_labels, _full_pieces, _header_bits, _matrix, _mix, _pair,
-    _read_headers, _read_tables, _shared, _table_bits,
+    _read_headers, _read_tables, _table_bits,
 )
 
 __all__ = [
@@ -118,6 +118,7 @@ def power_graph(g: Graph, radius: int) -> Graph:
 
 def high_degree_set(gr: Graph, t: int) -> set[int]:
     """Nodes of degree >= t in the power graph."""
+    t = _integer(t, "degree threshold t")
     return {u for u in range(gr.n) if gr.degree(u) >= t}
 
 
@@ -126,7 +127,7 @@ def greedy_dominating_set(gr: Graph, targets) -> set[int]:
     adjacent to S.  Candidates are all nodes; ties break to the smallest id.
     Finding a minimum dominating set is NP-hard; greedy is the usual
     ln-factor stand-in and keeps S small in practice."""
-    targets = sorted({int(x) for x in targets})
+    targets = _node_ids(gr, targets, "target id")
     if not targets:
         return set()
     index = {v: i for i, v in enumerate(targets)}
@@ -154,10 +155,9 @@ def ball_in_induced(g: Graph, excluded, u: int, depth: int) -> dict[int, int]:
     """Distances from u within the subgraph induced by V minus `excluded`,
     truncated at the given radius."""
     _check_unit(g, "induced ball")
-    excluded = {int(x) for x in excluded}
-    bad = sorted(x for x in excluded | {int(u)} if not 0 <= x < g.n)
-    if bad:
-        raise GraphError(f"node ids {bad} out of range 0..{g.n - 1}")
+    excluded = set(_node_ids(g, excluded, "excluded id"))
+    (u,) = _node_ids(g, [u], "ball center")
+    depth = _integer(depth, "ball depth")
     if u in excluded:
         raise GraphError(f"ball center {u} is in the excluded set")
     ids, sub = _induced(g, excluded)
@@ -229,11 +229,9 @@ def encode_additive(g: Graph, p: AdditiveParams) -> LabelSet:
 
 def parse_additive_set(labels: list[Bits]) -> list[AdditiveLabel]:
     with SetReader(labels) as rd:
-        n, ids = _read_headers(rd)
-        r = _shared(rd.gamma(), "error budget r")
-        t = _shared(rd.gamma(), "degree threshold t")
-        D = _shared(rd.gamma(), "threshold D")
-        ndom = _shared(rd.gamma() - 1, "dominator count")
+        n, ids, r, t, D, ndom = _read_headers(
+            rd, (0, "error budget r"), (0, "degree threshold t"), (0, "threshold D"),
+            (1, "dominator count"))
         high = rd.fixed(1).astype(bool)
         present = rd.bitmap(ndom)
         dom = np.full(present.shape, INF, dtype=np.int64)

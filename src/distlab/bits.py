@@ -364,13 +364,15 @@ _WINDOW = 57  # bits a 64-bit read holds past any bit offset within its first by
 class SetReader:
     """Sequential reader over many bit strings at once, one position each.
 
-    Every read takes `rows`, an index array of the strings that hold the
-    field (default: all of them), and advances only those.  A read is
-    checked against each row's own end before any value is read or any
-    array sized by a count is allocated, and raises CodecError when it does
-    not fit.  Fields are at most 57 bits wide, so gamma values stop below
-    2^57; a longer code is a CodecError, not a wrapped value.  Used as a
-    context manager, the reader raises CodecError on a clean exit when a
+    Every read takes `rows`, the strings that hold the field: an index array,
+    or the default slice(None) for all of them.  It reads at self.pos[rows]
+    and advances only those, by assigning self.pos[rows].  A slice gives a
+    view of the positions, so each read takes its values before it advances.
+    A read is checked against each row's own end before any value is read or
+    any array sized by a count is allocated, and raises CodecError when it
+    does not fit.  Fields are at most 57 bits wide, so gamma values stop
+    below 2^57; a longer code is a CodecError, not a wrapped value.  Used as
+    a context manager, the reader raises CodecError on a clean exit when a
     string has bits left that no read consumed.
     """
 
@@ -395,20 +397,8 @@ class SetReader:
             i = int(np.argmax(left != 0))
             raise CodecError(f"label {i} has {int(left[i])} trailing bits")
 
-    def remaining(self, rows=None) -> np.ndarray:
-        pos, end = self._at(rows)
-        return end - pos
-
-    def _at(self, rows):
-        if rows is None:
-            return self.pos, self.end
-        return self.pos[rows], self.end[rows]
-
-    def _move(self, rows, pos) -> None:
-        if rows is None:
-            self.pos = pos
-        else:
-            self.pos[rows] = pos
+    def remaining(self, rows=slice(None)) -> np.ndarray:
+        return self.end[rows] - self.pos[rows]
 
     @staticmethod
     def _check(short: np.ndarray, need, have, unit: int = 1) -> None:
@@ -426,37 +416,38 @@ class SetReader:
         word >>= (64 - np.asarray(width, dtype=np.int64)).astype(np.uint64)
         return word.view(np.int64)
 
-    def gamma(self, rows=None) -> np.ndarray:
-        pos, end = self._at(rows)
+    def gamma(self, rows=slice(None)) -> np.ndarray:
+        pos, end = self.pos[rows], self.end[rows]
         zeros = _WINDOW - _bit_length(self._peek(pos, _WINDOW))
         self._check(pos + 2 * zeros + 1 > end, 2 * zeros + 1, end - pos)
         if zeros.size and zeros.max() >= _WINDOW:
             raise CodecError(f"gamma code of a value >= 2^{_WINDOW}: too large to read")
         values = self._peek(pos + zeros, zeros + 1)
-        self._move(rows, pos + 2 * zeros + 1)
+        self.pos[rows] = pos + 2 * zeros + 1
         return values
 
-    def fixed(self, width: int, rows=None) -> np.ndarray:
+    def fixed(self, width: int, rows=slice(None)) -> np.ndarray:
         """One `width`-bit field per row, 1 <= width <= 57."""
-        pos, end = self._at(rows)
+        pos, end = self.pos[rows], self.end[rows]
         self._check(pos + width > end, width, end - pos)
-        self._move(rows, pos + width)
-        return self._peek(pos, width)
+        values = self._peek(pos, width)
+        self.pos[rows] = pos + width
+        return values
 
-    def bitmap(self, size: int, rows=None) -> np.ndarray:
+    def bitmap(self, size: int, rows=slice(None)) -> np.ndarray:
         """`size` flag bits per row, as a (rows x size) boolean array."""
-        pos, end = self._at(rows)
+        pos, end = self.pos[rows], self.end[rows]
         self._check(pos + size > end, size, end - pos)
         shift = (pos & 7).astype(np.uint16)[:, None]
         raw = self._bytes[(pos >> 3)[:, None] + np.arange((size + 7) // 8 + 1)].astype(np.uint16)
         aligned = ((raw[:, :-1] << shift) | (raw[:, 1:] >> (8 - shift))).astype(np.uint8)
-        self._move(rows, pos + size)
+        self.pos[rows] = pos + size
         return np.unpackbits(aligned, axis=1, count=size).view(bool)
 
-    def packed(self, counts, width: int, rows=None) -> np.ndarray:
+    def packed(self, counts, width: int, rows=slice(None)) -> np.ndarray:
         """counts[i] consecutive `width`-bit fields (width >= 1) of row i, all
         rows' values back to back in one int64 array."""
-        pos, end = self._at(rows)
+        pos, end = self.pos[rows], self.end[rows]
         counts = np.asarray(counts, dtype=np.int64)
         self._check(counts > (end - pos) // width, counts, end - pos, unit=width)
         total = int(counts.sum())
@@ -464,13 +455,13 @@ class SetReader:
             raise CodecError(f"field width {width} exceeds {_WINDOW} bits")
         at = np.arange(total, dtype=np.int64) * width
         at += np.repeat(pos - width * (np.cumsum(counts) - counts), counts)
-        self._move(rows, pos + width * counts)
+        self.pos[rows] = pos + width * counts
         return self._peek(at, width)
 
-    def id_sets(self, limit: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    def id_sets(self, limit: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """One id set (see write_id_set) per row, each id below `limit`: the
         set sizes plus all ids back to back."""
-        rows = np.arange(self.pos.size) if rows is None else np.asarray(rows)
+        rows = np.arange(self.pos.size)[rows]
         counts = self.gamma(rows) - 1
         have = self.remaining(rows)
         self._check(counts > have, counts, have)  # every id takes at least one bit

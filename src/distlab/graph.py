@@ -172,6 +172,15 @@ def _source_id(g: Graph, s) -> int:
     return i
 
 
+def _node_ids(g: Graph, ids, what: str) -> list[int]:
+    """The distinct ids, sorted; GraphError unless each is an integer in 0..n-1."""
+    out = sorted({_integer(x, what) for x in ids})
+    if out and not (0 <= out[0] and out[-1] < g.n):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise GraphError(f"{what} {bad} out of range 0..{g.n - 1}")
+    return out
+
+
 def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
     """Single-source shortest paths on 0/1 weights via double-ended-queue BFS.
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import additive, sparse  # noqa: F401 -- importing a scheme module registers it
 from . import preserving as _preserving
 from .errors import CodecError, LabelError
-from .graph import Graph, _int64, gen_gnm, gen_lower_bound_family
+from .graph import Graph, _int64, _integer, gen_gnm, gen_lower_bound_family
 from .labels import MATRIX_DECODERS, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, lookup
 
 __all__ = [
@@ -287,6 +287,7 @@ def lower_bound_experiment(k: int, tail: int, seed: int = 0, trials: int = 20) -
     decoder.  Any mismatch is a scheme bug.  The report also compares the queried label bits against the k^2/2
     information bound the family forces.
     """
+    k, trials = _integer(k, "family size k"), _integer(trials, "trial count")
     trial_results = []
     all_exact = True
     for trial in range(trials):

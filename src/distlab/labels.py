@@ -196,7 +196,7 @@ class LabelSet:
 def decode_pair(scheme: str, a: Bits, b: Bits) -> int:
     """Distance reported by two labels of `scheme` alone.  They are parsed
     as one set, so two labels of different encodings raise LabelError."""
-    return PAIR_DECODERS[scheme](*lookup(SET_PARSERS, scheme)([a, b]))
+    return lookup(PAIR_DECODERS, scheme)(*lookup(SET_PARSERS, scheme)([a, b]))
 
 
 def dumps(ls: LabelSet) -> bytes:

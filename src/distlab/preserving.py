@@ -24,7 +24,7 @@ Decoders see only the two labels: every label embeds the node count and all
 per-level parameters.  One pair decoder and one bulk decoder (`_pair`,
 `_matrix`, see "Decoders" below) serve warmup, medium and full here and the
 bdeg, sparse and additive schemes built on them; trivial looks its answer
-up.  The set parsers are the one place that checks the labels of a set
+up, in the rows of the set it is given.  The set parsers are the one place that checks the labels of a set
 share a layout.  Encoding reads the graph's cached narrow all-pairs tables
 (`Graph.tables`, a byte per pair on small-diameter graphs, compared through
 `graph._within`) and its cached shortest-path DAG (built once per graph,
@@ -47,7 +47,7 @@ from .bits import (
     BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph, _far, _integer, _within
+from .graph import INF, Graph, _far, _integer, _node_ids, _within
 from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
@@ -107,14 +107,6 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
 # counts as certified by any landmark set (there is no route to repair).
 
 
-def _landmark_ids(g: Graph, landmarks) -> list[int]:
-    """Sorted distinct landmark ids, each checked to name a node of g."""
-    ids = sorted({_integer(w, "landmark id") for w in landmarks})
-    if ids and not (0 <= ids[0] and ids[-1] < g.n):
-        raise GraphError(f"landmark ids {ids[0]}..{ids[-1]} out of range 0..{g.n - 1}")
-    return ids
-
-
 def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     """Boolean matrix: True where some landmark lies on a minimum-weight u-v
     path, or where v is unreachable from u.  The relation is symmetric, and
@@ -130,8 +122,6 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     machine word).
     """
     n = g.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
     dag = g.sp_dag()
     rows, starts, cols = dag.csr
     seeds = np.zeros_like(dag.unreached)
@@ -170,9 +160,11 @@ def classify_nodes(g: Graph, landmarks, D: int) -> tuple[set[int], dict[int, lis
     v is uncovered for u when the hop distance h(u, v) is at least D and no
     sampled landmark w satisfies d(u,w) + d(w,v) = d(u,v).  A node with more
     than n/D uncovered peers is sick.  Returns the sick set and the full
-    uncovered map.
+    uncovered map.  D must be an integer >= 1.
     """
-    sick, unc = _classify(g, _landmark_ids(g, landmarks), D)
+    if _integer(D, "threshold D") < 1:
+        raise GraphError(f"threshold D must be >= 1, got {D}")
+    sick, unc = _classify(g, _node_ids(g, landmarks, "landmark id"), D)
     uc = {u: [int(v) for v in np.flatnonzero(unc[u])] for u in range(g.n)}
     return set(sick), uc
 
@@ -218,6 +210,32 @@ class MediumLevel:
     sick: bool
     lm: np.ndarray  # int64 distances to the level's landmark table, INF if absent
     uc: dict        # uncovered node id -> weighted distance (healthy nodes only)
+
+
+@dataclass
+class RowLabel:
+    """A parsed warmup or trivial label: the node's distances to the shared
+    landmark list (warmup) or to every node (trivial), INF if unreachable."""
+
+    n: int
+    id: int
+    row: np.ndarray
+
+    def __post_init__(self):
+        self.routes, self.tables = [self.row], []  # decode candidates, see _pair
+
+
+@dataclass
+class FullLabel:
+    """A parsed full or medium label: its threshold levels (medium has one)."""
+
+    n: int
+    id: int
+    levels: list[MediumLevel]
+
+    def __post_init__(self):
+        self.routes = [lv.lm for lv in self.levels]
+        self.tables = [lv.uc for lv in self.levels]
 
 
 def _table_bits(holds: np.ndarray, sizes: np.ndarray, ids, values, width: int) -> list:
@@ -307,12 +325,19 @@ def _row_bits(rows: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 # Set parsers.  Each format has one parser, which reads every label of a set
 # at once through a SetReader (`labels.decode_pair` hands it a two-label
-# set).  All labels of a genuine encoding share one layout (n, the
-# level count, each level's D and size, the scheme parameters), so a set
-# whose labels differ there is refused with LabelError.  This is the one
-# layout check: the decoders trust the labels of one parsed set to agree.
-# Each parser reads inside `with SetReader(...)`, so a label with bits left
-# over after its last field is a CodecError.
+# set).  Every label starts with the prologue _header_bits writes (n, its
+# id, then the scheme's gamma fields), which each parser reads with one
+# _read_headers call.  Parsed labels take four forms, after the two label
+# layouts: RowLabel (a distance row: warmup's landmarks, trivial's whole
+# row), FullLabel (threshold levels D * 2^i: full, and medium as its
+# one-level case), and sparse.BoundedLabel and additive.AdditiveLabel,
+# which embed a FullLabel.  All labels of a genuine encoding share one
+# layout (n, the level count, each level's D and size, the scheme
+# parameters), so a set whose labels differ there is refused with
+# LabelError by _shared.  This is the one layout check: the decoders trust
+# the labels of one parsed set to agree.  Each parser reads inside
+# `with SetReader(...)`, so a label with bits left over after its last
+# field is a CodecError.
 
 
 def _shared(values: np.ndarray, what: str) -> int:
@@ -322,16 +347,18 @@ def _shared(values: np.ndarray, what: str) -> int:
     return int(values[0]) if values.size else 0
 
 
-def _read_headers(rd: SetReader) -> tuple[int, np.ndarray]:
-    """The labels' shared n and their ids; each id must name one of the n
-    nodes."""
+def _read_headers(rd: SetReader, *extra: tuple[int, str]) -> tuple:
+    """What _header_bits writes: the labels' shared n, their ids (each must
+    name one of the n nodes), then for each (offset, what) of `extra` the
+    shared value of one gamma field minus offset."""
     n = rd.gamma() - 1
     ids = rd.gamma() - 1
     bad = ids >= n
     if bad.any():
         i = int(np.argmax(bad))
         raise LabelError(f"label id {int(ids[i])} is out of range for n={int(n[i])}")
-    return _shared(n, "node count"), ids
+    n = _shared(n, "node count")
+    return (n, ids, *(_shared(rd.gamma() - offset, what) for offset, what in extra))
 
 
 def _read_tables(rd: SetReader, n: int, width: int, rows: np.ndarray) -> list[dict]:
@@ -349,9 +376,9 @@ def _read_tables(rd: SetReader, n: int, width: int, rows: np.ndarray) -> list[di
     return out
 
 
-def _read_levels(rd: SetReader, n: int, count: int) -> list[list[MediumLevel]]:
-    """`count` consecutive level bodies (layout in _level) of every
-    label, as each label's list of levels.
+def _read_levels(rd: SetReader, n: int, ids: np.ndarray, count: int) -> list[FullLabel]:
+    """`count` consecutive level bodies (layout in _level) of every label,
+    as one FullLabel per label (n and ids from its header).
 
     All landmark rows go into one (labels x total size) table, a label's
     levels side by side: pair decode reads a label's rows ~10% faster than
@@ -372,24 +399,28 @@ def _read_levels(rd: SetReader, n: int, count: int) -> list[list[MediumLevel]]:
         lm[:, at:stop][present] = values
     # the objects too are made label by label, so each label's sit together in memory
     return [
-        [MediumLevel(D, size, sick[u], row[at:stop], uc[u])
-         for (D, size, sick, uc), at, stop in zip(heads, cuts, cuts[1:])]
-        for u, row in enumerate(lm)
+        FullLabel(n, i, [MediumLevel(D, size, sick[u], row[at:stop], uc[u])
+                         for (D, size, sick, uc), at, stop in zip(heads, cuts, cuts[1:])])
+        for u, (i, row) in enumerate(zip(ids.tolist(), lm))
     ]
+
+
+def _parse_rows(labels: list[Bits], *extra: tuple[int, str]) -> list[RowLabel]:
+    """Row labels: the header, then one row of _row_width(n)-bit distances,
+    the all-ones marker read as INF.  A row holds as many entries as the one
+    `extra` header field says (warmup's landmark count), or n without one
+    (trivial)."""
+    with SetReader(labels) as rd:
+        n, ids, *count = _read_headers(rd, *extra)
+        size = count[0] if count else n
+        width = _row_width(n)
+        raw = rd.packed(np.full(len(labels), size), width).reshape(len(labels), size)
+    rows = np.where(raw == (1 << width) - 1, INF, raw)
+    return [RowLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
 
 
 # ---------------------------------------------------------------------------
 # warmup scheme
-
-
-@dataclass
-class WarmupLabel:
-    n: int
-    id: int
-    row: np.ndarray  # int64 distances to the shared landmark list, INF if unreachable
-
-    def __post_init__(self):
-        self.routes, self.tables = [self.row], []  # decode candidates, see _pair
 
 
 def _warmup_draws(n: int, D: int) -> int:
@@ -410,7 +441,7 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
         return LabelSet("warmup", 0, {"D": p.D, "landmarks": 0}, [])
     draws = attempts = 0
     if landmarks is not None:
-        chosen = _landmark_ids(g, landmarks)
+        chosen = _node_ids(g, landmarks, "landmark id")
     else:
         # on unit weights hops are distances: a sample passes when no pair is uncovered
         draws = _warmup_draws(n, p.D)
@@ -422,32 +453,12 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
     return LabelSet("warmup", n, {"D": p.D, "landmarks": len(chosen)}, labels, meta=meta)
 
 
-def _read_rows(rd: SetReader, count: int, width: int) -> np.ndarray:
-    """`count` distances of `width` bits per label, the all-ones marker read
-    as INF: one (labels x count) table."""
-    raw = rd.packed(np.full(rd.pos.size, count), width).reshape(rd.pos.size, count)
-    return np.where(raw == (1 << width) - 1, INF, raw)
-
-
-def parse_warmup_set(labels: list[Bits]) -> list[WarmupLabel]:
-    with SetReader(labels) as rd:
-        n, ids = _read_headers(rd)
-        rows = _read_rows(rd, _shared(rd.gamma() - 1, "landmark count"), _row_width(n))
-    return [WarmupLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
+def parse_warmup_set(labels: list[Bits]) -> list[RowLabel]:
+    return _parse_rows(labels, (1, "landmark count"))
 
 
 # ---------------------------------------------------------------------------
 # medium scheme
-
-
-@dataclass
-class MediumLabel:
-    n: int
-    id: int
-    level: MediumLevel
-
-    def __post_init__(self):
-        self.routes, self.tables = [self.level.lm], [self.level.uc]
 
 
 def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
@@ -462,26 +473,14 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
     return LabelSet("medium", n, {"D": p.D, "landmarks": size}, labels, meta=meta)
 
 
-def parse_medium_set(labels: list[Bits]) -> list[MediumLabel]:
+def parse_medium_set(labels: list[Bits]) -> list[FullLabel]:
     with SetReader(labels) as rd:
         n, ids = _read_headers(rd)
-        levels = _read_levels(rd, n, 1)
-    return [MediumLabel(n, i, lv) for i, (lv,) in zip(ids.tolist(), levels)]
+        return _read_levels(rd, n, ids, 1)
 
 
 # ---------------------------------------------------------------------------
 # full scheme (doubling levels)
-
-
-@dataclass
-class FullLabel:
-    n: int
-    id: int
-    levels: list[MediumLevel]
-
-    def __post_init__(self):
-        self.routes = [lv.lm for lv in self.levels]
-        self.tables = [lv.uc for lv in self.levels]
 
 
 def _full_pieces(g: Graph, p: PreservingParams, count: int) -> tuple[list, dict, dict]:
@@ -514,12 +513,11 @@ def encode_full(g: Graph, p: PreservingParams) -> LabelSet:
 
 def _full_labels(rd: SetReader) -> list[FullLabel]:
     """Every label's full scheme part, from the reader's current positions."""
-    n, ids = _read_headers(rd)
-    nlev = _shared(rd.gamma(), "level count")
+    n, ids, nlev = _read_headers(rd, (0, "level count"))
     room = rd.remaining()
     if room.size and nlev > room.min() // 3:  # a level body takes at least 3 bits
         raise CodecError(f"{nlev} levels cannot fit in {int(room.min())} bits")
-    return [FullLabel(n, i, lv) for i, lv in zip(ids.tolist(), _read_levels(rd, n, nlev))]
+    return _read_levels(rd, n, ids, nlev)
 
 
 def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
@@ -531,13 +529,6 @@ def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
 # trivial scheme (full distance row; D = 1 fallback)
 
 
-@dataclass
-class TrivialLabel:
-    n: int
-    id: int
-    row: np.ndarray
-
-
 def encode_trivial(g: Graph) -> LabelSet:
     """Each label stores the node's whole distance row; decoding is lookup."""
     n = g.n
@@ -545,14 +536,11 @@ def encode_trivial(g: Graph) -> LabelSet:
     return LabelSet("trivial", n, {"D": 1}, labels)
 
 
-def parse_trivial_set(labels: list[Bits]) -> list[TrivialLabel]:
-    with SetReader(labels) as rd:
-        n, ids = _read_headers(rd)
-        rows = _read_rows(rd, n, _row_width(n))
-    return [TrivialLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
+def parse_trivial_set(labels: list[Bits]) -> list[RowLabel]:
+    return _parse_rows(labels)
 
 
-def _trivial_pair(a: TrivialLabel, b: TrivialLabel) -> int:
+def _trivial_pair(a: RowLabel, b: RowLabel) -> int:
     return int(min(a.row[b.id], b.row[a.id]))
 
 
@@ -603,8 +591,6 @@ def _matrix(parsed: list) -> np.ndarray:
     """`_pair` for every pair of a parsed set: one min-plus pass over each
     label's routes side by side (the min over routes of the min over a
     route's columns is the min over all columns), then the table hits."""
-    if not parsed:
-        return np.zeros((0, 0), dtype=np.int64)
     out = _minplus([p.routes for p in parsed])
     return _min_scatter(out, ((u, t) for u, p in enumerate(parsed) for t in p.tables))
 
@@ -693,12 +679,10 @@ def _min_scatter(out: np.ndarray, hits) -> np.ndarray:
     return out
 
 
-def trivial_matrix(parsed: list[TrivialLabel]) -> np.ndarray:
-    if not parsed:
-        return np.zeros((0, 0), dtype=np.int64)
-    if any(p.n != len(parsed) for p in parsed):
-        raise LabelError(f"trivial labels must describe the {len(parsed)} nodes of their set")
-    rows = np.stack([p.row for p in parsed])
+def trivial_matrix(parsed: list[RowLabel]) -> np.ndarray:
+    """`_trivial_pair` for every pair of the set: each row cut to the set."""
+    count = len(parsed)
+    rows = np.array([p.row[:count] for p in parsed], dtype=np.int64).reshape(count, count)
     return np.minimum(rows, rows.T)
 
 
@@ -759,7 +743,7 @@ register(Scheme(
         "window: exact required for hops in [D, 2D]":
             (h != INF) & (h >= p["D"]) & (h <= 2 * p["D"]) & (d != w)},
     bound=lambda n, p: (n / p["D"]) * _lg(p["D"]) ** 2,
-    carried=lambda label: {"D": label.level.D, "landmarks": label.level.size},
+    carried=lambda label: {"D": label.levels[0].D, "landmarks": label.levels[0].size},
 ))
 register(Scheme(
     "full", 4, lambda g, seed, opts: encode_full(g, _threshold_params("full", seed, opts)),

@@ -26,7 +26,7 @@ from .graph import Graph, _integer, _within
 from .labels import LabelSet, Scheme, gamma_fields, register
 from .preserving import (
     FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pieces, _header_bits,
-    _matrix, _mix, _pair, _read_headers, _read_tables, _shared, _table_bits,
+    _matrix, _mix, _pair, _read_headers, _read_tables, _table_bits,
 )
 
 __all__ = [
@@ -153,9 +153,7 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
 
 def parse_bounded_set(labels: list[Bits]) -> list[BoundedLabel]:
     with SetReader(labels) as rd:
-        n, ids = _read_headers(rd)
-        delta = _shared(rd.gamma() - 1, "degree bound")
-        D = _shared(rd.gamma(), "threshold")
+        n, ids, delta, D = _read_headers(rd, (1, "degree bound"), (0, "threshold"))
         near = _read_tables(rd, n, max(1, (D - 1).bit_length() + 1), np.arange(len(labels)))
         full = _full_labels(rd)
     return [BoundedLabel(n, i, delta, D, d, f) for i, d, f in zip(ids.tolist(), near, full)]

@@ -73,6 +73,18 @@ def test_high_degree_thresholds():
     assert high_degree_set(star, 3) == {0}
 
 
+def test_high_degree_rejects_non_integer_threshold():
+    with pytest.raises(GraphError, match="degree threshold t"):
+        high_degree_set(gen_path(4), 2.5)
+
+
+@pytest.mark.parametrize("targets", [[100], [-1], [1.5]])
+def test_dominating_rejects_bad_target_ids(targets):
+    # an id past n, a negative id and a non-integer id name no node
+    with pytest.raises(GraphError, match="target id"):
+        greedy_dominating_set(gen_path(4), targets)
+
+
 def test_dominating_empty_targets():
     assert greedy_dominating_set(gen_path(4), []) == set()
 
@@ -117,6 +129,14 @@ def test_ball_center_must_not_be_excluded():
 def test_ball_ids_out_of_range_rejected(excluded, center):
     with pytest.raises(GraphError, match="out of range"):
         ball_in_induced(gen_path(3), excluded, center, 2)
+
+
+@pytest.mark.parametrize("excluded,center,depth,what", [
+    ([1.5], 0, 2, "excluded id"), ([], 0.0, 2, "ball center"), ([], 0, 2.5, "ball depth"),
+])
+def test_ball_rejects_non_integer_arguments(excluded, center, depth, what):
+    with pytest.raises(GraphError, match=f"{what} .* is not an integer"):
+        ball_in_induced(gen_path(3), excluded, center, depth)
 
 
 # --- encode/decode --------------------------------------------------------------

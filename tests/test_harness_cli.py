@@ -266,6 +266,12 @@ def test_lower_bound_experiment_all_zero_and_all_one():
                 assert (got == 4) == bool(fill)
 
 
+@pytest.mark.parametrize("k,trials,what", [(2, 1.5, "trial count"), (1.5, 1, "family size k")])
+def test_lower_bound_experiment_rejects_non_integer_arguments(k, trials, what):
+    with pytest.raises(GraphError, match=what):
+        lower_bound_experiment(k, 2, trials=trials)
+
+
 def test_lower_bound_experiment_report():
     rep = lower_bound_experiment(5, 5, seed=2, trials=4)
     assert rep["all_exact"]

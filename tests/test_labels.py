@@ -250,9 +250,7 @@ def test_label_files_pinned_sick_and_window_levels(scheme, encode, digest):
     # these pins cover both branches of the level writer
     ls = encode(broom())
     assert sha256(ls) == digest
-    levels = [p.level for p in ls.parsed()] if scheme == "medium" else [
-        lv for p in ls.parsed() for lv in p.levels
-    ]
+    levels = [lv for p in ls.parsed() for lv in p.levels]
     assert any(lv.sick for lv in levels)
     assert any(lv.uc for lv in levels if not lv.sick)
 
@@ -331,6 +329,37 @@ def test_set_parse_equals_per_label_parse(name):
             "additive": lambda p: [p.dom],
         }[ls.scheme]
         assert any((t == INF).any() for p in back.parsed() for t in tables(p))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("scheme", list(PINNED_SEED1))
+def test_empty_and_one_node_sets_decode_and_verify(scheme, n):
+    g = Graph(n, [])
+    ls = loads(dumps(all_scheme_labelsets(seed=1, g=g)[1][scheme]))
+    out = decode_matrix(ls)
+    assert out.dtype == np.int64 and out.shape == (n, n)
+    for mode in ("exhaustive", "sampled"):
+        rep = verify_labels(g, ls, mode=mode, sample_count=10)
+        assert rep.passed and rep.pairs_checked == 0, (scheme, n, mode)
+
+
+@pytest.mark.parametrize("scheme", list(PINNED_SEED1))
+def test_prefix_set_pair_and_matrix_decoders_agree(scheme):
+    # labels 0..5 of a genuine 12-node encoding, as a set of their own: both
+    # decoders read the labels they are given, and agree with the whole set
+    whole = all_scheme_labelsets(seed=1, g=gen_gnm(12, 20, seed=1))[1][scheme]
+    ls = loads(dumps(LabelSet(scheme, 6, whole.params, whole.labels[:6])))
+    out = decode_matrix(ls)
+    assert np.array_equal(out, decode_matrix(whole)[:6, :6])
+    for u in range(6):
+        for v in range(6):
+            assert out[u, v] == ls.decode(u, v) == whole.decode(u, v), (scheme, u, v)
+
+
+def test_decode_pair_unknown_scheme_is_a_label_error():
+    labels = encode_trivial(gen_path(3)).labels
+    with pytest.raises(LabelError, match="unknown scheme"):
+        decode_pair("nosuch", labels[0], labels[1])
 
 
 def test_set_parse_rows_are_views_of_one_table():

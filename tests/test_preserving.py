@@ -3,6 +3,7 @@ window exactness, soundness, label sizes, and bulk/per-pair agreement."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from distlab import (
     INF,
     AdditiveParams,
+    Graph,
     all_pairs,
     all_pairs_with_hops,
     build_graph,
@@ -34,7 +36,7 @@ from distlab import (
 )
 from distlab.errors import GraphError, LabelError
 from distlab.labels import LabelSet, decode_pair
-from distlab.preserving import _minplus, _useful_columns
+from distlab.preserving import _matrix, _minplus, _pair, _useful_columns
 
 from conftest import random_01_graph
 
@@ -148,6 +150,17 @@ def test_classify_all_landmarks_nothing_uncovered():
     sick, uc = classify_nodes(g, range(24), D=3)
     assert sick == set()
     assert all(not v for v in uc.values())
+
+
+def test_classify_empty_graph():
+    assert classify_nodes(Graph(0), [], 2) == (set(), {})
+
+
+@pytest.mark.parametrize("D", [0, -1, 2.5])
+def test_classify_rejects_bad_threshold(D):
+    # the sick rule divides n by D: D must be an integer >= 1
+    with pytest.raises(GraphError, match="threshold D"):
+        classify_nodes(gen_path(5), [1], D)
 
 
 def test_classify_no_landmarks_path_start_sick():
@@ -560,7 +573,17 @@ def test_matrix_decoder_matches_pair_decoder(scheme, graph):
     dec = decode_matrix(ls)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            assert dec[u, v] == ls.decode(u, v), (scheme, u, v)
+            assert dec[u, v] == dec[v, u] == ls.decode(u, v) == ls.decode(v, u), (scheme, u, v)
+
+
+def test_pair_and_matrix_read_the_second_labels_table():
+    # genuine tables are symmetric, so only stand-ins where b's table alone
+    # names a reach the tb[a.id] read; the route sum (10) is the worse answer
+    a = SimpleNamespace(id=0, routes=[np.array([5, INF])], tables=[{}])
+    b = SimpleNamespace(id=1, routes=[np.array([5, 1])], tables=[{0: 3}])
+    assert _pair(a, b) == _pair(b, a) == 3
+    out = _matrix([a, b])
+    assert out[0, 1] == out[1, 0] == 3
 
 
 def _minplus_reference(T):
