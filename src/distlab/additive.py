@@ -157,7 +157,8 @@ def ball_in_induced(g: Graph, excluded, u: int, depth: int) -> dict[int, int]:
     _check_unit(g, "induced ball")
     excluded = set(_node_ids(g, excluded, "excluded id"))
     (u,) = _node_ids(g, [u], "ball center")
-    depth = _integer(depth, "ball depth")
+    if _integer(depth, "ball depth") < 0:
+        raise GraphError(f"ball depth must be >= 0, got {depth}")
     if u in excluded:
         raise GraphError(f"ball center {u} is in the excluded set")
     ids, sub = _induced(g, excluded)

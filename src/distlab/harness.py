@@ -22,11 +22,13 @@ scheme's registered bulk matrix decoder (exhaustive; pinned elsewhere to
 agree with its pair decoder) or a seeded sample of pairs through the
 registered pair decoder (sampled).  Every scheme but trivial registers the
 same two, `preserving._pair` and `preserving._matrix`.  A set that does not
-parse or decode is one "decode error" violation.  Otherwise one pass
-applies soundness and the contract masks to arrays of (true weight, hops,
-decoded) per pair, and one report is built.  Also here: benchmark sweeps over
-G(n, m) corpora and the adjacency-reconstruction experiment that reads a
-random bipartite adjacency matrix back out of the labels alone.
+parse or decode is one "decode error" violation.  Otherwise soundness and
+the contract masks are applied to arrays of (true weight, hops, decoded)
+per pair, in blocks of whole rows of the upper triangle (VERIFY_BLOCK
+pairs at a time) when exhaustive, and one report is built.  Also here:
+benchmark sweeps over G(n, m) corpora and the adjacency-reconstruction
+experiment that reads a random bipartite adjacency matrix back out of the
+labels alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import additive, sparse  # noqa: F401 -- importing a scheme module registers it
 from . import preserving as _preserving
-from .errors import CodecError, LabelError
+from .errors import CodecError, GraphError, LabelError
 from .graph import Graph, _int64, _integer, gen_gnm, gen_lower_bound_family
 from .labels import MATRIX_DECODERS, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, lookup
 
@@ -110,21 +112,34 @@ class VerifyReport:
         return {**asdict(self), "violations": self.violations[:100], "passed": self.passed}
 
 
-def _violations(contract, params, weight, hops, iu, iv, d) -> tuple[int, list]:
-    """Violation count and up to 50 example entries for the pairs (iu, iv)
-    that decoded to d: soundness plus the scheme's contract mask.  The
-    pairs' entries are gathered from the narrow oracle tables and only
-    they are widened to int64 with INF, the values the masks compare."""
+VERIFY_BLOCK = 1 << 18  # pairs of the upper triangle exhaustive verify checks at a time
+
+
+def _violations(contract, params, weight, hops, iu, iv, d, found: dict) -> None:
+    """Add the violations among the pairs (iu, iv) that decoded to d to
+    `found`, kind -> [count, its first 20 entries]: soundness plus the
+    scheme's contract mask.  The pairs' entries are gathered from the narrow
+    oracle tables and only they are widened to int64 with INF, the values
+    the masks compare."""
     w = _int64(weight[iu, iv])
     h = w if hops is weight else _int64(hops[iu, iv])
     kinds = {"soundness: decoded below true distance": d < w, **contract(params, w, h, d)}
-    entries = []
-    total = 0
     for kind, mask in kinds.items():
-        total += int(mask.sum())
-        for idx in np.flatnonzero(mask)[:20]:
-            entries.append((int(iu[idx]), int(iv[idx]), int(w[idx]), int(d[idx]), kind))
-    return total, entries[:50]
+        hits = np.flatnonzero(mask)
+        slot = found.setdefault(kind, [0, []])
+        slot[0] += hits.size
+        for idx in hits[:20 - len(slot[1])]:
+            slot[1].append((int(iu[idx]), int(iv[idx]), int(w[idx]), int(d[idx]), kind))
+
+
+def _upper_blocks(n: int):
+    """The pairs u < v in row-major order, as (iu, iv) blocks of whole rows
+    holding about VERIFY_BLOCK pairs each."""
+    step = max(1, VERIFY_BLOCK // max(n, 1))
+    for start in range(0, n - 1, step):
+        rows = np.arange(start, min(start + step, n - 1))
+        iu, iv = np.nonzero(np.arange(n) > rows[:, None])
+        yield iu + start, iv
 
 
 def verify_labels(
@@ -138,12 +153,14 @@ def verify_labels(
     """Check every contract the scheme promises against the BFS oracle.
 
     `mode` is "exhaustive" or "sampled"; sampled mode draws `sample_count`
-    (an integer >= 1) random pairs of distinct nodes.
+    (an integer >= 1) random pairs of distinct nodes with the integer
+    `seed`.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verify mode {mode!r}")
     if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
         raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+    seed = _integer(seed, "verify seed")
     contract = lookup(SCHEMES, ls.scheme).contract
     if ls.n != g.n:
         raise LabelError(f"label set describes {ls.n} nodes, graph has {g.n}")
@@ -163,8 +180,8 @@ def verify_labels(
     try:
         ls.parsed()
         if mode == "exhaustive":
-            iu, iv = np.triu_indices(g.n, 1)
-            d = decode_matrix(ls)[iu, iv]
+            decoded = decode_matrix(ls)
+            blocks = ((iu, iv, decoded[iu, iv]) for iu, iv in _upper_blocks(g.n))
         else:
             rng = random.Random(seed)
             pairs = []
@@ -173,14 +190,18 @@ def verify_labels(
                 v = rng.randrange(g.n - 1)
                 pairs.append((u, v + (v >= u)))
             iu, iv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            d = np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64)
+            blocks = [(iu, iv, np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64))]
     except (LabelError, CodecError) as exc:
         # a label set that does not decode is one violation, not one per pair
         checked, count, entries = 0, 1, [(-1, -1, -1, -1, f"decode error: {exc}")]
     else:
         weight, hops = g.tables()
-        checked = d.size
-        count, entries = _violations(contract, ls.params, weight, hops, iu, iv, d)
+        checked, found = 0, {}
+        for iu, iv, d in blocks:
+            checked += d.size
+            _violations(contract, ls.params, weight, hops, iu, iv, d, found)
+        count = sum(total for total, _ in found.values())
+        entries = [e for _, first in found.values() for e in first][:50]
     return VerifyReport(
         graph_id, ls.scheme, ls.params, mode, checked, count, entries, warnings=warnings_, **stats
     )
@@ -288,6 +309,8 @@ def lower_bound_experiment(k: int, tail: int, seed: int = 0, trials: int = 20) -
     information bound the family forces.
     """
     k, trials = _integer(k, "family size k"), _integer(trials, "trial count")
+    if trials < 1:
+        raise GraphError(f"trial count must be >= 1, got {trials}")
     trial_results = []
     all_exact = True
     for trial in range(trials):

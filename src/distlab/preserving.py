@@ -11,7 +11,10 @@ Four encoder/decoder pairs share this module:
   A smaller landmark sample is drawn; a node left with too many far peers
   whose shortest routes no landmark certifies ("sick") has its distance
   column added to the shared table, while healthy nodes keep a short
-  private list of their still-uncovered window peers.
+  private list of their still-uncovered window peers.  Once fewer than
+  2n/D nodes are sick, the sample is thinned: a seeded 1/THIN prefix of it
+  that still passes that rule replaces it when its bodies, bounded from
+  counts, have the smaller (max, mean) bits (see _level).
 * ``full``     -- concatenates medium levels for thresholds D, 2D, 4D, ...
   and decodes by taking the minimum; exact whenever h(u, v) >= D.
 
@@ -24,14 +27,15 @@ Decoders see only the two labels: every label embeds the node count and all
 per-level parameters.  One pair decoder and one bulk decoder (`_pair`,
 `_matrix`, see "Decoders" below) serve warmup, medium and full here and the
 bdeg, sparse and additive schemes built on them; trivial looks its answer
-up, in the rows of the set it is given.  The set parsers are the one place that checks the labels of a set
-share a layout.  Encoding reads the graph's cached narrow all-pairs tables
-(`Graph.tables`, a byte per pair on small-diameter graphs, compared through
-`graph._within`) and its cached shortest-path DAG (built once per graph,
-O(m * n / 8) bytes of edge masks), then runs one bit-parallel
-certification pass per level and sampling attempt, which only propagates
-landmark bits along the DAG (oracle grade, O(n^2) memory for the answer);
-that is deliberate and fine at desk scale.  All decode functions are pure
+up, in the rows of the set it is given.  The set parsers are the one place
+that checks the labels of a set share a layout.  Encoding reads the graph's
+cached narrow all-pairs tables (`Graph.tables`, a byte per pair on
+small-diameter graphs, compared through `graph._within`) and its cached
+shortest-path DAG (built once per graph, O(m * n / 8) bytes of edge
+masks), then runs one bit-parallel
+certification pass per landmark set tried, which only propagates landmark
+bits along the DAG (oracle grade, n^2 bits for the answer); that is
+deliberate and fine at desk scale.  All decode functions are pure
 and thread-safe; encoding touches only immutable graph state.
 """
 
@@ -44,10 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (
-    BitCursor, BitWriter, Bits, SetReader, concat_ragged, fixed_bits, gamma_bits, id_set_bits,
+    BitCursor, BitWriter, Bits, SetReader, _bit_length, concat_ragged, fixed_bits, gamma_bits,
+    id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph, _far, _integer, _node_ids, _within
+from .graph import INF, Graph, _bitset, _far, _integer, _node_ids, _unbits, _within
 from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
@@ -62,6 +67,7 @@ __all__ = [
 
 WARMUP_C = 3.0  # warmup oversampling constant; the resampling loop needs c > 2
 RESAMPLE_CAP = 50  # landmark samples drawn per level before encoding fails
+THIN = 8  # a level also tries the first 1/THIN of its passing sample, shuffled
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
         raise GraphError("cannot sample landmarks from an empty graph")
     if _integer(size, "landmark sample size") < 1:
         raise GraphError("landmark sample size must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "landmark seed"))
     return sorted({rng.randrange(g.n) for _ in range(size)})
 
 
@@ -107,10 +113,33 @@ def sample_landmarks(g: Graph, size: int, seed) -> list[int]:
 # counts as certified by any landmark set (there is no route to repair).
 
 
+def _ones(bits: np.ndarray, axis=None):
+    """Set bits of a bitset array (a bool entry counts as one bit), summed
+    along `axis`."""
+    octets = np.ascontiguousarray(bits).view(np.uint8)
+    if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
+        return np.bitwise_count(octets).sum(axis=axis)
+    return _OCTET_ONES[octets].sum(axis=axis)
+
+
+_OCTET_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _packed(table: np.ndarray, test) -> np.ndarray:
+    """test(rows) of a narrow oracle table as bitset rows (see
+    graph._bitset), a few MB of booleans at a time."""
+    out = np.empty((len(table), (table.shape[1] + 63) // 64), dtype=np.uint64)
+    step = max(1, (1 << 20) // max(table.shape[1], 1))
+    for i in range(0, len(table), step):
+        out[i:i + step] = _bitset(test(table[i:i + step]))
+    return out
+
+
 def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
-    """Boolean matrix: True where some landmark lies on a minimum-weight u-v
-    path, or where v is unreachable from u.  The relation is symmetric, and
-    the matrix is returned as one C-ordered array.
+    """Bitset rows, one per 0-weight component c (graph.ShortestPathDag.comp):
+    bit v is set where some landmark lies on a minimum-weight path between
+    c and node v, or where v is unreachable from c.  Row c of node u is the
+    relation's row u, which is symmetric.
 
     The question is answered on the graph's cached shortest-path DAG (see
     graph.ShortestPathDag), where only the landmark bits change from call to
@@ -119,7 +148,8 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     when that component has a landmark, and otherwise flows along the DAG
     edges x -> v of source s.  Passes of F = F0 | OR_x (F[x] & mask[x -> v])
     run until F stops changing, at most diameter + 1 of them (64 sources per
-    machine word).
+    machine word).  With 0-weight components the source bits are then
+    spread from components to their nodes.
     """
     n = g.n
     dag = g.sp_dag()
@@ -136,22 +166,23 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
         if np.array_equal(nxt, F):
             break
         F = nxt
-    F = F | dag.unreached
+    F |= dag.unreached
     ncomp = len(F)
-    cc = np.unpackbits(F.view(np.uint8), axis=1, count=ncomp, bitorder="little").view(bool)
     if ncomp == n:  # no 0-weight edge joins two nodes: comp is the identity
-        return cc
-    return np.take(np.take(cc, dag.comp, axis=0), dag.comp, axis=1)
+        return F
+    return _bitset(np.take(_unbits(F, ncomp), dag.comp, axis=1))
 
 
 def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.ndarray]:
-    """Sick node ids plus the boolean uncovered matrix for threshold D."""
+    """Sick node ids plus the uncovered relation for threshold D, as bitset
+    rows (graph._bitset, padding bits zero): bit v of row u is set when
+    hops(u, v) >= D and no landmark lies on a minimum-weight u-v path."""
     _, hops = g.tables()
-    unc = _within(hops, D - 1)  # unc = (hops >= D) & ~covered, as ~(hops < D | covered)
-    unc |= _covered(g, landmarks)
-    np.logical_not(unc, out=unc)
-    counts = unc.sum(axis=1)
-    return [int(u) for u in np.flatnonzero(counts > g.n / D)], unc
+    unc = _packed(hops, lambda rows: ~_within(rows, D - 1))
+    covered = _covered(g, landmarks)
+    np.invert(covered, out=covered)
+    unc &= covered if len(covered) == g.n else np.take(covered, g.sp_dag().comp, axis=0)
+    return [int(u) for u in np.flatnonzero(_ones(unc, axis=1) > g.n / D)], unc
 
 
 def classify_nodes(g: Graph, landmarks, D: int) -> tuple[set[int], dict[int, list[int]]]:
@@ -165,15 +196,15 @@ def classify_nodes(g: Graph, landmarks, D: int) -> tuple[set[int], dict[int, lis
     if _integer(D, "threshold D") < 1:
         raise GraphError(f"threshold D must be >= 1, got {D}")
     sick, unc = _classify(g, _node_ids(g, landmarks, "landmark id"), D)
-    uc = {u: [int(v) for v in np.flatnonzero(unc[u])] for u in range(g.n)}
-    return set(sick), uc
+    rows = _unbits(unc, g.n)
+    return set(sick), {u: np.flatnonzero(rows[u]).tolist() for u in range(g.n)}
 
 
 def _sample(g: Graph, draws: int, D: int, seed: int, done) -> tuple:
     """The resampling loop every encoder draws its landmarks through: sample
     `draws` landmarks with seed _mix(seed, attempt) and classify them for
     threshold D until done(sick, unc) holds.  Returns the landmarks, the
-    sick ids, the uncovered matrix and the sick-set size of every attempt;
+    sick ids, the uncovered rows and the sick-set size of every attempt;
     EncodingFailure after RESAMPLE_CAP samples."""
     history = []
     for attempt in range(RESAMPLE_CAP):
@@ -184,7 +215,7 @@ def _sample(g: Graph, draws: int, D: int, seed: int, done) -> tuple:
             return landmarks, sick, unc, history
     raise EncodingFailure(
         f"no sample of {draws} landmarks passed within {RESAMPLE_CAP} attempts; the last left "
-        f"|S|={history[-1]} sick nodes and {int(unc.sum()) // 2} uncovered pairs (n={g.n}, D={D})"
+        f"|S|={history[-1]} sick nodes and {int(_ones(unc)) // 2} uncovered pairs (n={g.n}, D={D})"
     )
 
 
@@ -251,52 +282,107 @@ def _table_bits(holds: np.ndarray, sizes: np.ndarray, ids, values, width: int) -
 
 def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     """One level of threshold D: landmarks are sampled, and resampled until
-    the sick set is small (sick counts cover every node), then the level
-    bodies of nodes 0..count-1 are written.  Returns the bodies as (bits,
-    per-node lengths) pieces, the level's landmark count and its meta; the
-    level's landmark table is freed on return, before the next level is
-    certified.
+    the sick set is small (sick counts cover every node), then thinned (see
+    below) and the level bodies of nodes 0..count-1 are written.  Returns
+    the bodies as (bits, per-node lengths) pieces, the level's landmark
+    count and its meta; the level's landmark table is freed on return,
+    before the next level is certified.
 
     A body is gamma(D), gamma(size+1), the sick bit, the presence bitmap of
     the node's landmark row (entries <= 2D) and the present values at
     _w2d(D) bits each; a healthy node then adds the table of its uncovered
-    peers within hop 2D and their weights at _w2d(D) bits each.
+    peers within hop 2D and their weights at _w2d(D) bits each.  Only peers
+    below `count` are listed: a decoder looks up labelled ids only.
+
+    The size bound needs only the sick rule, so any part of a passing
+    sample that still passes it will do.  The sample, in a seeded shuffle,
+    is cut to its first 1/THIN; if that prefix passes the sick rule too and
+    its bodies bound to a smaller (max, mean) than the whole sample's, the
+    level keeps the prefix.
     """
     n = g.n
     draws = max(1, math.ceil(2 * (n / D) * math.log(D)))
-    landmarks, sick_ids, unc, history = _sample(
-        g, draws, D, seed, lambda sick, unc: len(sick) < 2 * n / D)
+
+    def passes(sick, unc):
+        return len(sick) < 2 * n / D
+
+    drawn, sick_ids, unc, history = _sample(g, draws, D, seed, passes)
     weight, hops = g.tables()
-    rs = sorted(set(landmarks) | set(sick_ids))
-    sick = np.zeros(n, dtype=bool)
-    sick[sick_ids] = True
-    sick = sick[:count]
-    win = _within(hops[:count], 2 * D)
-    win &= unc[:count]
-    win[sick] = False  # a sick node writes no window
-    rows, cols = np.nonzero(win)
-    del unc, win
+    reach = _packed(hops[:count, :count], lambda rows: _within(rows, 2 * D))
+    tried, failed = [_Candidate(weight, reach, D, drawn, sick_ids, unc)], []
+    del unc  # freed before the prefix's rows are made
+    order = list(drawn)
+    random.Random(_mix(seed, RESAMPLE_CAP)).shuffle(order)
+    prefix = sorted(order[:math.ceil(len(order) / THIN)])
+    if len(prefix) < len(drawn):
+        sick_ids, unc = _classify(g, prefix, D)
+        if passes(sick_ids, unc):
+            tried.append(_Candidate(weight, reach, D, prefix, sick_ids, unc))
+        else:
+            failed.append({"landmarks": len(prefix), "sick": len(sick_ids)})
+        del unc
+    kept = min(tried, key=lambda c: c.score)  # a tie keeps the whole sample
+    rows, cols = np.nonzero(_unbits(kept.window, count).view(bool))
     w = _w2d(D)
-    table = weight[:count, rs]
-    present = _within(table, 2 * D)
-    prefix = gamma_bits([D, len(rs) + 1])[0]
-    head = np.empty((count, prefix.size + 1 + present.shape[1]), dtype=np.uint8)
-    head[:, :prefix.size] = prefix
-    head[:, prefix.size] = sick
-    head[:, prefix.size + 1:] = present
+    lead = gamma_bits([D, len(kept.rs) + 1])[0]
+    head = np.empty((count, lead.size + 1 + len(kept.rs)), dtype=np.uint8)
+    head[:, :lead.size] = lead
+    head[:, lead.size] = kept.sick
+    head[:, lead.size + 1:] = kept.present
     pieces = [
         (head.ravel(), np.full(count, head.shape[1])),
-        (fixed_bits(table[present], w), w * present.sum(axis=1)),
-        *_table_bits(~sick, np.bincount(rows, minlength=count), cols, weight[rows, cols], w),
+        (fixed_bits(kept.table[kept.present], w), w * kept.present.sum(axis=1)),
+        *_table_bits(~kept.sick, np.bincount(rows, minlength=count), cols, weight[rows, cols], w),
     ]
     meta = {
         "draws": draws,
         "attempts": len(history),
         "sick_history": history,
-        "landmarks": landmarks,
-        "sick": sick_ids,
+        "sample": len(drawn),
+        "candidates": [c.summary() for c in tried] + failed,
+        "landmarks": kept.landmarks,
+        "sick": kept.sick_ids,
     }
-    return pieces, len(rs), meta
+    return pieces, len(kept.rs), meta
+
+
+class _Candidate:
+    """A landmark set that passed a level's sick rule, for the nodes
+    0..count-1 the level writes (count = len(reach)): its columns rs
+    (landmarks and sick nodes), their weights `table` and which of them are
+    present (<= 2D), the sick mask, the window rows (bitset rows of
+    unc & reach, empty for sick nodes), and `score`, the (max, mean) of an
+    upper bound on each node's body bits, taken from counts alone: the head
+    and the present values as written, the window's id set bounded by
+    Jensen's inequality, as c gaps that sum to at most count take at most
+    c * (2 lg(count / c) + 1) gamma bits."""
+
+    def __init__(self, weight, reach, D, landmarks, sick_ids, unc):
+        count = len(reach)
+        self.landmarks, self.sick_ids = landmarks, sick_ids
+        self.rs = sorted(set(landmarks) | set(sick_ids))
+        sick = np.zeros(len(unc), dtype=bool)
+        sick[sick_ids] = True
+        self.sick = sick[:count]
+        self.window = unc[:count, :reach.shape[1]] & reach
+        self.window[self.sick] = 0
+        self.table = weight[:count, self.rs]
+        self.present = _within(self.table, 2 * D)
+        w = _w2d(D)
+        c = _ones(self.window, axis=1).astype(np.int64)
+        window = _gamma_length(c + 1) + c * (2 * np.log2(count / np.maximum(c, 1)) + 1) + w * c
+        bits = (_gamma_length(np.array([D, len(self.rs) + 1])).sum() + 1 + len(self.rs)
+                + w * self.present.sum(axis=1) + np.where(self.sick, 0, window))
+        self.score = (float(bits.max()), float(bits.mean())) if count else (0.0, 0.0)
+
+    def summary(self) -> dict:
+        return {"landmarks": len(self.landmarks), "sick": len(self.sick_ids),
+                "max_bits": self.score[0], "mean_bits": self.score[1]}
+
+
+def _gamma_length(x: np.ndarray) -> np.ndarray:
+    """Bits of the Elias gamma code of each x >= 1."""
+    return 2 * _bit_length(np.asarray(x, dtype=np.int64)) - 1
 
 
 def _header_bits(n: int, count: int, *extra: int) -> tuple[np.ndarray, np.ndarray]:
@@ -661,7 +747,8 @@ def _useful_columns(A: np.ndarray, inf: int) -> np.ndarray:
 
 def _min_scatter(out: np.ndarray, hits) -> np.ndarray:
     """Lower out[u, i] and out[i, u] to d for every (u, {i: d}) in `hits`.
-    Ids beyond the matrix (split copies past the labelled range) are skipped."""
+    Ids beyond the matrix (nodes whose labels are not in the set, as in a
+    prefix of a label set) are skipped."""
     count = len(out)
     us, vs, vals = [], [], []
     for u, table in hits:

@@ -124,10 +124,11 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     """Near table (hop-radius D-1 ball, true weighted distances) plus a
     threshold-D label.  Exact for all pairs on graphs of max degree <= delta.
 
-    `_count` (internal) writes only the labels of nodes 0.._count-1; the
-    threshold levels are still certified on all of g.
+    `_count` (internal) writes only the labels of nodes 0.._count-1, whose
+    near tables and windows list only those nodes (a decoder looks up
+    labelled ids only); the threshold levels are still certified on all of g.
     """
-    delta = _integer(delta, "degree bound")
+    delta, seed = _integer(delta, "degree bound"), _integer(seed, "landmark seed")
     if delta < 0:
         raise GraphError("degree bound must be >= 0")
     for u in range(g.n):
@@ -139,7 +140,7 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     weight, hops = g.tables()
     full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(seed, 71)), count)
     near_width = max(1, (D - 1).bit_length() + 1)
-    rows, cols = np.nonzero(_within(hops[:count], D - 1))
+    rows, cols = np.nonzero(_within(hops[:count, :count], D - 1))
     near_sizes = np.bincount(rows, minlength=count)
     labels = concat_ragged([
         _header_bits(n, count, delta + 1, D),
@@ -168,6 +169,7 @@ def encode_sparse(g: Graph, seed: int = 0) -> LabelSet:
     """
     if not g.is_unit_weight():
         raise GraphError("sparse scheme expects a unit-weight input graph")
+    seed = _integer(seed, "landmark seed")
     if g.n == 0:
         return LabelSet("sparse", 0, {"delta": 3, "D": 2, "k": 3}, [])
     k = max(math.ceil(g.m / g.n), 3)

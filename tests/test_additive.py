@@ -139,6 +139,13 @@ def test_ball_rejects_non_integer_arguments(excluded, center, depth, what):
         ball_in_induced(gen_path(3), excluded, center, depth)
 
 
+def test_ball_rejects_a_negative_depth():
+    # a ball without its own center is no ball
+    with pytest.raises(GraphError, match="ball depth must be >= 0"):
+        ball_in_induced(gen_path(5), [], 0, -1)
+    assert ball_in_induced(gen_path(5), [], 0, 0) == {0: 0}
+
+
 # --- encode/decode --------------------------------------------------------------
 
 def check_error_window(g, ls, r):

@@ -11,12 +11,14 @@ import pytest
 from distlab import (
     Graph,
     PreservingParams,
+    all_pairs_with_hops,
     encode_full,
     encode_trivial,
     gen_gnm,
     load_edge_list,
     verify_labels,
 )
+from distlab import harness
 from distlab.bits import Bits
 from distlab.cli import SCHEMES, main
 from distlab.errors import CodecError, GraphError, LabelError
@@ -83,6 +85,44 @@ def test_verify_detects_planted_violation():
     rep = verify_labels(g, ls, graph_id="corrupt")
     assert not rep.passed
     assert rep.violation_count > 0
+
+
+def test_verify_seed_must_be_an_integer():
+    g = gen_gnm(24, 48, seed=1)
+    with pytest.raises(GraphError, match="verify seed 1.5 is not an integer"):
+        verify_labels(g, encode_trivial(g), mode="sampled", seed=1.5)
+
+
+def _whole_triangle(g, ls):
+    """(pairs checked, violation count, entries) of an exhaustive verify that
+    checks the upper triangle in one piece, on the int64 oracle."""
+    w, h = all_pairs_with_hops(g)
+    iu, iv = np.triu_indices(g.n, 1)
+    d = decode_matrix(ls)[iu, iv]
+    w, h = w[iu, iv], h[iu, iv]
+    kinds = {"soundness: decoded below true distance": d < w,
+             **REGISTRY[ls.scheme].contract(ls.params, w, h, d)}
+    entries = [(int(iu[i]), int(iv[i]), int(w[i]), int(d[i]), kind)
+               for kind, mask in kinds.items() for i in np.flatnonzero(mask)[:20]]
+    return d.size, sum(int(mask.sum()) for mask in kinds.values()), entries[:50], kinds
+
+
+@pytest.mark.parametrize("block", [40, 1000])
+def test_exhaustive_verify_in_row_blocks_reports_the_whole_triangle(block, monkeypatch):
+    # labels of one graph checked against another: both kinds have more
+    # violations than the 20 a report lists, spread over several row blocks
+    g = gen_gnm(60, 120, seed=2)
+    ls = encode_full(gen_gnm(60, 120, seed=1), PreservingParams(D=2, seed=1))
+    checked, count, entries, kinds = _whole_triangle(g, ls)
+    rows = max(1, block // g.n)  # whole rows per block
+    iu = np.triu_indices(g.n, 1)[0]
+    assert all(mask.sum() > 20 for mask in kinds.values())
+    assert all(len(np.unique(iu[mask] // rows)) > 1 for mask in kinds.values())
+    rep = verify_labels(g, ls)  # one block
+    assert (rep.pairs_checked, rep.violation_count, rep.violations) == (checked, count, entries)
+    monkeypatch.setattr(harness, "VERIFY_BLOCK", block)
+    rep = verify_labels(g, ls)
+    assert (rep.pairs_checked, rep.violation_count, rep.violations) == (checked, count, entries)
 
 
 def test_verify_graph_label_mismatch():
@@ -270,6 +310,12 @@ def test_lower_bound_experiment_all_zero_and_all_one():
 def test_lower_bound_experiment_rejects_non_integer_arguments(k, trials, what):
     with pytest.raises(GraphError, match=what):
         lower_bound_experiment(k, 2, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [-1, 0])
+def test_lower_bound_experiment_needs_a_trial(trials):
+    with pytest.raises(GraphError, match="trial count must be >= 1"):
+        lower_bound_experiment(2, 2, trials=trials)
 
 
 def test_lower_bound_experiment_report():

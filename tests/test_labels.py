@@ -157,10 +157,10 @@ PINNED_SEED1 = {
     "trivial": "0f85eb90c6dfdfbfd830539f4bb094c558be55e2b656f606479229e4769ba928",
     "warmup": "d530a4d5d6321c23bce277db37682f2db1a3675d0f88d61e13c5ff1caed016b9",
     "medium": "2b6715aa0cd5a36b4dbf1b7b1b3f2c6a0e592c40bd858cbe821c928d118ac00f",
-    "full": "d3e316e6f9a0c35324bb271e0824490802e84c7a529971ec67006877413d524c",
-    "bdeg": "ae230e1a6dfbe0b64d96dec03158a8b15ea52366710f7ec44844684e676cc3f0",
-    "sparse": "c1ce0315c2d00f07c145d06f8c2ff5114f5abec5875f4193d3ecc52d41992d74",
-    "additive": "9cc135251485a58a8906c218b837ec2cf63602eb18cd8aa7df5cf840c77bbea0",
+    "full": "82ba8bd59ff03ed6dc0894c33699d6f6288ba684d3e8feee97816cda60f4bf2b",
+    "bdeg": "74c678c99cbc60d48b85c5171727e5ee882fafeee8df6207667868d957f30f88",
+    "sparse": "20d236177ae3846dcc8f66a90e62c77db3660fd47c7717fe4f40ab477f18629e",
+    "additive": "d86b01e464fab1d21ffa4d602b87e8784c6db3063cc0f8c4c58ee9620fe94b5d",
 }
 
 
@@ -170,10 +170,10 @@ PINNED_DISCONNECTED = {
     "trivial": "5122049dcdcfa9be0c068279cdde04f8f72daf073cd61bfbf6da67224a901cac",
     "warmup": "14f86828ce98c72404cc07ff7cd6b82dc1aec03816c48a5820203425d8cd0b6e",
     "medium": "8f4524f340aa6b48d61f22af458c13379b33ef2f99db482766d7115d328927eb",
-    "full": "7e75b7a2409637a5815827ac3105d4a9d6b6de278a80d4c574356a633b28cea3",
-    "bdeg": "c8027d35770d99ae03c4bcec2c5bbd79d03bab809ea05d970663192c18d74fc0",
-    "sparse": "c7e28cef9baf041bb5ca86a17e1eca1392346902754792825235244d5322f07e",
-    "additive": "db6b60a8fe3a2a1657b4dc5b170028b11a0522635e871f7872c40f08994274d3",
+    "full": "d680aa76ff0b0d9bb31d893c7188aaa025c7527a3ce9204978f2c031e7362c5f",
+    "bdeg": "ef697aeadf7c708554776daa83e68f3ca90cf3048acbcac538d72a60b760df8e",
+    "sparse": "448666f0ff4897a540729ccfd7a196e9a50c6340b2d9ccd06056487ff55e605e",
+    "additive": "8116337d4df41b6440826e4e3c468d5645ad8d8cd9ffbbec5e2758d91b3c1ca5",
 }
 
 
@@ -204,15 +204,15 @@ def test_label_files_pinned_every_scheme():
 PINNED_MATRIX_SEED1 = {
     "warmup": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
     "medium": "930c961f90d6e0d850e445cb13b3341f0fb04bc0a6ecf69a3517acf570966641",
-    "full": "da0810998a1d9cf9e2dd79c4bf9d3abca13d0d2ebc4ee5ad424af083f4928dfc",
+    "full": "4ab0ea55029105df5ecb6e612c0d0c24db107eb4ed69c0aa9194d04eee26835c",
     "bdeg": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
     "sparse": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
-    "additive": "36c693229a12060d9416ed672f62dede7873450ac48c7768e188eebda339a854",
+    "additive": "75c3539b94e89a4a2db72c67f0828e114c0988d31e0aeefa22da106efc440495",
 }
 PINNED_MATRIX_DISCONNECTED = {
     "warmup": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
     "medium": "a8f0f6981712a65a17257a9b1ff5a8e5cfb1226e0305cd4c15780024ad820082",
-    "full": "fdb0fb32c12b612d4cfc4e0b57b38f6cc4cb04d18ecc9bba8a1f3f1bb9750443",
+    "full": "8062da1dc9d7bb8cfb3dc4bd4b1e880c1294c8e321402a7070072423ef49cc0a",
     "bdeg": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
     "sparse": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
     "additive": "7a6cbf86de3436741c240b424b7da5904358aada18848ba5edc1d847e5c7d107",
@@ -241,9 +241,9 @@ def broom() -> Graph:
 
 @pytest.mark.parametrize("scheme,encode,digest", [
     ("medium", lambda g: encode_medium(g, PreservingParams(D=3, seed=3)),
-     "338da301c89f2fc0d455850865bc7d4d2238451db075cd768c26a5082388ce4d"),
+     "f498c56698530b91a10f382e385f778ae99dccadc4d82449b3f19fb7b9d7a3ef"),
     ("full", lambda g: encode_full(g, PreservingParams(D=3, seed=11)),
-     "b4f1951bae409a77a5d3883136e18873f768b4a3ceb584bdd49178a5a7ffd3d9"),
+     "ad760ed471f95add6c7ab8eaf6bcf2bec9cd620fcd5b4ea77032ce041b106395"),
 ])
 def test_label_files_pinned_sick_and_window_levels(scheme, encode, digest):
     # the seed-1 sets above have no sick node and (full) no window entry, so

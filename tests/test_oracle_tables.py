@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import distlab.graph as G
+import distlab.preserving as P
 from distlab import (
     INF,
     PreservingParams,
@@ -143,6 +144,31 @@ def _brute_classify(g, landmarks, D):
     unc = (h >= D) & ~covered
     sick = {u for u in range(g.n) if unc[u].sum() > g.n / D}
     return sick, {u: np.flatnonzero(unc[u]).tolist() for u in range(g.n)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_gnm(16, 24, seed=1),
+    lambda: gen_gnm(65, 130, seed=2),
+    lambda: gen_gnm(130, 200, seed=3),
+    lambda: split_transform(gen_gnm(40, 120, seed=4), 3).gprime,
+], ids=["n16", "n65", "n130", "split"])
+def test_classify_rows_are_the_packed_uncovered_matrix(make):
+    # bit v of row u (bit v % 64 of word v // 64) is the uncovered pair
+    # (u, v); the bits past n in a row's last word are zero
+    g = make()
+    for landmarks in ([], [0, g.n // 2]):
+        for D in (2, 3):
+            sick, unc = P._classify(g, landmarks, D)
+            want_sick, uc = _brute_classify(g, landmarks, D)
+            matrix = np.zeros((g.n, g.n), dtype=bool)
+            for u, vs in uc.items():
+                matrix[u, vs] = True
+            packed = np.packbits(matrix, axis=1, bitorder="little")
+            assert unc.dtype == np.uint64 and unc.shape == (g.n, (g.n + 63) // 64)
+            octets = unc.view(np.uint8)
+            assert np.array_equal(octets[:, :packed.shape[1]], packed), (landmarks, D)
+            assert not octets[:, packed.shape[1]:].any()
+            assert set(sick) == want_sick
 
 
 @pytest.mark.parametrize("make,Ds", [

@@ -34,6 +34,7 @@ from distlab import (
     verify_labels,
     PreservingParams,
 )
+from distlab.bits import gamma_length
 from distlab.errors import GraphError, LabelError
 from distlab.labels import LabelSet, decode_pair
 from distlab.preserving import _matrix, _minplus, _pair, _useful_columns
@@ -54,6 +55,12 @@ def upper_triangle(n):
 
 
 # --- sample_landmarks -------------------------------------------------------
+
+def test_sample_seed_must_be_an_integer():
+    # a float seed used to reach random.Random as it was
+    with pytest.raises(GraphError, match="landmark seed 1.5 is not an integer"):
+        sample_landmarks(gen_gnm(24, 48, seed=1), 5, 1.5)
+
 
 def test_sample_single_node_graph():
     g = gen_path(1)
@@ -352,6 +359,85 @@ def test_medium_resample_metadata():
     ls = encode_medium(g, PreservingParams(D=4, seed=7))
     assert ls.meta["attempts"] == len(ls.meta["sick_history"]) >= 1
     assert ls.meta["sick_history"][-1] < 2 * 64 / 4
+
+
+# --- thinning ---------------------------------------------------------------------
+
+def _drawn_samples(monkeypatch) -> list:
+    """Records the passing sample _sample returns, one per level in encode order."""
+    import distlab.preserving as P
+
+    drawn, real = [], P._sample
+
+    def spy(*args):
+        out = real(*args)
+        drawn.append(out[0])
+        return out
+    monkeypatch.setattr(P, "_sample", spy)
+    return drawn
+
+
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+@pytest.mark.parametrize("scheme", ["full", "sparse", "additive"])
+def test_every_level_keeps_a_passing_part_of_its_sample(scheme, monkeypatch):
+    g = gen_gnm(96, 192, seed=5)
+    drawn = _drawn_samples(monkeypatch)
+    if scheme == "full":
+        ls = encode_full(g, PreservingParams(D=3, seed=5))
+        certified, levels = g, ls.meta["levels"]
+    elif scheme == "sparse":
+        ls = encode_sparse(g, 5)
+        certified, levels = split_transform(g, ls.params["k"]).gprime, ls.meta["inner"]["full"]["levels"]
+    else:
+        ls = encode_additive(g, AdditiveParams(r=4, t=8, D=3, seed=5))
+        certified, levels = g, ls.meta["full"]["levels"]
+    assert len(levels) == len(drawn) > 1
+    thinned = 0
+    for i, (lv, sample) in enumerate(zip(levels, drawn)):
+        D = ls.params["D"] << i
+        kept = lv["landmarks"]
+        assert set(kept) <= set(sample) and lv["sample"] == len(sample)
+        # the kept sick set is the one its landmarks leave, and it is small
+        sick, _ = classify_nodes(certified, kept, D)
+        assert sorted(sick) == lv["sick"] and len(sick) < 2 * certified.n / D
+        whole, *prefix = lv["candidates"]
+        assert whole["landmarks"] == len(sample)
+        if len(kept) < len(sample):
+            thinned += 1
+            assert len(kept) == prefix[0]["landmarks"] == math.ceil(len(sample) / 8)
+            assert (prefix[0]["max_bits"], prefix[0]["mean_bits"]) < (whole["max_bits"], whole["mean_bits"])
+    assert thinned
+
+
+def test_level_keeps_its_sample_when_the_prefix_leaves_too_many_sick(monkeypatch):
+    g = gen_gnm(40, 80, seed=6)
+    drawn = _drawn_samples(monkeypatch)
+    ls = encode_medium(g, PreservingParams(D=3, seed=6))
+    whole, prefix = ls.meta["candidates"]
+    assert prefix["sick"] >= 2 * g.n / 3 and prefix.get("max_bits") is None
+    assert ls.meta["landmarks"] == drawn[0] and whole["landmarks"] == len(drawn[0])
+
+
+def test_level_keeps_its_sample_when_the_prefix_scores_worse(monkeypatch):
+    g = gen_gnm(24, 48, seed=1)
+    drawn = _drawn_samples(monkeypatch)
+    ls = encode_medium(g, PreservingParams(D=2, seed=1))
+    whole, prefix = ls.meta["candidates"]
+    assert prefix["sick"] < 2 * g.n / 2
+    assert (prefix["max_bits"], prefix["mean_bits"]) >= (whole["max_bits"], whole["mean_bits"])
+    assert ls.meta["landmarks"] == drawn[0]
+
+
+@pytest.mark.parametrize("make", [lambda: gen_gnm(96, 192, seed=3), lambda: gen_grid(8, 9)])
+def test_thinning_scores_bound_the_written_level_bodies(make):
+    # a medium label is its header, gamma(n + 1) and gamma(u + 1), then one
+    # level body; the kept candidate's score bounds the bodies' max and mean
+    g = make()
+    ls = encode_medium(g, PreservingParams(D=3, seed=3))
+    kept = [c for c in ls.meta["candidates"] if c["landmarks"] == len(ls.meta["landmarks"])][0]
+    body = ls.bit_sizes() - np.array([gamma_length(g.n + 1) + gamma_length(u + 1) for u in range(g.n)])
+    assert any(p.levels[0].uc for p in ls.parsed())
+    assert body.max() <= kept["max_bits"] and body.mean() <= kept["mean_bits"]
 
 
 def test_medium_resample_cap_exhaustion(monkeypatch):

@@ -254,3 +254,26 @@ def test_sparse_matrix_matches_pair_decoder():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert dec[u, v] == ls.decode(u, v)
+
+
+@pytest.mark.parametrize("encode", [
+    lambda g: encode_sparse(g, 1.5), lambda g: encode_bounded_degree(g, 9, 1.7),
+], ids=["sparse", "bdeg"])
+def test_seed_must_be_an_integer(encode):
+    # a float seed used to be truncated, writing the labels of seed 1
+    with pytest.raises(GraphError, match="landmark seed .* is not an integer"):
+        encode(gen_gnm(24, 48, seed=1))
+
+
+def test_sparse_tables_list_only_labelled_ids():
+    # the near tables and level windows of the first copies skip the split
+    # copies (ids >= n), which no decoder looks up; decoding stays exact
+    g = gen_gnm(60, 240, seed=4)
+    ls = encode_sparse(g, seed=4)
+    assert ls.meta["split_nodes"] > g.n
+    parsed = ls.parsed()
+    ids = [i for p in parsed for table in p.tables for i in table]
+    assert ids and max(ids) < g.n
+    assert any(lv.uc for p in parsed for lv in p.full.levels)
+    assert np.array_equal(decode_matrix(ls), all_pairs(g))
+    assert verify_labels(g, ls).violation_count == 0
