@@ -27,6 +27,12 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "gnm":
@@ -43,9 +49,7 @@ def cmd_gen(args) -> int:
             "path_end_ids": ends,
             "adjacency_rows": ["".join(str(b) for b in row) for row in adj],
         }
-        with open(args.out + ".family.json", "w", encoding="ascii") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out + ".family.json", sidecar)
     else:
         g = G.gen_structured(kind, vars(args))
     G.save_edge_list(g, args.out)
@@ -64,6 +68,10 @@ def cmd_encode(args) -> int:
         f"encoded {getattr(args, 'in')} with scheme={ls.scheme} {ls.params}: "
         f"max {ls.max_bits} bits, mean {ls.mean_bits:.1f} bits, {elapsed:.3f}s"
     )
+    if args.stats_json:
+        _write_json(args.stats_json, {
+            "scheme": ls.scheme, "n": ls.n, "params": ls.params, "max_bits": ls.max_bits,
+            "mean_bits": ls.mean_bits, "encode_s": elapsed, "meta": ls.meta})
     return 0
 
 
@@ -88,9 +96,7 @@ def cmd_verify(args) -> int:
     )
     print(report.to_text())
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -124,9 +130,7 @@ def cmd_lowerbound(args) -> int:
         f"vs information bound {report['information_bound_bits']:.0f}"
     )
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report)
     if report["all_exact"]:
         print("result: PASS (every matrix reconstructed exactly)")
         return 0
@@ -164,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--delta", type=int, default=None, help="degree bound for bdeg")
     enc.add_argument("--seed", type=int, default=0)
     enc.add_argument("--out", required=True)
+    enc.add_argument("--stats-json", default=None,
+                     help="also write the label sizes, encode time and encode meta as JSON")
     enc.set_defaults(func=cmd_encode)
 
     ver = sub.add_parser("verify", help="check a label file against the oracle")

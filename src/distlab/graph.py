@@ -57,7 +57,7 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_con", "_tables", "_apsp", "_dag")
+    __slots__ = ("n", "edges", "adj", "_con", "_tables", "_top", "_apsp", "_dag")
 
     def __init__(self, n: int, edge_list=()):
         n = _integer(n, "node count")
@@ -93,6 +93,7 @@ class Graph:
         self.adj = adj
         self._con = None
         self._tables = None
+        self._top = None
         self._apsp = None
         self._dag = None
 
@@ -127,6 +128,14 @@ class Graph:
         if self._tables is None:
             self._tables = _apsp_tables(self)
         return self._tables
+
+    def top_hop(self) -> int:
+        """Cached largest finite entry of the hops table of tables(): the
+        largest hop distance between two nodes that reach each other, 0
+        without an edge.  The unreachable sentinel does not count."""
+        if self._top is None:
+            self._top = _top_finite(self.tables()[1])
+        return self._top
 
     def apsp(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached read-only int64 (weight, hops) tables with INF for
@@ -340,6 +349,17 @@ def _far(table: np.ndarray) -> int:
     """The value a narrow oracle table holds for unreachable pairs: the max
     of its dtype, above every finite distance in it."""
     return int(np.iinfo(table.dtype).max)
+
+
+def _top_finite(table: np.ndarray) -> int:
+    """The largest entry of a narrow oracle table below its sentinel (0 if
+    there is none), a few MB of mask at a time."""
+    step = max(1, (1 << 20) // max(table.shape[1], 1))
+    top = 0
+    for i in range(0, len(table), step):
+        rows = table[i:i + step]
+        top = max(top, int(rows.max(initial=0, where=rows != _far(table))))
+    return top
 
 
 def _within(table: np.ndarray, bound: int) -> np.ndarray:

@@ -32,11 +32,15 @@ that checks the labels of a set share a layout.  Encoding reads the graph's
 cached narrow all-pairs tables (`Graph.tables`, a byte per pair on
 small-diameter graphs, compared through `graph._within`) and its cached
 shortest-path DAG (built once per graph, O(m * n / 8) bytes of edge
-masks), then runs one bit-parallel
-certification pass per landmark set tried, which only propagates landmark
-bits along the DAG (oracle grade, n^2 bits for the answer); that is
-deliberate and fine at desk scale.  All decode functions are pure
-and thread-safe; encoding touches only immutable graph state.
+masks), then runs one bit-parallel certification pass per landmark set
+tried, which only propagates landmark bits along the DAG (oracle grade, n^2
+bits for the answer); that is deliberate and fine at desk scale.  A level
+whose threshold lies above the graph's largest finite hop (`Graph.top_hop`,
+cached per graph) has no pair to certify: `_classify` answers it with no
+sick node and empty rows without running the pass, which is exact, so its
+labels are the same bytes.  The sampling, thinning and meta of such a level
+run as on any other.  All decode functions are pure and thread-safe;
+encoding touches only immutable graph state.
 """
 
 from __future__ import annotations
@@ -176,7 +180,13 @@ def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
 def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.ndarray]:
     """Sick node ids plus the uncovered relation for threshold D, as bitset
     rows (graph._bitset, padding bits zero): bit v of row u is set when
-    hops(u, v) >= D and no landmark lies on a minimum-weight u-v path."""
+    hops(u, v) >= D and no landmark lies on a minimum-weight u-v path.
+
+    Every set bit needs a finite hop distance of at least D, so above the
+    graph's largest finite hop (Graph.top_hop) the answer is no sick node
+    and all-zero rows, whatever the landmarks, and the kernel is not run."""
+    if D > g.top_hop():
+        return [], np.zeros((g.n, (g.n + 63) // 64), dtype=np.uint64)
     _, hops = g.tables()
     unc = _packed(hops, lambda rows: ~_within(rows, D - 1))
     covered = _covered(g, landmarks)
@@ -322,7 +332,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
             failed.append({"landmarks": len(prefix), "sick": len(sick_ids)})
         del unc
     kept = min(tried, key=lambda c: c.score)  # a tie keeps the whole sample
-    rows, cols = np.nonzero(_unbits(kept.window, count).view(bool))
+    rows, cols = _set_bits(kept.window, count)
     w = _w2d(D)
     lead = gamma_bits([D, len(kept.rs) + 1])[0]
     head = np.empty((count, lead.size + 1 + len(kept.rs)), dtype=np.uint8)
@@ -339,11 +349,26 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
         "attempts": len(history),
         "sick_history": history,
         "sample": len(drawn),
+        "certified": D <= g.top_hop(),
         "candidates": [c.summary() for c in tried] + failed,
         "landmarks": kept.landmarks,
         "sick": kept.sick_ids,
     }
     return pieces, len(kept.rs), meta
+
+
+def _set_bits(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each set bit among the first k of every bitset row,
+    in row-major order.  Only the rows with a set bit are unpacked, a few MB
+    at a time."""
+    live = np.flatnonzero(bits.any(axis=1))
+    step = max(1, (1 << 20) // max(k, 1))
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for i in range(0, live.size, step):
+        r, c = np.nonzero(_unbits(bits[live[i:i + step]], k))
+        rows.append(live[i:i + step][r])
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 class _Candidate:

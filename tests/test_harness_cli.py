@@ -343,6 +343,22 @@ def test_cli_gen_encode_verify_roundtrip(tmp_path):
     assert data["passed"] and data["violation_count"] == 0
 
 
+@pytest.mark.parametrize("name", SCHEMES)
+def test_cli_encode_writes_stats_json(tmp_path, name):
+    gpath, lpath, spath = tmp_path / "g.edges", tmp_path / "g.dlab", tmp_path / "stats.json"
+    main(["gen", "gnm", "--n", "36", "--m", "72", "--seed", "2", "--out", str(gpath)])
+    assert main(["encode", "--in", str(gpath), "--scheme", name, *SCHEME_ARGS[name],
+                 "--seed", "1", "--out", str(lpath), "--stats-json", str(spath)]) == 0
+    stats = json.loads(spath.read_text())
+    ls = load_labels(lpath)
+    assert (stats["scheme"], stats["n"], stats["params"]) == (name, 36, ls.params)
+    assert stats["max_bits"] == ls.max_bits and stats["mean_bits"] == pytest.approx(ls.mean_bits)
+    assert stats["encode_s"] > 0
+    g = load_edge_list(gpath)
+    fresh = REGISTRY[name].encode(g, 1, {"D": 3, "r": 4, "t": 16, "dd": 4})
+    assert stats["meta"] == json.loads(json.dumps(fresh.meta))
+
+
 def test_cli_structured_generators(tmp_path):
     for args, n, m in (
         (["path", "--n", "6"], 6, 5),

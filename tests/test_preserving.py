@@ -252,6 +252,112 @@ def test_certification_state_built_once_per_graph(monkeypatch):
     assert all(log == [g, split] for log in built.values())
 
 
+def test_hop_bound_computed_once_per_graph(monkeypatch):
+    import distlab.graph as G
+
+    # the largest finite hop is one pass over the cached hops table, next to
+    # the contraction, the oracle tables and the DAG
+    built = {name: [] for name in ("_contract", "_apsp_tables", "_sp_dag", "_top_finite")}
+    for name, log in built.items():
+        real = getattr(G, name)
+        monkeypatch.setattr(G, name, lambda x, real=real, log=log: log.append(x) or real(x))
+    g = gen_gnm(256, 512, seed=1)
+    for _ in range(2):
+        encode_full(g, PreservingParams(D=4, seed=1))
+    split = _split_chains()
+    for _ in range(2):
+        encode_bounded_degree(split, split.max_degree(), seed=1)
+    assert all(built[name] == [g, split] for name in ("_contract", "_apsp_tables", "_sp_dag"))
+    # on the split graph it is read off the hops table, not the weights
+    assert [id(t) for t in built["_top_finite"]] == [id(g.tables()[1]), id(split.tables()[1])]
+    for graph in (g, split):
+        w, h = all_pairs_with_hops(graph)
+        assert graph.top_hop() == h[h != INF].max()
+    w, h = all_pairs_with_hops(split)
+    assert w[w != INF].max() < split.top_hop()
+
+
+def _brute_classify(g, landmarks, D):
+    """classify_nodes from the definition, over the int64 oracle."""
+    w, h = all_pairs_with_hops(g)
+
+    def covered(u, v):
+        return w[u, v] == INF or any(
+            w[u, x] != INF and w[x, v] != INF and w[u, x] + w[x, v] == w[u, v] for x in landmarks)
+    unc = {u: [v for v in range(g.n) if h[u, v] != INF and h[u, v] >= D and not covered(u, v)]
+           for u in range(g.n)}
+    return {u for u in range(g.n) if len(unc[u]) > g.n / D}, unc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_gnm(40, 30, seed=4),  # isolated nodes and unreachable pairs
+    _split_chains,                    # 0-weight edges: hops differ from weights
+    lambda: gen_path(12),
+], ids=["disconnected", "split-chains", "path"])
+@pytest.mark.parametrize("above", [0, 1])
+@pytest.mark.parametrize("pick", [
+    lambda g: [], lambda g: [0], lambda g: sample_landmarks(g, 4, 7), lambda g: [g.n // 2, g.n - 1],
+], ids=["none", "first", "sample", "middle-last"])
+def test_classify_at_the_hop_bound_matches_bruteforce(make, above, pick):
+    g = make()
+    D = g.top_hop() + above
+    landmarks = pick(g)
+    sick, uc = classify_nodes(g, landmarks, D)
+    assert (sick, uc) == _brute_classify(g, landmarks, D)
+    if above:  # no pair lies at hop >= D
+        assert not sick and not any(uc.values())
+    elif not landmarks:  # the pairs at the largest hop have no landmark
+        assert any(uc.values())
+
+
+def _covered_calls_per_level(monkeypatch) -> list:
+    """[D, number of _covered calls] for each _level call, in encode order."""
+    import distlab.preserving as P
+
+    levels, real_level, real_covered = [], P._level, P._covered
+
+    def level(g, D, *args):
+        levels.append([D, 0])
+        return real_level(g, D, *args)
+
+    def covered(*args):
+        levels[-1][1] += 1
+        return real_covered(*args)
+    monkeypatch.setattr(P, "_level", level)
+    monkeypatch.setattr(P, "_covered", covered)
+    return levels
+
+
+def test_certification_runs_only_up_to_the_hop_bound(monkeypatch):
+    g = gen_gnm(256, 512, seed=1)
+    calls = _covered_calls_per_level(monkeypatch)
+    ls = encode_full(g, PreservingParams(D=4, seed=1))
+    h = g.top_hop()
+    assert [D for D, _ in calls] == [4 << i for i in range(ls.params["levels"])]
+    assert any(D > h for D, _ in calls) and any(D <= h for D, _ in calls)
+    for (D, count), lv in zip(calls, ls.meta["levels"]):
+        assert lv["certified"] is (D <= h)
+        assert count == (lv["attempts"] + len(lv["candidates"]) - 1 if D <= h else 0)
+    # meta alone counts the kernel calls
+    assert sum(count for _, count in calls) == sum(
+        lv["attempts"] + len(lv["candidates"]) - 1 for lv in ls.meta["levels"] if lv["certified"])
+
+
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+@pytest.mark.parametrize("scheme", ["sparse", "additive"])
+def test_every_level_says_whether_it_was_certified(scheme):
+    g = gen_gnm(96, 192, seed=5)
+    if scheme == "sparse":
+        ls = encode_sparse(g, 5)
+        certified, levels = split_transform(g, ls.params["k"]).gprime, ls.meta["inner"]["full"]["levels"]
+    else:
+        ls = encode_additive(g, AdditiveParams(r=4, t=8, D=3, seed=5))
+        certified, levels = g, ls.meta["full"]["levels"]
+    flags = [lv["certified"] for lv in levels]
+    assert flags == [(ls.params["D"] << i) <= certified.top_hop() for i in range(len(levels))]
+    assert flags[0] and not flags[-1]
+
+
 def test_unit_weight_oracle_builds_no_dag(monkeypatch):
     import distlab.graph as G
 
