@@ -19,9 +19,12 @@ Every label encoder writes through the array encoders (`fixed_bits`,
 `gamma_bits`, `id_set_bits`).  Each builds one field for many labels at
 once as an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding
 exactly the bits the matching `BitWriter` calls write, plus each label's
-share.  `concat_ragged` then joins each node's share of every piece and
-packs each label once.  `BitWriter` stays the writer of the file framing
-and the tests' reference for the array encoders.
+share.  `concat_ragged` then builds the labels one at a time: it joins
+each node's share of every piece, sliced lazily from one memoryview per
+piece, and packs the label once, so the pieces are never copied or cut up
+all at once and writing costs in proportion to the bits written.
+`BitWriter` stays the writer of the file framing and the tests' reference
+for the array encoders.
 
 Bulk readers parse many labels at once with `SetReader`: the payloads are
 joined into one buffer, each label keeps its own bit position, and every
@@ -198,20 +201,39 @@ def concat_ragged(pieces) -> list[Bits]:
     """Node u's label: its share of every piece, in piece order, packed once.
 
     A piece is (bits, lengths), the bits of nodes 0, 1, ... back to back with
-    node u's share lengths[u] bits long, or an iterable of per-node bit
+    node u's share lengths[u] >= 0 bits long, or an iterable of per-node bit
     arrays, taken one node at a time.  Every piece covers the same nodes.
+
+    Labels are built one at a time.  A (bits, lengths) piece is read through
+    one memoryview of its bits, and a node's share is sliced off it only
+    when that node's label is built, so at most one label's shares are held.
+    They are joined into one bytes object (b"".join takes the views and the
+    per-node arrays as they are) and packed once.
     """
     shares = []
     for piece in pieces:
         if isinstance(piece, tuple):
             bits, lengths = piece
-            ends = np.cumsum(lengths, dtype=np.intp).tolist()
-            total = ends[-1] if ends else 0
+            lengths = np.asarray(lengths, dtype=np.intp)
+            if lengths.size and lengths.min() < 0:
+                raise CodecError(f"negative share length {int(lengths.min())}")
+            total = int(lengths.sum())
             if total != bits.size:
                 raise CodecError(f"piece of {bits.size} bits, lengths add up to {total}")
-            piece = [bits[a:b] for a, b in zip([0, *ends], ends)]
+            piece = _slices(memoryview(np.ascontiguousarray(bits, dtype=np.uint8)), lengths.tolist())
         shares.append(piece)
-    return [Bits.from_array(np.concatenate(parts)) for parts in zip(*shares, strict=True)]
+    return [
+        Bits.from_array(np.frombuffer(b"".join(parts), dtype=np.uint8))
+        for parts in zip(*shares, strict=True)
+    ]
+
+
+def _slices(view: memoryview, lengths: list):
+    """Consecutive slices of `view`, the i-th lengths[i] long, each made when asked for."""
+    start = 0
+    for size in lengths:
+        yield view[start:start + size]
+        start += size
 
 
 class BitWriter:

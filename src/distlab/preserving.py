@@ -302,7 +302,11 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     the node's landmark row (entries <= 2D) and the present values at
     _w2d(D) bits each; a healthy node then adds the table of its uncovered
     peers within hop 2D and their weights at _w2d(D) bits each.  Only peers
-    below `count` are listed: a decoder looks up labelled ids only.
+    below `count` are listed: a decoder looks up labelled ids only.  The
+    kept candidate's window pairs (see _Candidate) are written as they are.
+    They come from the set bits of the uncovered rows, so a level's window
+    work follows its uncovered pairs, not a count x count mask of hops; a
+    level above the hop bound unpacks nothing.
 
     The size bound needs only the sick rule, so any part of a passing
     sample that still passes it will do.  The sample, in a seeded shuffle,
@@ -318,8 +322,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
 
     drawn, sick_ids, unc, history = _sample(g, draws, D, seed, passes)
     weight, hops = g.tables()
-    reach = _packed(hops[:count, :count], lambda rows: _within(rows, 2 * D))
-    tried, failed = [_Candidate(weight, reach, D, drawn, sick_ids, unc)], []
+    tried, failed = [_Candidate(weight, hops, D, count, drawn, sick_ids, unc)], []
     del unc  # freed before the prefix's rows are made
     order = list(drawn)
     random.Random(_mix(seed, RESAMPLE_CAP)).shuffle(order)
@@ -327,12 +330,12 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     if len(prefix) < len(drawn):
         sick_ids, unc = _classify(g, prefix, D)
         if passes(sick_ids, unc):
-            tried.append(_Candidate(weight, reach, D, prefix, sick_ids, unc))
+            tried.append(_Candidate(weight, hops, D, count, prefix, sick_ids, unc))
         else:
             failed.append({"landmarks": len(prefix), "sick": len(sick_ids)})
         del unc
     kept = min(tried, key=lambda c: c.score)  # a tie keeps the whole sample
-    rows, cols = _set_bits(kept.window, count)
+    rows, cols = kept.pairs
     w = _w2d(D)
     lead = gamma_bits([D, len(kept.rs) + 1])[0]
     head = np.empty((count, lead.size + 1 + len(kept.rs)), dtype=np.uint8)
@@ -342,7 +345,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     pieces = [
         (head.ravel(), np.full(count, head.shape[1])),
         (fixed_bits(kept.table[kept.present], w), w * kept.present.sum(axis=1)),
-        *_table_bits(~kept.sick, np.bincount(rows, minlength=count), cols, weight[rows, cols], w),
+        *_table_bits(~kept.sick, kept.sizes, cols, weight[rows, cols], w),
     ]
     meta = {
         "draws": draws,
@@ -357,44 +360,54 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     return pieces, len(kept.rs), meta
 
 
-def _set_bits(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of each set bit among the first k of every bitset row,
-    in row-major order.  Only the rows with a set bit are unpacked, a few MB
-    at a time."""
-    live = np.flatnonzero(bits.any(axis=1))
+def _set_bits(bits: np.ndarray, rows: np.ndarray, k: int, hops: np.ndarray,
+              bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each set bit among the first k of the bitset rows
+    `rows` (ascending) where hops[row, column] <= bound, in row-major order.
+    The rows are read a few MB at a time; only their nonzero words are
+    unpacked, and each block's pairs are tested against `bound` before the
+    next block is read."""
+    words = bits[:, :(k + 63) // 64]
+    live = rows[words.any(axis=1)[rows]]
     step = max(1, (1 << 20) // max(k, 1))
-    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    out_rows, out_cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i in range(0, live.size, step):
-        r, c = np.nonzero(_unbits(bits[live[i:i + step]], k))
-        rows.append(live[i:i + step][r])
-        cols.append(c)
-    return np.concatenate(rows), np.concatenate(cols)
+        block = live[i:i + step]
+        r, w = np.nonzero(words[block])
+        q, b = np.nonzero(_unbits(words[block[r], w, None], 64))
+        r, c = block[r[q]], w[q] * 64 + b
+        inside = c < k
+        r, c = r[inside], c[inside]
+        keep = _within(hops[r, c], bound)
+        out_rows.append(r[keep])
+        out_cols.append(c[keep])
+    return np.concatenate(out_rows), np.concatenate(out_cols)
 
 
 class _Candidate:
     """A landmark set that passed a level's sick rule, for the nodes
-    0..count-1 the level writes (count = len(reach)): its columns rs
-    (landmarks and sick nodes), their weights `table` and which of them are
-    present (<= 2D), the sick mask, the window rows (bitset rows of
-    unc & reach, empty for sick nodes), and `score`, the (max, mean) of an
-    upper bound on each node's body bits, taken from counts alone: the head
-    and the present values as written, the window's id set bounded by
-    Jensen's inequality, as c gaps that sum to at most count take at most
-    c * (2 lg(count / c) + 1) gamma bits."""
+    0..count-1 the level writes: its columns rs (landmarks and sick nodes),
+    their weights `table` and which of them are present (<= 2D), the sick
+    mask, the window pairs (rows, cols), each an uncovered pair (u, v) of a
+    healthy u < count and a v < count within hop 2D, taken from the set
+    bits of the uncovered rows by _set_bits, and each node's window size;
+    and `score`, the (max, mean) of an upper bound on each node's body bits,
+    taken from counts alone: the head and the present values as written,
+    the window's id set bounded by Jensen's inequality, as c gaps that sum
+    to at most count take at most c * (2 lg(count / c) + 1) gamma bits."""
 
-    def __init__(self, weight, reach, D, landmarks, sick_ids, unc):
-        count = len(reach)
+    def __init__(self, weight, hops, D, count, landmarks, sick_ids, unc):
         self.landmarks, self.sick_ids = landmarks, sick_ids
         self.rs = sorted(set(landmarks) | set(sick_ids))
         sick = np.zeros(len(unc), dtype=bool)
         sick[sick_ids] = True
         self.sick = sick[:count]
-        self.window = unc[:count, :reach.shape[1]] & reach
-        self.window[self.sick] = 0
+        self.pairs = _set_bits(unc, np.flatnonzero(~self.sick), count, hops, 2 * D)
+        self.sizes = np.bincount(self.pairs[0], minlength=count)
         self.table = weight[:count, self.rs]
         self.present = _within(self.table, 2 * D)
         w = _w2d(D)
-        c = _ones(self.window, axis=1).astype(np.int64)
+        c = self.sizes
         window = _gamma_length(c + 1) + c * (2 * np.log2(count / np.maximum(c, 1)) + 1) + w * c
         bits = (_gamma_length(np.array([D, len(self.rs) + 1])).sum() + 1 + len(self.rs)
                 + w * self.present.sum(axis=1) + np.where(self.sick, 0, window))

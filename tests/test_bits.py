@@ -2,6 +2,7 @@
 layouts are pinned down to the individual bit."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,75 @@ def test_concat_ragged_interleaves_in_node_order():
     with pytest.raises(ValueError):  # pieces covering different node counts
         concat_ragged([a, (np.zeros(2, dtype=np.uint8), [1, 1])])
     assert concat_ragged([(np.zeros(0, dtype=np.uint8), [])]) == []
+
+
+def test_concat_ragged_rejects_negative_share_lengths():
+    # the lengths sum to the piece size, but bit 2 would be written twice
+    with pytest.raises(CodecError, match="negative"):
+        concat_ragged([(np.array([1, 0, 1, 1], dtype=np.uint8), [3, -1, 2])])
+    with pytest.raises(CodecError, match="negative"):
+        concat_ragged([(np.zeros(0, dtype=np.uint8), [1, -1])])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_concat_ragged_matches_writer(seed):
+    # each label is its shares of every piece, in piece order, as BitWriter
+    # writes them one bit at a time
+    rng = np.random.default_rng(seed)
+    nodes = int(rng.integers(1, 40))
+    shares = []  # one list of per-node bit arrays per piece
+    for kind in rng.permutation(["empty", "zeros", "wide"] + ["narrow"] * 4):
+        if kind == "empty":  # a piece where every share is empty
+            lengths = np.zeros(nodes, dtype=np.intp)
+        elif kind == "zeros":  # some shares empty
+            lengths = rng.integers(0, 4, nodes) * rng.integers(0, 2, nodes)
+        elif kind == "wide":
+            lengths = rng.integers(0, 200, nodes)
+        else:
+            lengths = rng.integers(0, 17, nodes)
+        shares.append([rng.integers(0, 2, int(k)).astype(np.uint8) for k in lengths])
+    # pad each label to a multiple of 8 bits in the last piece, on some nodes
+    pad = [(-sum(s[u].size for s in shares)) % 8 if u % 2 else 0 for u in range(nodes)]
+    shares.append([rng.integers(0, 2, k).astype(np.uint8) for k in pad])
+    pieces = []
+    for i, per_node in enumerate(shares):
+        if i % 3 == 0:  # per-node arrays
+            pieces.append(list(per_node))
+        elif i % 3 == 1:  # a generator of them
+            pieces.append(x for x in per_node)
+        else:
+            pieces.append((np.concatenate(per_node), [x.size for x in per_node]))
+    labels = concat_ragged(pieces)
+    assert len(labels) == nodes
+    for u, label in enumerate(labels):
+        expect = BitWriter()
+        for per_node in shares:
+            for bit in per_node[u].tolist():
+                expect.write_bit(bit)
+        assert label == expect.getvalue()
+    assert any(label.nbits and label.nbits % 8 == 0 for label in labels)
+
+
+def test_concat_ragged_holds_about_one_label_at_a_time(monkeypatch):
+    import distlab.preserving as P
+    from distlab import PreservingParams, encode_full, gen_gnm
+
+    captured = []
+    real = P.concat_ragged
+    monkeypatch.setattr(P, "concat_ragged", lambda pieces: captured.append(list(pieces)) or [])
+    encode_full(gen_gnm(1024, 2048, 701), PreservingParams(D=8, seed=701))
+    (pieces,) = captured
+    unpacked = sum(bits.nbytes for bits, _ in pieces)
+    tracemalloc.start()
+    try:
+        labels = real(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 1024
+    # the labels themselves take a few hundred KiB; cutting every piece into
+    # per-node arrays before packing peaks at about 4 MiB
+    assert unpacked > 1 << 20 and peak < 2 << 20, peak
 
 
 def test_bits_to_array_inverts_from_array():

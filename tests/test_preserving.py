@@ -467,6 +467,77 @@ def test_medium_resample_metadata():
     assert ls.meta["sick_history"][-1] < 2 * 64 / 4
 
 
+# --- windows ----------------------------------------------------------------------
+
+def _candidates(monkeypatch) -> list:
+    """[D, count, candidate] for every landmark set a level scores, in encode order."""
+    import distlab.preserving as P
+
+    made = []
+
+    class Spy(P._Candidate):
+        def __init__(self, weight, hops, D, count, *rest):
+            super().__init__(weight, hops, D, count, *rest)
+            made.append([D, count, self])
+    monkeypatch.setattr(P, "_Candidate", Spy)
+    return made
+
+
+def _window_reference(g, D, count, landmarks) -> np.ndarray:
+    """A level's window pairs from the definition, as a count x count mask:
+    the pair is uncovered, its row is healthy, and its hop distance is at
+    most 2D."""
+    sick, unc = _brute_classify(g, landmarks, D)
+    _, h = all_pairs_with_hops(g)
+    ref = np.zeros((count, count), dtype=bool)
+    for u in range(count):
+        if u not in sick:
+            for v in unc[u]:
+                if v < count and h[u, v] <= 2 * D:
+                    ref[u, v] = True
+    return ref
+
+
+@pytest.mark.parametrize("case", ["disconnected", "split"])
+def test_window_pairs_match_the_definition(case, monkeypatch):
+    made = _candidates(monkeypatch)
+    if case == "disconnected":  # isolated nodes and unreachable pairs
+        g = gen_gnm(40, 30, seed=4)
+        ls = encode_full(g, PreservingParams(D=2, seed=4))
+        certified, count = g, g.n
+    else:  # the degree-3 split graph: 0-weight edges, and only first copies labelled
+        g = gen_gnm(24, 60, seed=3)
+        ls = encode_sparse(g, 3)
+        certified, count = split_transform(g, ls.params["k"]).gprime, g.n
+        assert count < certified.n
+    assert {c for _, c, _ in made} == {count}
+    for D, _, cand in made:
+        ref = _window_reference(certified, D, count, cand.landmarks)
+        assert cand.sick_ids == sorted(_brute_classify(certified, cand.landmarks, D)[0])
+        rows, cols = cand.pairs
+        assert np.array_equal(rows, np.nonzero(ref)[0]) and np.array_equal(cols, np.nonzero(ref)[1])
+        assert cand.sizes.tolist() == ref.sum(axis=1).tolist()
+        if D > certified.top_hop():  # nothing is uncovered above the hop bound
+            assert rows.size == 0
+    # the scored sets include levels above the hop bound and windows that list pairs
+    assert any(D > certified.top_hop() for D, _, _ in made)
+    assert any(cand.pairs[0].size for _, _, cand in made)
+
+
+def test_written_windows_are_the_kept_candidates_pairs(monkeypatch):
+    made = _candidates(monkeypatch)
+    g = gen_gnm(64, 100, seed=2)
+    ls = encode_medium(g, PreservingParams(D=2, seed=2))
+    (kept,) = [cand for _, _, cand in made if cand.landmarks == ls.meta["landmarks"]]
+    rows, cols = np.nonzero(_window_reference(g, 2, g.n, kept.landmarks))
+    assert rows.size
+    w = all_pairs(g)
+    for u, label in enumerate(ls.parsed()):
+        uc = label.levels[0].uc
+        assert list(uc) == cols[rows == u].tolist()
+        assert list(uc.values()) == w[u, list(uc)].tolist()
+
+
 # --- thinning ---------------------------------------------------------------------
 
 def _drawn_samples(monkeypatch) -> list:
