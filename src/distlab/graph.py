@@ -328,6 +328,7 @@ def _bfs(n: int, csr, masks=None) -> np.ndarray:
             if masks is not None:
                 gathered &= masks
             nxt[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            del gathered
         nxt &= unreached
         if not nxt.any():
             break
@@ -337,11 +338,14 @@ def _bfs(n: int, csr, masks=None) -> np.ndarray:
         front = nxt
     dt = np.min_scalar_type(top + 1)  # its max, the sentinel, lies above top
     table = np.zeros((n, n), dtype=dt)
-    for b, plane in enumerate(planes):
-        bit = _unbits(plane, n).astype(dt, copy=False)
-        bit <<= dt.type(b)
-        table |= bit
-    table[_unbits(unreached, n).view(bool)] = _far(table)
+    step = max(1, (1 << 20) // max(n, 1))  # the planes are unpacked a few MB at a time
+    for i in range(0, n, step):
+        block = table[i:i + step]
+        for b, plane in enumerate(planes):
+            bit = _unbits(plane[i:i + step], n).astype(dt, copy=False)
+            bit <<= dt.type(b)
+            block |= bit
+        block[_unbits(unreached[i:i + step], n).view(bool)] = _far(table)
     return table
 
 
@@ -426,7 +430,12 @@ def _contract(g: Graph) -> _Contraction:
     # contracted unit-weight edges, once each, as keys lo * ncomp + hi
     a, b = comp[e[e[:, 2] == 1, :2]].T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keys = np.unique((lo * ncomp + hi)[lo != hi])
+    # deduplicated by a sort and a neighbour compare: on NumPy 2, np.unique
+    # imports numpy.ma, which costs a process's first tables() more than the BFS
+    keys = np.sort((lo * ncomp + hi)[lo != hi])
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    keys = keys[fresh]
     csr = _csr(ncomp, keys // ncomp, keys % ncomp)
     return _Contraction(comp, csr, _bfs(ncomp, csr))
 

@@ -18,17 +18,21 @@ additive   decoded - dist in [0, r] for connected pairs
 `verify_labels` takes one path in both modes.  It parses the set once; the
 set parser is the one place that checks the labels of a set agree on their
 layout.  It then decodes either all n(n-1)/2 pairs u < v through the
-scheme's registered bulk matrix decoder (exhaustive; pinned elsewhere to
-agree with its pair decoder) or a seeded sample of pairs through the
-registered pair decoder (sampled).  Every scheme but trivial registers the
-same two, `preserving._pair` and `preserving._matrix`.  A set that does not
-parse or decode is one "decode error" violation.  Otherwise soundness and
-the contract masks are applied to arrays of (true weight, hops, decoded)
-per pair, in blocks of whole rows of the upper triangle (VERIFY_BLOCK
-pairs at a time) when exhaustive, and one report is built.  Also here:
-benchmark sweeps over G(n, m) corpora and the adjacency-reconstruction
-experiment that reads a random bipartite adjacency matrix back out of the
-labels alone.
+scheme's registered bulk decoder (exhaustive; pinned elsewhere to agree
+with its pair decoder) or a seeded sample of pairs through the registered
+pair decoder (sampled).  Every scheme but trivial registers the same two,
+`preserving._pair` and `preserving._matrix`.  The bulk decoder yields the
+decoded matrix in blocks of whole rows, each from its first row's diagonal
+entry on (about VERIFY_BLOCK entries a block, `_blocks`), and exhaustive
+verify checks each block as it comes against the same rectangle of the
+narrow oracle tables, so it never holds the whole int64 matrix or an index
+array of the whole triangle; `decode_matrix` mirrors the same blocks into
+one matrix.  A set that does not parse or decode is one "decode error"
+violation.  Otherwise soundness and the contract masks are applied to
+arrays of (true weight, hops, decoded) per pair, and one report is built.
+Also here: benchmark sweeps over G(n, m) corpora and the
+adjacency-reconstruction experiment that reads a random bipartite
+adjacency matrix back out of the labels alone.
 """
 
 from __future__ import annotations
@@ -61,12 +65,32 @@ __all__ = [
     "EXHAUSTIVE_CAP",
 ]
 
-EXHAUSTIVE_CAP = 2048  # above this the oracle table is too hot; sampling is forced
+EXHAUSTIVE_CAP = 4096  # above this the oracle table is too hot; sampling is forced
+
+
+VERIFY_BLOCK = 1 << 18  # decoded entries per block of the bulk decoders (whole rows)
+
+
+def _blocks(ls: LabelSet):
+    """The set's decoded matrix from its registered bulk decoder, as
+    (start, decoded[start:start + rows, start:]) blocks of whole rows of
+    about VERIFY_BLOCK entries each."""
+    decoder = lookup(MATRIX_DECODERS, ls.scheme)
+    parsed = ls.parsed()
+    return decoder(parsed, max(1, VERIFY_BLOCK // max(len(parsed), 1)))
 
 
 def decode_matrix(ls: LabelSet) -> np.ndarray:
     """All-pairs decoded distances, same candidate rules as the pair decoders."""
-    return lookup(MATRIX_DECODERS, ls.scheme)(ls.parsed())
+    blocks = _blocks(ls)
+    out = np.empty((ls.n, ls.n), dtype=np.int64)
+    for start, block in blocks:
+        if len(block) == ls.n:  # one block of every row is the whole matrix
+            return block
+        stop = start + len(block)
+        out[start:stop, start:] = block
+        out[stop:, start:stop] = block[:, stop - start:].T  # the block's own square is symmetric
+    return out
 
 
 @dataclass
@@ -112,34 +136,37 @@ class VerifyReport:
         return {**asdict(self), "violations": self.violations[:100], "passed": self.passed}
 
 
-VERIFY_BLOCK = 1 << 18  # pairs of the upper triangle exhaustive verify checks at a time
-
-
-def _violations(contract, params, weight, hops, iu, iv, d, found: dict) -> None:
-    """Add the violations among the pairs (iu, iv) that decoded to d to
-    `found`, kind -> [count, its first 20 entries]: soundness plus the
-    scheme's contract mask.  The pairs' entries are gathered from the narrow
-    oracle tables and only they are widened to int64 with INF, the values
-    the masks compare."""
-    w = _int64(weight[iu, iv])
-    h = w if hops is weight else _int64(hops[iu, iv])
-    kinds = {"soundness: decoded below true distance": d < w, **contract(params, w, h, d)}
+def _violations(contract, params, w, h, d, keep, pair, found: dict) -> None:
+    """Add the violations among the checked entries (where `keep` holds) of
+    the decoded array d to `found`, kind -> [count, its first 20 entries]:
+    soundness plus the scheme's contract mask.  w and h are the entries'
+    narrow oracle weights and hops (h is w when the tables are one); only
+    they are widened to int64 with INF, the values the masks compare.
+    pair(i) is the pair (u, v) of flat index i."""
+    wide = _int64(w)
+    h = wide if h is w else _int64(h)
+    kinds = {"soundness: decoded below true distance": d < wide,
+             **contract(params, wide, h, d)}
     for kind, mask in kinds.items():
-        hits = np.flatnonzero(mask)
+        hits = np.flatnonzero(mask & keep)
         slot = found.setdefault(kind, [0, []])
         slot[0] += hits.size
         for idx in hits[:20 - len(slot[1])]:
-            slot[1].append((int(iu[idx]), int(iv[idx]), int(w[idx]), int(d[idx]), kind))
+            u, v = pair(idx)
+            slot[1].append((int(u), int(v), int(wide.flat[idx]), int(d.flat[idx]), kind))
 
 
-def _upper_blocks(n: int):
-    """The pairs u < v in row-major order, as (iu, iv) blocks of whole rows
-    holding about VERIFY_BLOCK pairs each."""
-    step = max(1, VERIFY_BLOCK // max(n, 1))
-    for start in range(0, n - 1, step):
-        rows = np.arange(start, min(start + step, n - 1))
-        iu, iv = np.nonzero(np.arange(n) > rows[:, None])
-        yield iu + start, iv
+def _upper_blocks(blocks, weight, hops):
+    """The decoded blocks of _blocks as _violations reads them: each with
+    its rectangle of the narrow oracle tables, the mask of its pairs u < v
+    and the pair of a flat index, so the pairs are checked in row-major
+    order without an index array."""
+    for start, block in blocks:
+        rows, width = block.shape
+        w = weight[start:start + rows, start:]
+        h = w if hops is weight else hops[start:start + rows, start:]
+        upper = np.arange(width) > np.arange(rows)[:, None]
+        yield w, h, block, upper, lambda i, s=start, m=width: (s + i // m, s + i % m)
 
 
 def verify_labels(
@@ -179,27 +206,30 @@ def verify_labels(
     )
     try:
         ls.parsed()
-        if mode == "exhaustive":
-            decoded = decode_matrix(ls)
-            blocks = ((iu, iv, decoded[iu, iv]) for iu, iv in _upper_blocks(g.n))
-        else:
+        if mode == "sampled":
             rng = random.Random(seed)
             pairs = []
             for _ in range(sample_count if g.n >= 2 else 0):
                 u = rng.randrange(g.n)
                 v = rng.randrange(g.n - 1)
                 pairs.append((u, v + (v >= u)))
-            iu, iv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            blocks = [(iu, iv, np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64))]
+            decoded = np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64)
     except (LabelError, CodecError) as exc:
         # a label set that does not decode is one violation, not one per pair
         checked, count, entries = 0, 1, [(-1, -1, -1, -1, f"decode error: {exc}")]
     else:
         weight, hops = g.tables()
+        if mode == "exhaustive":
+            blocks = _upper_blocks(_blocks(ls), weight, hops)
+        else:
+            iu, iv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            w = weight[iu, iv]
+            h = w if hops is weight else hops[iu, iv]
+            blocks = [(w, h, decoded, np.ones(decoded.size, dtype=bool), lambda i: (iu[i], iv[i]))]
         checked, found = 0, {}
-        for iu, iv, d in blocks:
-            checked += d.size
-            _violations(contract, ls.params, weight, hops, iu, iv, d, found)
+        for w, h, d, keep, pair in blocks:
+            checked += int(np.count_nonzero(keep))
+            _violations(contract, ls.params, w, h, d, keep, pair, found)
         count = sum(total for total, _ in found.values())
         entries = [e for _, first in found.values() for e in first][:50]
     return VerifyReport(

@@ -50,7 +50,10 @@ class Scheme:
     the file-header codec.  contract(params, w, h, d) maps each violation
     kind of the scheme's own window to a bool mask over pairs of true weight
     w, hops h and decoded d (int64 arrays); universal soundness is the
-    harness's.  bound(n, params) is the benchmark's reference size.
+    harness's.  pair(a, b) decodes two parsed labels; matrix(parsed, rows)
+    yields the decoded matrix of a parsed set as (start, block) blocks of
+    `rows` whole rows, block = matrix[start:start + rows, start:].
+    bound(n, params) is the benchmark's reference size.
     carried(label) gives the header params that one parsed label carries
     itself, which `LabelSet.parsed()` holds the header to.
     """

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -684,6 +685,13 @@ def _trivial_pair(a: RowLabel, b: RowLabel) -> int:
 # tables; additive the full label's, with the dominator row first among the
 # routes and the ball first among the tables.  `_pair` decodes one pair,
 # `_matrix` every pair of a set; the test suite pins that they agree.
+# `_matrix` (and `trivial_matrix`, the bulk decoder of trivial) yields the
+# decoded matrix in blocks of whole rows, each block a row range from its
+# first row's diagonal entry on, so the upper triangle is covered once and
+# no caller needs the whole int64 matrix: exhaustive verify checks each
+# block as it comes, and `harness.decode_matrix` mirrors the blocks into
+# one matrix.  The state every block reads is built once per call: the
+# narrowed route table in `_minplus` and the sorted table hits (`_hits`).
 # Only `_matrix` skips the route columns that cannot give a smallest sum
 # (see `_minplus`): a set carries one landmark on several levels and split
 # copies with equal columns, and finding them is a pass over the whole set,
@@ -711,30 +719,63 @@ def _pair(a, b) -> int:
     return best
 
 
-def _matrix(parsed: list) -> np.ndarray:
-    """`_pair` for every pair of a parsed set: one min-plus pass over each
-    label's routes side by side (the min over routes of the min over a
-    route's columns is the min over all columns), then the table hits."""
-    out = _minplus([p.routes for p in parsed])
-    return _min_scatter(out, ((u, t) for u, p in enumerate(parsed) for t in p.tables))
+def _matrix(parsed: list, rows: int):
+    """`_pair` for every pair of a parsed set, in blocks of `rows` whole
+    rows: yields (start, block) with block the int64 entries
+    [start:start + rows, start:] of the decoded matrix.  One min-plus pass
+    runs over each label's routes side by side (the min over routes of the
+    min over a route's columns is the min over all columns); the table hits
+    are gathered once, as pairs sorted by their lower end, and each block is
+    lowered by the hits of its rows."""
+    lo, hi, dist = _hits(parsed)
+    for start, block in _minplus([p.routes for p in parsed], rows):
+        first, last = np.searchsorted(lo, [start, start + len(block)])
+        u, v, d = lo[first:last] - start, hi[first:last] - start, dist[first:last]
+        np.minimum.at(block, (u, v), d)
+        mirror = v < len(block)  # both ends among the block's rows
+        np.minimum.at(block, (v[mirror], u[mirror]), d[mirror])
+        yield start, block
 
 
-def _minplus(rows) -> np.ndarray:
+def _hits(parsed: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every table hit of a parsed set, an entry {i: d} in a table of label
+    u, as (lo, hi, d) arrays sorted by lo = min(u, i), hi = max(u, i).  Ids
+    beyond the set (nodes whose labels are not in it, as in a prefix of a
+    label set) are skipped."""
+    held = [(u, t) for u, p in enumerate(parsed) for t in p.tables if t]
+    u = np.repeat(np.array([u for u, _ in held], dtype=np.intp), [len(t) for _, t in held])
+    i = np.fromiter(chain.from_iterable(t for _, t in held), np.intp, u.size)
+    d = np.fromiter(chain.from_iterable(t.values() for _, t in held), np.int64, u.size)
+    keep = i < len(parsed)
+    lo, hi, d = np.minimum(u, i)[keep], np.maximum(u, i)[keep], d[keep]
+    order = np.argsort(lo)
+    return lo[order], hi[order], d[order]
+
+
+def _minplus(rows, step: int):
     """out[u, v] = min over columns l of T[u, l] + T[v, l], where row u of the
     int64 table T (INF entries) is the concatenation of the 1-D pieces in
     rows[u]; INF where the smallest sum reaches INF (no column is finite in
-    both rows, or there is no column), as `_pair` reads it.
+    both rows, or there is no column), as `_pair` reads it.  Yields
+    (start, out[start:start + step, start:]) as int64 blocks, start = 0,
+    step, 2 * step, ...
 
-    The table is built directly in the narrowest unsigned dtype that holds
-    twice the sentinel inf = 2 * top + 1, where top is the largest finite
-    entry: two finite entries sum below inf, and two sentinels do not wrap.
-    Before the min-plus loop the columns that cannot give a smallest sum
-    are dropped (`_useful_columns`): exact duplicates (split copies in one
-    0-weight component, a landmark drawn twice), a landmark's column on a
-    lower level (the higher level's column cut at 2D), and columns with no
-    finite entry.  Each dropped column is >= a kept one in every entry, so
-    the result is unchanged.  The result is symmetric, so only v >= u is
-    computed and then mirrored.
+    The table is built once, directly in the narrowest unsigned dtype that
+    holds twice the sentinel inf = 2 * top + 1, where top is the largest
+    finite entry: two finite entries sum below inf, and two sentinels do not
+    wrap.  Then the columns that cannot give a smallest sum are dropped
+    (`_useful_columns`): exact duplicates (split copies in one 0-weight
+    component, a landmark drawn twice), a landmark's column on a lower level
+    (the higher level's column cut at 2D), and columns with no finite entry.
+    Each dropped column is >= a kept one in every entry, so the result is
+    unchanged.  A block is a tile of its rows by the table rows from
+    `start` on.  With fewer than half as many kept columns as rows, the
+    tile is built column by column, one add of the column's entries and one
+    running minimum over the whole tile per column: a row loop would reduce
+    over only the few columns, a short reduction per row.  Otherwise each
+    row adds its entries to the rows from its own on and takes the minimum
+    along them, and the upper part of the tile's left square, the part
+    computed, is mirrored into it; the result is symmetric.
     """
     count = len(rows)
     top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
@@ -744,15 +785,28 @@ def _minplus(rows) -> np.ndarray:
     for u, row in enumerate(rows):
         np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
     A = np.take(A, _useful_columns(A, inf), axis=1)
-    R = np.full((count, count), inf, dtype=dtype)
-    buf = np.empty_like(A)  # reused by every row; per-row temporaries raised peak RSS
-    for u in range(count):
-        np.add(A[u:], A[u], out=buf[u:])
-        buf[u:].min(axis=1, initial=inf, out=R[u, u:])
-    R = np.minimum(R, R.T)
-    out = R.astype(np.int64)
-    out[R >= inf] = INF
-    return out
+    by_column = 2 * A.shape[1] < count
+    if by_column:
+        A = np.ascontiguousarray(A.T)
+    else:
+        buf = np.empty_like(A)  # reused by every row; per-row temporaries raised peak RSS
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        tile = np.full((stop - start, count - start), inf, dtype=dtype)
+        if by_column:
+            summed = np.empty_like(tile)
+            for col in A:
+                np.add(col[start:stop, None], col[start:], out=summed)
+                np.minimum(tile, summed, out=tile)
+        else:
+            for u in range(start, stop):
+                np.add(A[u:], A[u], out=buf[u:])
+                buf[u:].min(axis=1, initial=inf, out=tile[u - start, u - start:])
+            square = tile[:, :stop - start]
+            np.minimum(square, square.T, out=square)
+        out = tile.astype(np.int64)
+        out[tile >= inf] = INF
+        yield start, out
 
 
 def _useful_columns(A: np.ndarray, inf: int) -> np.ndarray:
@@ -783,32 +837,15 @@ def _useful_columns(A: np.ndarray, inf: int) -> np.ndarray:
     return np.sort(np.asarray(kept, dtype=np.intp))
 
 
-def _min_scatter(out: np.ndarray, hits) -> np.ndarray:
-    """Lower out[u, i] and out[i, u] to d for every (u, {i: d}) in `hits`.
-    Ids beyond the matrix (nodes whose labels are not in the set, as in a
-    prefix of a label set) are skipped."""
-    count = len(out)
-    us, vs, vals = [], [], []
-    for u, table in hits:
-        for i, dist in table.items():
-            if i < count:
-                us.append(u)
-                vs.append(i)
-                vals.append(dist)
-    if us:
-        ua = np.asarray(us)
-        va = np.asarray(vs)
-        da = np.asarray(vals, dtype=np.int64)
-        np.minimum.at(out, (ua, va), da)
-        np.minimum.at(out, (va, ua), da)
-    return out
-
-
-def trivial_matrix(parsed: list[RowLabel]) -> np.ndarray:
-    """`_trivial_pair` for every pair of the set: each row cut to the set."""
+def trivial_matrix(parsed: list[RowLabel], rows: int):
+    """`_trivial_pair` for every pair of the set, in the blocks `_matrix`
+    yields: each row cut to the set."""
     count = len(parsed)
-    rows = np.array([p.row[:count] for p in parsed], dtype=np.int64).reshape(count, count)
-    return np.minimum(rows, rows.T)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        mine = np.array([p.row[start:count] for p in parsed[start:stop]], dtype=np.int64)
+        theirs = np.array([p.row[start:stop] for p in parsed[start:]], dtype=np.int64)
+        yield start, np.minimum(mine, theirs.T)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,21 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_first_tables_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on NumPy 2, which the oracle build does not
+    # need (NumPy 1 imports it with numpy itself)
+    src = os.path.dirname(os.path.dirname(distlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, distlab; before = 'numpy.ma' in sys.modules; "
+            "distlab.gen_gnm(64, 128, 1).tables(); print(before, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    before, after = out.stdout.split()
+    assert after == before
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert after == "False"
+
+
 # --- generators ---------------------------------------------------------------
 
 def test_gnm_complete_graph_forced():

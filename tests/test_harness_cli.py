@@ -4,6 +4,7 @@ exit codes, determinism, CSV output, and fault injection."""
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,22 @@ def test_exhaustive_verify_in_row_blocks_reports_the_whole_triangle(block, monke
     monkeypatch.setattr(harness, "VERIFY_BLOCK", block)
     rep = verify_labels(g, ls)
     assert (rep.pairs_checked, rep.violation_count, rep.violations) == (checked, count, entries)
+
+
+def test_exhaustive_verify_never_holds_the_whole_decoded_matrix():
+    # the decoded matrix streams through verify in row blocks: at n = 2048 a
+    # whole int64 matrix alone would take 32 MiB, the narrow oracle 4 MiB
+    ls = encode_full(gen_gnm(2048, 4096, seed=1), PreservingParams(D=8, seed=1))
+    ls.parsed()
+    g = gen_gnm(2048, 4096, seed=1)  # a fresh copy: verify builds its oracle
+    tracemalloc.start()
+    try:
+        rep = verify_labels(g, ls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "exhaustive" and rep.passed and rep.pairs_checked == 2048 * 2047 // 2
+    assert peak < 25 * 2**20
 
 
 def test_verify_graph_label_mismatch():

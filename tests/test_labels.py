@@ -25,10 +25,12 @@ from distlab import (
     gen_path,
     verify_labels,
 )
+from distlab import harness
 from distlab.bits import BitCursor, BitWriter, gamma_length
 from distlab.errors import CodecError, LabelError
 from distlab.labels import (
-    MAGIC, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads, save_labels,
+    MAGIC, PAIR_DECODERS, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
+    save_labels,
 )
 from distlab.preserving import parse_full_set
 
@@ -354,6 +356,29 @@ def test_prefix_set_pair_and_matrix_decoders_agree(scheme):
     for u in range(6):
         for v in range(6):
             assert out[u, v] == ls.decode(u, v) == whole.decode(u, v), (scheme, u, v)
+
+
+@pytest.mark.parametrize("scheme", list(PINNED_SEED1))
+def test_bulk_decoder_blocks_agree_with_the_pair_decoder(scheme, monkeypatch):
+    # 7 whole rows a block: the 24 labels span 4 blocks, each block its rows
+    # from the first row's diagonal entry on, the square at its left included
+    ls = all_scheme_labelsets(seed=1)[1][scheme]
+    monkeypatch.setattr(harness, "VERIFY_BLOCK", 7 * ls.n)
+    parsed, pair = ls.parsed(), PAIR_DECODERS[scheme]
+    whole = decode_matrix(ls)
+    blocks = list(harness._blocks(ls))
+    assert [start for start, _ in blocks] == [0, 7, 14, 21]
+    for start, block in blocks:
+        stop = min(start + 7, ls.n)
+        assert block.dtype == np.int64 and block.shape == (stop - start, ls.n - start)
+        assert np.array_equal(block, whole[start:stop, start:])
+        for u, row in zip(range(start, stop), block.tolist()):
+            assert row == [pair(parsed[u], parsed[v]) for v in range(start, ls.n)], (scheme, u)
+    # the table hits the blocks were lowered by: pairs that straddle a block
+    # boundary, and near tables and balls that hold their own node
+    hits = [(u, i) for u, p in enumerate(parsed) for t in p.tables for i in t]
+    assert not hits or any(u // 7 != i // 7 for u, i in hits)
+    assert any(u == i for u, i in hits) == (scheme in ("bdeg", "sparse", "additive"))
 
 
 def test_decode_pair_unknown_scheme_is_a_label_error():

@@ -845,8 +845,24 @@ def test_pair_and_matrix_read_the_second_labels_table():
     a = SimpleNamespace(id=0, routes=[np.array([5, INF])], tables=[{}])
     b = SimpleNamespace(id=1, routes=[np.array([5, 1])], tables=[{0: 3}])
     assert _pair(a, b) == _pair(b, a) == 3
-    out = _matrix([a, b])
-    assert out[0, 1] == out[1, 0] == 3
+    for rows in (1, 2):  # the hit in a block of its own row, and inside one block
+        out = _assembled(_matrix([a, b], rows), 2, rows)
+        assert out[0, 1] == out[1, 0] == 3
+
+
+def _assembled(blocks, count, rows):
+    """The matrix of the blocks a bulk decoder yields: blocks of `rows`
+    whole rows, each from its first row's diagonal entry on, mirrored."""
+    out = np.full((count, count), -1, dtype=np.int64)
+    at = 0
+    for start, block in blocks:
+        assert start == at and block.dtype == np.int64
+        assert block.shape == (min(rows, count - start), count - start)
+        out[start:start + len(block), start:] = block
+        out[start:, start:start + len(block)] = block.T
+        at += len(block)
+    assert at == count
+    return out
 
 
 def _minplus_reference(T):
@@ -855,8 +871,14 @@ def _minplus_reference(T):
     return out
 
 
+# whether _minplus loops over columns (fewer than half as many kept columns
+# as rows) on the shapes that run either loop over several blocks
+_BY_COLUMN = {(50, 12): True, (30, 40): False}
+
+
 @pytest.mark.parametrize("top", [0, 63, 64, 10**6])
-@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (7, 0), (1, 1), (9, 4), (40, 31)])
+@pytest.mark.parametrize(
+    "shape", [(0, 0), (0, 5), (7, 0), (1, 1), (9, 4), (40, 31), (50, 12), (30, 40)])
 def test_minplus_matches_bruteforce(top, shape):
     rng = np.random.default_rng(top + shape[0] * 131 + shape[1])
     T = rng.integers(0, top + 1, size=shape, dtype=np.int64)
@@ -874,10 +896,14 @@ def test_minplus_matches_bruteforce(top, shape):
     copies = np.where(T[:, picks] <= cuts, T[:, picks], INF)
     wide = np.concatenate([T, T[:, picks], copies], axis=1)
     wide = wide[:, rng.permutation(wide.shape[1])]
+    if shape in _BY_COLUMN:
+        kept = _useful_columns(*_narrow(T.T)).size
+        assert (2 * kept < shape[0]) == _BY_COLUMN[shape]
     for table in (T, wide):
-        got = _minplus([np.array_split(row, 3) for row in table])  # rows given as pieces
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _minplus_reference(T))
+        for rows in (1, 7, max(shape[0], 1)):
+            pieces = [np.array_split(row, 3) for row in table]  # rows given as pieces
+            got = _assembled(_minplus(pieces, rows), shape[0], rows)
+            assert np.array_equal(got, _minplus_reference(T))
 
 
 def _narrow(columns):
