@@ -204,9 +204,13 @@ def verify_labels(
         p50_bits=float(np.percentile(sizes, 50)) if sizes.size else 0.0,
         p95_bits=float(np.percentile(sizes, 95)) if sizes.size else 0.0,
     )
+    checked, found = 0, {}
     try:
         ls.parsed()
-        if mode == "sampled":
+        weight, hops = g.tables()
+        if mode == "exhaustive":
+            blocks = _upper_blocks(_blocks(ls), weight, hops)
+        else:
             rng = random.Random(seed)
             pairs = []
             for _ in range(sample_count if g.n >= 2 else 0):
@@ -214,22 +218,17 @@ def verify_labels(
                 v = rng.randrange(g.n - 1)
                 pairs.append((u, v + (v >= u)))
             decoded = np.array([ls.decode(u, v) for u, v in pairs], dtype=np.int64)
-    except (LabelError, CodecError) as exc:
-        # a label set that does not decode is one violation, not one per pair
-        checked, count, entries = 0, 1, [(-1, -1, -1, -1, f"decode error: {exc}")]
-    else:
-        weight, hops = g.tables()
-        if mode == "exhaustive":
-            blocks = _upper_blocks(_blocks(ls), weight, hops)
-        else:
             iu, iv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
             w = weight[iu, iv]
             h = w if hops is weight else hops[iu, iv]
             blocks = [(w, h, decoded, np.ones(decoded.size, dtype=bool), lambda i: (iu[i], iv[i]))]
-        checked, found = 0, {}
-        for w, h, d, keep, pair in blocks:
+        for w, h, d, keep, pair in blocks:  # exhaustive mode decodes block by block here
             checked += int(np.count_nonzero(keep))
             _violations(contract, ls.params, w, h, d, keep, pair, found)
+    except (LabelError, CodecError) as exc:
+        # a label set that does not decode is one violation, not one per pair
+        checked, count, entries = 0, 1, [(-1, -1, -1, -1, f"decode error: {exc}")]
+    else:
         count = sum(total for total, _ in found.values())
         entries = [e for _, first in found.values() for e in first][:50]
     return VerifyReport(

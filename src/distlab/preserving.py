@@ -769,13 +769,17 @@ def _minplus(rows, step: int):
     (the higher level's column cut at 2D), and columns with no finite entry.
     Each dropped column is >= a kept one in every entry, so the result is
     unchanged.  A block is a tile of its rows by the table rows from
-    `start` on.  With fewer than half as many kept columns as rows, the
+    `start` on.  With fewer than two kept columns for every three rows, the
     tile is built column by column, one add of the column's entries and one
     running minimum over the whole tile per column: a row loop would reduce
     over only the few columns, a short reduction per row.  Otherwise each
     row adds its entries to the rows from its own on and takes the minimum
     along them, and the upper part of the tile's left square, the part
-    computed, is mirrored into it; the result is symmetric.
+    computed, is mirrored into it; the result is symmetric.  The row loop
+    computes only that upper part, the column loop the whole tile, so with
+    many columns the row loop is faster.  The 2/3 is measured: on 512-row
+    tables (2-vCPU VM) the column loop was 2-10 % slower at 437-449 kept
+    columns (sparse-split) and 7-14 % faster at 297-306 (additive-query).
     """
     count = len(rows)
     top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
@@ -785,7 +789,7 @@ def _minplus(rows, step: int):
     for u, row in enumerate(rows):
         np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
     A = np.take(A, _useful_columns(A, inf), axis=1)
-    by_column = 2 * A.shape[1] < count
+    by_column = 3 * A.shape[1] < 2 * count
     if by_column:
         A = np.ascontiguousarray(A.T)
     else:

@@ -126,6 +126,30 @@ def test_exhaustive_verify_in_row_blocks_reports_the_whole_triangle(block, monke
     assert (rep.pairs_checked, rep.violation_count, rep.violations) == (checked, count, entries)
 
 
+@pytest.mark.parametrize("error", [LabelError, CodecError])
+def test_a_decoder_error_is_one_violation_in_both_verify_modes(error, monkeypatch):
+    # the bulk decoder fails after its first block, the pair decoder at once
+    g = gen_gnm(60, 120, seed=1)
+    ls = encode_full(g, PreservingParams(D=2, seed=1))
+    matrix = harness.MATRIX_DECODERS["full"]
+
+    def failing_matrix(parsed, rows):
+        for start, block in matrix(parsed, rows):
+            yield start, block
+            raise error("bad block")
+
+    def failing_pair(a, b):
+        raise error("bad pair")
+
+    monkeypatch.setattr(harness, "VERIFY_BLOCK", 600)  # 10 rows a block
+    monkeypatch.setitem(harness.MATRIX_DECODERS, "full", failing_matrix)
+    monkeypatch.setitem(harness.PAIR_DECODERS, "full", failing_pair)
+    for mode, msg in (("exhaustive", "bad block"), ("sampled", "bad pair")):
+        rep = verify_labels(g, ls, mode=mode, sample_count=50, seed=1)
+        assert (rep.pairs_checked, rep.violation_count) == (0, 1), mode
+        assert rep.violations == [(-1, -1, -1, -1, f"decode error: {msg}")], mode
+
+
 def test_exhaustive_verify_never_holds_the_whole_decoded_matrix():
     # the decoded matrix streams through verify in row blocks: at n = 2048 a
     # whole int64 matrix alone would take 32 MiB, the narrow oracle 4 MiB
