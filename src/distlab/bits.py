@@ -23,8 +23,10 @@ share.  `concat_ragged` then builds the labels one at a time: it joins
 each node's share of every piece, sliced lazily from one memoryview per
 piece, and packs the label once, so the pieces are never copied or cut up
 all at once and writing costs in proportion to the bits written.
-`BitWriter` stays the writer of the file framing and the tests' reference
-for the array encoders.
+`join_bits` joins packed strings at any bit offset by shifting their bytes
+(the label file's records, each a `pack_shares` share of two gamma codes
+then a label), and `BitWriter` writes only the file prologue and stays the
+tests' reference for the array encoders and the framing.
 
 Bulk readers parse many labels at once with `SetReader`: the payloads are
 joined into one buffer, each label keeps its own bit position, and every
@@ -52,6 +54,8 @@ __all__ = [
     "gamma_bits",
     "id_set_bits",
     "concat_ragged",
+    "pack_shares",
+    "join_bits",
 ]
 
 
@@ -129,23 +133,35 @@ def _msb_columns(values: np.ndarray, nbytes: int) -> np.ndarray:
 
 def fixed_bits(values, width: int) -> np.ndarray:
     """Bit array of `values` as consecutive `width`-bit big-endian fields, the
-    bits as many write_fixed(value, width) calls write."""
-    values = np.asarray(values, dtype=np.int64).ravel()
+    bits as many write_fixed(value, width) calls write.  Fields up to 16
+    bits wide are filled one bit column per shift, from the values in the
+    narrowest unsigned dtype that holds `width` bits (uint8 input stays as
+    it is), so a field costs about its own bits in scratch; wider fields go
+    through int64 byte columns."""
+    values = np.asarray(values).ravel()
+    if values.dtype.kind != "u":
+        values = values.astype(np.int64)
     if width < 0:
         raise CodecError("negative field width")
     if values.size == 0 or width == 0:
         if np.any(values):
             raise CodecError("cannot pack nonzero values into width 0")
         return np.zeros(0, dtype=np.uint8)
-    if values.min() < 0 or (width < 63 and np.any(values >> width)):
+    if values.min() < 0 or (width < 63 and int(values.max()) >> width):
         raise CodecError(f"packed value out of range for width {width}")
-    nbytes = min(8, (width + 7) // 8)
-    cols = _msb_columns(values, nbytes)
-    lead = 8 * nbytes - width
-    if lead < 0:  # wider than 64 bits: leading zeros
-        cols = np.pad(cols, ((0, 0), (-lead, 0)))
-        lead = 0
-    return cols[:, lead:].ravel()
+    if width > 16:
+        nbytes = min(8, (width + 7) // 8)
+        cols = _msb_columns(values.astype(np.int64), nbytes)
+        lead = 8 * nbytes - width
+        if lead < 0:  # wider than 64 bits: leading zeros
+            cols = np.pad(cols, ((0, 0), (-lead, 0)))
+            lead = 0
+        return cols[:, lead:].ravel()
+    values = values.astype(np.min_scalar_type((1 << width) - 1), copy=False)
+    out = np.empty((values.size, width), dtype=np.uint8)
+    for shift in range(width):
+        np.bitwise_and(values >> shift, 1, out=out[:, width - 1 - shift], casting="unsafe")
+    return out.ravel()
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -157,18 +173,19 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 def gamma_bits(values) -> tuple[np.ndarray, np.ndarray]:
     """Elias gamma codes of `values` (each >= 1) back to back, plus the length
-    of each code.  gamma(x) is x as a (2 * bit_length(x) - 1)-bit field."""
+    of each code.  gamma(x) is x as a (2 * bit_length(x) - 1)-bit field: its
+    leading zeros are already in the zeroed output, and bit j of x goes to
+    the code's j-th bit from its end, set for every value that has it, one
+    bit position at a time."""
     x = np.asarray(values, dtype=np.int64).ravel()
     if x.size and x.min() < 1:
         raise CodecError(f"gamma code requires x >= 1, got {int(x.min())}")
     nb = _bit_length(x)
     lengths = 2 * nb - 1
-    ends = np.cumsum(lengths)
-    out = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    ncol = 8 * min(8, (int(nb.max(initial=0)) + 7) // 8)  # holds every value's bits
-    cols = _msb_columns(x, ncol // 8)
-    keep = np.arange(ncol) >= ncol - nb[:, None]  # the zero prefix is already in `out`
-    out[(ends[:, None] - ncol + np.arange(ncol))[keep]] = cols[keep]
+    last = np.cumsum(lengths) - 1  # each code's last bit, which holds bit 0 of x
+    out = np.zeros(int(last[-1]) + 1 if last.size else 0, dtype=np.uint8)
+    for j in range(int(nb.max(initial=0))):
+        out[last[(x >> j & 1).astype(bool)] - j] = 1
     return out, lengths
 
 
@@ -234,6 +251,74 @@ def _slices(view: memoryview, lengths: list):
     for size in lengths:
         yield view[start:start + size]
         start += size
+
+
+def pack_shares(bits: np.ndarray, lengths) -> list:
+    """Each node's share of a (bits, lengths) piece (see concat_ragged),
+    packed on its own, MSB first with zero padding: one memoryview per node
+    into one bytes object."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    room = (lengths + 7) & ~7
+    padded = np.zeros(int(room.sum()), dtype=np.uint8)
+    padded[np.arange(bits.size) + np.repeat(np.cumsum(room - lengths) - (room - lengths), lengths)] = bits
+    view = memoryview(np.packbits(padded).tobytes())
+    ends = (np.cumsum(room) >> 3).tolist()
+    return [view[start:end] for start, end in zip([0, *ends], ends)]
+
+
+JOIN_BLOCK = 1 << 18  # input bytes that join_bits shifts at a time
+
+
+def join_bits(datas: list, nbits) -> bytes:
+    """The bit strings back to back, packed MSB first with zero padding:
+    string i is the first nbits[i] bits of datas[i], a bytes-like whose
+    padding bits are zero.  The strings are shifted as bytes, a block of
+    about JOIN_BLOCK input bytes at a time (a few bytes of scratch per input
+    byte, never a byte per bit); a block's unfinished last byte starts the
+    next block."""
+    nbits = np.asarray(nbits, dtype=np.int64)
+    ends = np.cumsum((nbits + 7) >> 3)
+    out, carry, spare = [], b"", 0  # the unfinished byte and its bits in use
+    i = 0
+    while i < len(datas):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + JOIN_BLOCK, side="right")))
+        packed, total = _shifted(b"\0".join([carry, *datas[i:j], b""]), np.append(spare, nbits[i:j]))
+        whole = total >> 3
+        out.append(packed[:whole].tobytes())
+        carry, spare = packed[whole:].tobytes(), total & 7
+        i = j
+    return b"".join(out) + carry
+
+
+def _shifted(data: bytes, nbits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Strings packed back to back, as (bytes, total bits): string i is the
+    first nbits[i] bits of the next (nbits[i] + 7) // 8 bytes of data, each
+    string followed by one zero byte.
+
+    Each byte is shifted right by its string's bit offset within a byte and
+    takes the bits the byte before it shifts out (the zero byte keeps one
+    string's bits out of the next), so each output byte is one shifted
+    byte: a string's bytes, and its zero byte when bits spill into it.  Only
+    a string that starts inside a byte shares that byte with the strings
+    before it; its first shifted byte is ORed into it."""
+    total = int(nbits.sum())
+    at = np.cumsum(nbits) - nbits  # each string's bit offset
+    shift = (at & 7).astype(np.uint8)
+    size = (nbits + 7) >> 3
+    cur = np.frombuffer(data, dtype=np.uint8)
+    per_byte = np.repeat(shift, size + 1)
+    out = cur >> per_byte
+    out[1:] |= (cur[:-1] << (7 - per_byte[1:])) << 1  # shifts stay below 8 bits
+    ends = np.cumsum(size + 1) - 1  # each string's zero byte
+    firsts = ends - size
+    own = np.ones(cur.size, dtype=bool)
+    own[ends[(shift + nbits - 1) >> 3 < size]] = False  # nothing spills into the zero byte
+    own[ends[nbits == 0]] = False
+    joins = (nbits > 0) & (shift != 0)
+    own[firsts[joins]] = False
+    packed = out[own]
+    np.bitwise_or.at(packed, at[joins] >> 3, out[firsts[joins]])
+    return packed, total
 
 
 class BitWriter:

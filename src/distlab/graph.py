@@ -1,8 +1,10 @@
 """Undirected graphs with edge weights in {0, 1}.
 
-Provides the graph type, 0-1 BFS shortest paths (weight plus hop count),
-bit-parallel all-pairs distance tables used as the verification oracle, the
-all-sources shortest-path DAG that landmark certification runs on, seeded
+Provides the graph type, 0-1 BFS shortest paths (weight plus hop count), the
+bit-parallel all-pairs oracle (hop distances as BFS bit planes and weights
+on the 0-weight contraction, which the encoders read, and the narrow tables
+unpacked from them, which verification reads), the all-sources
+shortest-path DAG that landmark certification runs on, seeded
 generators (uniform G(n, m), structured families, and the
 bipartite-with-tails family whose distances encode an adjacency matrix),
 and the plain-text edge-list format.
@@ -57,7 +59,7 @@ class Graph:
     malformed input is rejected rather than silently repaired.
     """
 
-    __slots__ = ("n", "edges", "adj", "_con", "_tables", "_top", "_apsp", "_dag")
+    __slots__ = ("n", "edges", "adj", "_con", "_planes", "_tables", "_apsp", "_dag")
 
     def __init__(self, n: int, edge_list=()):
         n = _integer(n, "node count")
@@ -92,8 +94,8 @@ class Graph:
         self.edges = edges
         self.adj = adj
         self._con = None
+        self._planes = None
         self._tables = None
-        self._top = None
         self._apsp = None
         self._dag = None
 
@@ -115,27 +117,37 @@ class Graph:
 
     def _contraction(self) -> "_Contraction":
         """Cached 0-weight contraction and its narrow weight table, which
-        tables() and sp_dag() read."""
+        the encoders read weights from (through comp), and tables() and
+        sp_dag() read."""
         if self._con is None:
             self._con = _contract(self)
         return self._con
 
+    def _hops(self) -> "_HopPlanes":
+        """Cached hop oracle as the BFS's bit planes, which the encoders
+        compare through _HopPlanes.at_most; see _hop_planes."""
+        if self._planes is None:
+            self._planes = _hop_planes(self)
+        return self._planes
+
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached narrow all-pairs (weight, hops) tables, the oracle the
-        library reads: the narrowest unsigned dtype that holds every finite
-        distance below its max, which marks unreachable pairs (see _far and
-        _within).  Without 0-weight edges both are the contraction's table."""
+        """Cached narrow all-pairs (weight, hops) tables: the narrowest
+        unsigned dtype that holds every finite distance below its max, which
+        marks unreachable pairs (see _far and _within).  Without 0-weight
+        edges both are the contraction's table; with them, the weights are
+        expanded from it through comp and the hops unpacked from the cached
+        planes (_hops).  This is the verify and public view of the oracle:
+        the encoders read the planes and the contraction instead, so they
+        never build an n x n byte table of a graph with 0-weight edges."""
         if self._tables is None:
             self._tables = _apsp_tables(self)
         return self._tables
 
     def top_hop(self) -> int:
-        """Cached largest finite entry of the hops table of tables(): the
-        largest hop distance between two nodes that reach each other, 0
-        without an edge.  The unreachable sentinel does not count."""
-        if self._top is None:
-            self._top = _top_finite(self.tables()[1])
-        return self._top
+        """The largest hop distance between two nodes that reach each
+        other, 0 without an edge: the depth of the plane BFS (_hops), the
+        largest finite entry of the hops table of tables()."""
+        return self._hops().depth
 
     def apsp(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached read-only int64 (weight, hops) tables with INF for
@@ -238,19 +250,28 @@ def sssp(g: Graph, s: int) -> tuple[list[int], list[int]]:
 # at bit s % 64 of word s // 64).  Each distance level ORs every node's
 # neighbours' frontier rows, each ANDed with its edge's source bitset when
 # the edges have them, and drops the pairs already reached.  Distances are
-# kept as bit planes (plane b holds the pairs whose distance has bit b set)
-# and unpacked once at the end into a narrow table.  For n_c components, Lw
-# weight levels and Lh hop levels the work is O(Lw * (n_c^2 + m*n_c) / 64)
-# plus O(Lh * (n^2 + m*n) / 64) word operations, and an O(m * n) mask build;
-# without 0-weight edges the graph is its own contraction and weight is hops.
+# kept as bit planes (plane b holds the pairs whose distance has bit b set),
+# next to the unreached set and the BFS depth, the largest finite distance.
+# For n_c components, Lw weight levels and Lh hop levels the work is
+# O(Lw * (n_c^2 + m*n_c) / 64) plus O(Lh * (n^2 + m*n) / 64) word
+# operations, and an O(m * n) mask build; without 0-weight edges the graph
+# is its own contraction and weight is hops.
 #
-# The tables stay narrow: each is the narrowest unsigned dtype in which every
-# finite distance lies below the dtype's max, and the max marks unreachable
-# pairs, so the oracle costs n^2 bytes per table on graphs whose distances
-# fit in a byte (two tables with 0-weight edges, one without).  The library
-# reads them through Graph.tables() and compares through _within, which never
-# counts the sentinel as a distance; only the public API (Graph.apsp and the
-# functions below that read it) widens them to int64 with INF.
+# The encoders read the oracle in two parts, neither of them an n x n table
+# of the graph: the hops as the cached planes (Graph._hops), compared by
+# _HopPlanes.at_most into bitset rows at P/8 bytes per pair for P planes,
+# and the weights from the contraction's table through comp (_weights).  A
+# graph without 0-weight edges keeps its contraction BFS's planes, so every
+# graph takes this one path, and Graph.top_hop() is the BFS depth.
+#
+# Graph.tables() is the verify and public view: narrow tables unpacked on
+# demand, each the narrowest unsigned dtype in which every finite distance
+# lies below the dtype's max, and the max marks unreachable pairs, so it
+# costs n^2 bytes per table on graphs whose distances fit in a byte (two
+# tables with 0-weight edges, one without).  The library compares them
+# through _within, which never counts the sentinel as a distance; only the
+# public API (Graph.apsp and the functions below that read it) widens them
+# to int64 with INF.
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray):
@@ -309,18 +330,60 @@ def _record(planes: list, key: int, bits: np.ndarray) -> None:
             planes[b] |= bits
 
 
-def _bfs(n: int, csr, masks=None) -> np.ndarray:
+def _tail(k: int) -> np.uint64:
+    """The bits of a bitset row's last word that hold one of k columns."""
+    return np.uint64((1 << (k % 64 or 64)) - 1)
+
+
+class _HopPlanes(NamedTuple):
+    """Hop distances between every two of n nodes as bitset rows (see
+    _bitset), one (n, words) uint64 array per bit: planes[b] holds the pairs
+    whose distance has bit b set, unreached the pairs that do not reach each
+    other (padding bits zero in both), and depth is the largest finite
+    distance, 0 without an edge."""
+
+    planes: list
+    unreached: np.ndarray
+    depth: int
+
+    def at_most(self, bound: int, rows=slice(None), k: int | None = None) -> np.ndarray:
+        """hops <= bound as bitset rows of the given rows (a slice or ids),
+        over columns 0..k-1 (every column when None), bits k and above zero.
+        Unreachable pairs are never within the bound, and a negative bound
+        holds for no pair.  One bit-sliced compare, lowest plane first: after
+        plane b, `over` holds the pairs whose distance, cut to its low b + 1
+        bits, exceeds the bound cut the same way."""
+        k = len(self.unreached) if k is None else k
+        cols = slice(0, (k + 63) // 64)
+        out = np.invert(self.unreached[rows, cols])
+        if bound < 0:
+            out[:] = 0
+        elif bound >> len(self.planes) == 0:  # else every distance, below 2^planes, is within
+            over = np.zeros_like(out)
+            for b, plane in enumerate(self.planes):
+                if bound >> b & 1:
+                    over &= plane[rows, cols]
+                else:
+                    over |= plane[rows, cols]
+            out &= np.invert(over, out=over)
+        if out.shape[1]:
+            out[:, -1] &= _tail(k)
+        return out
+
+
+def _bfs(n: int, csr, masks=None) -> _HopPlanes:
     """Hop distances between every two nodes of 0..n-1 over the edges of
-    csr, as a narrow (n, n) table holding _far(table) for unreachable pairs.
-    The edge cols[p] -> v carries the sources whose bit is set in masks[p],
-    or every source when masks is None."""
+    csr, as bit planes.  The edge cols[p] -> v carries the sources whose bit
+    is set in masks[p], or every source when masks is None."""
     rows, starts, cols = csr
     ids = np.arange(n)
     front = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     front[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
     unreached = ~front
+    if n:
+        unreached[:, -1] &= _tail(n)
     planes: list[np.ndarray] = []
-    top = 0
+    depth = 0
     while True:
         nxt = np.zeros_like(front)
         if rows.size:
@@ -332,20 +395,27 @@ def _bfs(n: int, csr, masks=None) -> np.ndarray:
         nxt &= unreached
         if not nxt.any():
             break
-        top += 1
+        depth += 1
         unreached &= ~nxt
-        _record(planes, top, nxt)
+        _record(planes, depth, nxt)
         front = nxt
-    dt = np.min_scalar_type(top + 1)  # its max, the sentinel, lies above top
+    return _HopPlanes(planes, unreached, depth)
+
+
+def _unpack(hops: _HopPlanes) -> np.ndarray:
+    """The planes as a narrow (n, n) table holding _far(table) for
+    unreachable pairs, unpacked a few MB at a time."""
+    n = len(hops.unreached)
+    dt = np.min_scalar_type(hops.depth + 1)  # its max, the sentinel, lies above the depth
     table = np.zeros((n, n), dtype=dt)
-    step = max(1, (1 << 20) // max(n, 1))  # the planes are unpacked a few MB at a time
+    step = max(1, (1 << 20) // max(n, 1))
     for i in range(0, n, step):
         block = table[i:i + step]
-        for b, plane in enumerate(planes):
+        for b, plane in enumerate(hops.planes):
             bit = _unbits(plane[i:i + step], n).astype(dt, copy=False)
             bit <<= dt.type(b)
             block |= bit
-        block[_unbits(unreached[i:i + step], n).view(bool)] = _far(table)
+        block[_unbits(hops.unreached[i:i + step], n).view(bool)] = _far(table)
     return table
 
 
@@ -353,17 +423,6 @@ def _far(table: np.ndarray) -> int:
     """The value a narrow oracle table holds for unreachable pairs: the max
     of its dtype, above every finite distance in it."""
     return int(np.iinfo(table.dtype).max)
-
-
-def _top_finite(table: np.ndarray) -> int:
-    """The largest entry of a narrow oracle table below its sentinel (0 if
-    there is none), a few MB of mask at a time."""
-    step = max(1, (1 << 20) // max(table.shape[1], 1))
-    top = 0
-    for i in range(0, len(table), step):
-        rows = table[i:i + step]
-        top = max(top, int(rows.max(initial=0, where=rows != _far(table))))
-    return top
 
 
 def _within(table: np.ndarray, bound: int) -> np.ndarray:
@@ -413,13 +472,15 @@ class _Contraction(NamedTuple):
     """The graph with each 0-weight component contracted to one node: comp
     maps each node to its component (numbered by smallest member), csr is
     the contracted unit-weight adjacency (rows, starts, cols) without loops
-    or parallel edges, and table is its narrow weight table (see _bfs).
-    Without 0-weight edges comp is the identity and table is the graph's
-    weight and hops table, Graph.tables() itself."""
+    or parallel edges, and table is its narrow weight table, unpacked from
+    its BFS planes (see _bfs).  planes are kept only without 0-weight edges:
+    then comp is the identity, the planes are the graph's hop oracle and
+    table is its weight and hops table, Graph.tables() itself."""
 
     comp: np.ndarray
     csr: tuple
     table: np.ndarray
+    planes: _HopPlanes | None
 
 
 def _contract(g: Graph) -> _Contraction:
@@ -437,21 +498,45 @@ def _contract(g: Graph) -> _Contraction:
     fresh[1:] = keys[1:] != keys[:-1]
     keys = keys[fresh]
     csr = _csr(ncomp, keys // ncomp, keys % ncomp)
-    return _Contraction(comp, csr, _bfs(ncomp, csr))
+    planes = _bfs(ncomp, csr)
+    return _Contraction(comp, csr, _unpack(planes), planes if ncomp == g.n else None)
 
 
-def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    comp, _, table = g._contraction()
-    if len(table) == g.n:  # no 0-weight edge: every minimum-weight path has as many hops as weight
-        return table, table
-    weight = np.take(np.take(table, comp, axis=0), comp, axis=1)
+def _hop_planes(g: Graph) -> _HopPlanes:
+    """The hop oracle of Graph._hops: without 0-weight edges the
+    contraction's own planes, else a BFS on the graph in which each edge
+    carries the sources it is tight for."""
+    comp, _, table, planes = g._contraction()
+    if planes is not None:  # no 0-weight edge: every minimum-weight path has as many hops as weight
+        return planes
     # every 0-weight edge, and each unit edge between two components (one
     # inside a component lies on no minimum-weight path)
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 3)
     e = e[(e[:, 2] == 0) | (comp[e[:, 0]] != comp[e[:, 1]])]
     csr = _csr(g.n, e[:, 0], e[:, 1])
-    masks = _tight(table, comp[_heads(csr)], comp[csr[2]], comp)
-    return weight, _bfs(g.n, csr, masks)
+    return _bfs(g.n, csr, _tight(table, comp[_heads(csr)], comp[csr[2]], comp))
+
+
+def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    comp, _, table, planes = g._contraction()
+    if planes is not None:
+        return table, table
+    return np.take(np.take(table, comp, axis=0), comp, axis=1), _unpack(g._hops())
+
+
+def _weights(g: Graph, rows, cols) -> np.ndarray:
+    """The weights from the nodes `rows` to the nodes `cols` (id arrays) as
+    a narrow (len(rows), len(cols)) block of tables()[0], read from the
+    contraction's table through comp."""
+    comp, _, table, _ = g._contraction()
+    return np.take(table, comp[cols], axis=1)[comp[rows]]
+
+
+def _pair_weights(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The weights of the pairs (u[i], v[i]) as narrow entries of
+    tables()[0], read from the contraction's table through comp."""
+    comp, _, table, _ = g._contraction()
+    return table[comp[u], comp[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +568,7 @@ class ShortestPathDag(NamedTuple):
 
 
 def _sp_dag(g: Graph) -> ShortestPathDag:
-    comp, csr, table = g._contraction()
+    comp, csr, table, _ = g._contraction()
     return ShortestPathDag(comp, csr, _tight(table, _heads(csr), csr[2]), _bitset(table == _far(table)))
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .bits import BitCursor, Bits, BitWriter
+from .bits import BitCursor, Bits, BitWriter, gamma_bits, join_bits, pack_shares
 from .errors import CodecError, GraphError, LabelError
 
 __all__ = [
@@ -210,11 +211,15 @@ def dumps(ls: LabelSet) -> bytes:
     w.write_gamma(scheme.tag)
     scheme.write_params(w, ls.params)
     w.write_gamma(ls.n + 1)
-    for i, bits in enumerate(ls.labels):
-        w.write_gamma(i + 1)
-        w.write_gamma(bits.nbits + 1)
-        w.write_bits(bits)
-    return MAGIC + w.getvalue().data
+    head = w.getvalue()
+    # each record: gamma(id + 1), gamma(bits + 1), then the label's bits
+    sizes = np.fromiter((b.nbits for b in ls.labels), dtype=np.int64, count=len(ls.labels))
+    fields = np.column_stack([np.arange(1, sizes.size + 1), sizes + 1])
+    codes, lengths = gamma_bits(fields)
+    lengths = lengths.reshape(fields.shape).sum(axis=1)
+    records = zip(pack_shares(codes, lengths), (b.data for b in ls.labels))
+    nbits = np.column_stack([lengths, sizes]).ravel()
+    return MAGIC + join_bits([head.data, *chain.from_iterable(records)], np.append(head.nbits, nbits))
 
 
 def loads(buf: bytes) -> LabelSet:

@@ -28,13 +28,18 @@ per-level parameters.  One pair decoder and one bulk decoder (`_pair`,
 `_matrix`, see "Decoders" below) serve warmup, medium and full here and the
 bdeg, sparse and additive schemes built on them; trivial looks its answer
 up, in the rows of the set it is given.  The set parsers are the one place
-that checks the labels of a set share a layout.  Encoding reads the graph's
-cached narrow all-pairs tables (`Graph.tables`, a byte per pair on
-small-diameter graphs, compared through `graph._within`) and its cached
-shortest-path DAG (built once per graph, O(m * n / 8) bytes of edge
-masks), then runs one bit-parallel certification pass per landmark set
-tried, which only propagates landmark bits along the DAG (oracle grade, n^2
-bits for the answer); that is deliberate and fine at desk scale.  A level
+that checks the labels of a set share a layout.  Encoding reads the
+graph's oracle in two parts, cached per graph, and never its n x n tables
+(`Graph.tables`, the verify and public view): hop thresholds from the BFS
+bit planes (`Graph._hops`), compared by one bit-sliced `hops <= h`
+comparator into bitset rows (the far mask of `_classify`, the window filter
+of `_set_bits`, the sparse near tables), and weights from the 0-weight
+contraction's narrow table through its component map (`graph._weights`).
+It also reads the cached shortest-path DAG (built once per graph,
+O(m * n / 8) bytes of edge masks), then runs one bit-parallel certification
+pass per landmark set tried, which only propagates landmark bits along the
+DAG (oracle grade, n^2 bits for the answer); that is deliberate and fine at
+desk scale.  A level
 whose threshold lies above the graph's largest finite hop (`Graph.top_hop`,
 cached per graph) has no pair to certify: `_classify` answers it with no
 sick node and empty rows without running the pass, which is exact, so its
@@ -57,7 +62,9 @@ from .bits import (
     id_set_bits,
 )
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
-from .graph import INF, Graph, _bitset, _far, _integer, _node_ids, _unbits, _within
+from .graph import (
+    INF, Graph, _bitset, _far, _integer, _node_ids, _pair_weights, _tail, _unbits, _weights, _within,
+)
 from .labels import LabelSet, Scheme, header_value, register, required
 
 __all__ = [
@@ -130,16 +137,6 @@ def _ones(bits: np.ndarray, axis=None):
 _OCTET_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _packed(table: np.ndarray, test) -> np.ndarray:
-    """test(rows) of a narrow oracle table as bitset rows (see
-    graph._bitset), a few MB of booleans at a time."""
-    out = np.empty((len(table), (table.shape[1] + 63) // 64), dtype=np.uint64)
-    step = max(1, (1 << 20) // max(table.shape[1], 1))
-    for i in range(0, len(table), step):
-        out[i:i + step] = _bitset(test(table[i:i + step]))
-    return out
-
-
 def _covered(g: Graph, landmarks: list[int]) -> np.ndarray:
     """Bitset rows, one per 0-weight component c (graph.ShortestPathDag.comp):
     bit v is set where some landmark lies on a minimum-weight path between
@@ -188,11 +185,12 @@ def _classify(g: Graph, landmarks: list[int], D: int) -> tuple[list[int], np.nda
     and all-zero rows, whatever the landmarks, and the kernel is not run."""
     if D > g.top_hop():
         return [], np.zeros((g.n, (g.n + 63) // 64), dtype=np.uint64)
-    _, hops = g.tables()
-    unc = _packed(hops, lambda rows: ~_within(rows, D - 1))
+    unc = g._hops().at_most(D - 1)
+    np.invert(unc, out=unc)  # hops >= D, or unreachable
     covered = _covered(g, landmarks)
     np.invert(covered, out=covered)
     unc &= covered if len(covered) == g.n else np.take(covered, g.sp_dag().comp, axis=0)
+    unc[:, -1] &= _tail(g.n)
     return [int(u) for u in np.flatnonzero(_ones(unc, axis=1) > g.n / D)], unc
 
 
@@ -322,8 +320,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
         return len(sick) < 2 * n / D
 
     drawn, sick_ids, unc, history = _sample(g, draws, D, seed, passes)
-    weight, hops = g.tables()
-    tried, failed = [_Candidate(weight, hops, D, count, drawn, sick_ids, unc)], []
+    tried, failed = [_Candidate(g, D, count, drawn, sick_ids, unc)], []
     del unc  # freed before the prefix's rows are made
     order = list(drawn)
     random.Random(_mix(seed, RESAMPLE_CAP)).shuffle(order)
@@ -331,7 +328,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     if len(prefix) < len(drawn):
         sick_ids, unc = _classify(g, prefix, D)
         if passes(sick_ids, unc):
-            tried.append(_Candidate(weight, hops, D, count, prefix, sick_ids, unc))
+            tried.append(_Candidate(g, D, count, prefix, sick_ids, unc))
         else:
             failed.append({"landmarks": len(prefix), "sick": len(sick_ids)})
         del unc
@@ -346,7 +343,7 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     pieces = [
         (head.ravel(), np.full(count, head.shape[1])),
         (fixed_bits(kept.table[kept.present], w), w * kept.present.sum(axis=1)),
-        *_table_bits(~kept.sick, kept.sizes, cols, weight[rows, cols], w),
+        *_table_bits(~kept.sick, kept.sizes, cols, _pair_weights(g, rows, cols), w),
     ]
     meta = {
         "draws": draws,
@@ -361,27 +358,28 @@ def _level(g: Graph, D: int, seed: int, count: int) -> tuple[list, int, dict]:
     return pieces, len(kept.rs), meta
 
 
-def _set_bits(bits: np.ndarray, rows: np.ndarray, k: int, hops: np.ndarray,
-              bound: int) -> tuple[np.ndarray, np.ndarray]:
+def _set_bits(bits: np.ndarray, rows: np.ndarray, k: int, hops=None,
+              bound: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of each set bit among the first k of the bitset rows
-    `rows` (ascending) where hops[row, column] <= bound, in row-major order.
-    The rows are read a few MB at a time; only their nonzero words are
-    unpacked, and each block's pairs are tested against `bound` before the
-    next block is read."""
+    `rows` (ascending), in row-major order; with a hop oracle `hops`
+    (graph._HopPlanes), only where hops.at_most(bound) holds.  The rows are
+    read a few MB at a time: each block's words are ANDed with the
+    oracle's rows for the block, and only the nonzero words are unpacked."""
     words = bits[:, :(k + 63) // 64]
     live = rows[words.any(axis=1)[rows]]
     step = max(1, (1 << 20) // max(k, 1))
     out_rows, out_cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i in range(0, live.size, step):
         block = live[i:i + step]
-        r, w = np.nonzero(words[block])
-        q, b = np.nonzero(_unbits(words[block[r], w, None], 64))
+        chunk = words[block]
+        if hops is not None:
+            chunk &= hops.at_most(bound, block, k)
+        r, w = np.nonzero(chunk)
+        q, b = np.nonzero(_unbits(chunk[r, w, None], 64))
         r, c = block[r[q]], w[q] * 64 + b
         inside = c < k
-        r, c = r[inside], c[inside]
-        keep = _within(hops[r, c], bound)
-        out_rows.append(r[keep])
-        out_cols.append(c[keep])
+        out_rows.append(r[inside])
+        out_cols.append(c[inside])
     return np.concatenate(out_rows), np.concatenate(out_cols)
 
 
@@ -392,20 +390,21 @@ class _Candidate:
     mask, the window pairs (rows, cols), each an uncovered pair (u, v) of a
     healthy u < count and a v < count within hop 2D, taken from the set
     bits of the uncovered rows by _set_bits, and each node's window size;
+    the weights are read from the graph's contraction (graph._weights);
     and `score`, the (max, mean) of an upper bound on each node's body bits,
     taken from counts alone: the head and the present values as written,
     the window's id set bounded by Jensen's inequality, as c gaps that sum
     to at most count take at most c * (2 lg(count / c) + 1) gamma bits."""
 
-    def __init__(self, weight, hops, D, count, landmarks, sick_ids, unc):
+    def __init__(self, g, D, count, landmarks, sick_ids, unc):
         self.landmarks, self.sick_ids = landmarks, sick_ids
         self.rs = sorted(set(landmarks) | set(sick_ids))
         sick = np.zeros(len(unc), dtype=bool)
         sick[sick_ids] = True
         self.sick = sick[:count]
-        self.pairs = _set_bits(unc, np.flatnonzero(~self.sick), count, hops, 2 * D)
+        self.pairs = _set_bits(unc, np.flatnonzero(~self.sick), count, g._hops(), 2 * D)
         self.sizes = np.bincount(self.pairs[0], minlength=count)
-        self.table = weight[:count, self.rs]
+        self.table = _weights(g, np.arange(count), self.rs)
         self.present = _within(self.table, 2 * D)
         w = _w2d(D)
         c = self.sizes
@@ -572,8 +571,8 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
         draws = _warmup_draws(n, p.D)
         chosen, _, _, history = _sample(g, draws, p.D, p.seed, lambda sick, unc: not unc.any())
         attempts = len(history)
-    weight = g.tables()[0]
-    labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), _row_bits(weight[:, chosen], n)])
+    rows = _row_bits(_weights(g, np.arange(n), chosen), n)
+    labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), rows])
     meta = {"landmarks": chosen, "draws": draws, "attempts": attempts}
     return LabelSet("warmup", n, {"D": p.D, "landmarks": len(chosen)}, labels, meta=meta)
 
@@ -657,7 +656,8 @@ def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
 def encode_trivial(g: Graph) -> LabelSet:
     """Each label stores the node's whole distance row; decoding is lookup."""
     n = g.n
-    labels = concat_ragged([_header_bits(n, n), _row_bits(g.tables()[0], n)])
+    every = np.arange(n)
+    labels = concat_ragged([_header_bits(n, n), _row_bits(_weights(g, every, every), n)])
     return LabelSet("trivial", n, {"D": 1}, labels)
 
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from .bits import Bits, SetReader, concat_ragged
 from .errors import GraphError
-from .graph import Graph, _integer, _within
+from .graph import Graph, _integer, _pair_weights
 from .labels import LabelSet, Scheme, gamma_fields, register
 from .preserving import (
     FullLabel, PreservingParams, _exact_everywhere, _full_labels, _full_pieces, _header_bits,
-    _matrix, _mix, _pair, _read_headers, _read_tables, _table_bits,
+    _matrix, _mix, _pair, _read_headers, _read_tables, _set_bits, _table_bits,
 )
 
 __all__ = [
@@ -137,14 +137,15 @@ def encode_bounded_degree(g: Graph, delta: int, seed: int = 0, *, _count=None) -
     n = g.n
     count = n if _count is None else _count
     D = bounded_degree_threshold(n, delta)
-    weight, hops = g.tables()
     full, _, full_meta = _full_pieces(g, PreservingParams(D=D, seed=_mix(seed, 71)), count)
     near_width = max(1, (D - 1).bit_length() + 1)
-    rows, cols = np.nonzero(_within(hops[:count, :count], D - 1))
+    labelled = np.arange(count)
+    rows, cols = _set_bits(g._hops().at_most(D - 1, slice(0, count), count), labelled, count)
     near_sizes = np.bincount(rows, minlength=count)
     labels = concat_ragged([
         _header_bits(n, count, delta + 1, D),
-        *_table_bits(np.ones(count, dtype=bool), near_sizes, cols, weight[rows, cols], near_width),
+        *_table_bits(np.ones(count, dtype=bool), near_sizes, cols, _pair_weights(g, rows, cols),
+                     near_width),
         *full,
     ])
     params = {"delta": delta, "D": D, "k": delta}

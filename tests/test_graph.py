@@ -340,6 +340,50 @@ def test_first_tables_leave_numpy_ma_unloaded():
         assert after == "False"
 
 
+def _zero_chains() -> Graph:
+    # two 0-weight chains joined by unit edges, a unit edge inside a chain,
+    # an isolated node and a 0-weight pair that nothing else reaches
+    return build_graph(14, [
+        (0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 1), (0, 3, 1), (4, 5, 0), (5, 6, 0),
+        (6, 7, 1), (7, 8, 1), (8, 9, 0), (11, 12, 0),
+    ])
+
+
+HOP_PLANE_GRAPHS = {
+    "gnm16": lambda: gen_gnm(16, 24, seed=1),
+    "gnm65": lambda: gen_gnm(65, 130, seed=2),
+    "gnm130-sparse": lambda: gen_gnm(130, 120, seed=3),
+    "split-k3": lambda: split_transform(gen_gnm(40, 120, seed=4), 3).gprime,
+    "split-k4": lambda: split_transform(gen_gnm(70, 200, seed=6), 4).gprime,
+    "zero-chains": _zero_chains,
+    "disconnected-01": lambda: random_01_graph(70, 40, seed=5),
+    "edgeless": lambda: build_graph(3, []),
+}
+
+
+@pytest.mark.parametrize("make", HOP_PLANE_GRAPHS.values(), ids=HOP_PLANE_GRAPHS.keys())
+def test_hop_planes_compare_like_the_hops_table(make):
+    # the encoders' hop oracle: bit v of row u of at_most(h) is hops(u, v) <= h,
+    # never for an unreachable pair, with the bits past the columns zero
+    from distlab.graph import _bitset, _far, _within
+
+    g = make()
+    planes = g._hops()
+    hops = g.tables()[1]
+    finite = hops[hops != _far(hops)]
+    assert g.top_hop() == planes.depth == int(finite.max(initial=0))
+    rng = np.random.default_rng(g.n)
+    for h in range(-1, g.top_hop() + 2):
+        want = _bitset(_within(hops, h))
+        got = planes.at_most(h)
+        assert got.dtype == np.uint64 and np.array_equal(got, want), h
+        # any rows, and the columns cut to the first k
+        ids = np.sort(rng.choice(g.n, size=max(1, g.n // 3), replace=False))
+        for k in (1, g.n // 2, g.n):
+            assert np.array_equal(planes.at_most(h, ids, k), _bitset(_within(hops[np.ix_(ids, np.arange(k))], h))), (h, k)
+        assert np.array_equal(planes.at_most(h, slice(0, g.n // 2)), want[:g.n // 2])
+
+
 # --- generators ---------------------------------------------------------------
 
 def test_gnm_complete_graph_forced():

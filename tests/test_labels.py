@@ -29,7 +29,7 @@ from distlab import harness
 from distlab.bits import BitCursor, BitWriter, gamma_length
 from distlab.errors import CodecError, LabelError
 from distlab.labels import (
-    MAGIC, PAIR_DECODERS, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
+    MAGIC, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
     save_labels,
 )
 from distlab.preserving import parse_full_set
@@ -255,6 +255,40 @@ def test_label_files_pinned_sick_and_window_levels(scheme, encode, digest):
     levels = [lv for p in ls.parsed() for lv in p.levels]
     assert any(lv.sick for lv in levels)
     assert any(lv.uc for lv in levels if not lv.sick)
+
+
+# The labels of two perfbench workload graphs at their full size (sparse on
+# gnm(512, 1024), full on gnm(1024, 2048) with D=8): the encoders read the hop
+# oracle from the BFS bit planes and the weights from the contraction, and
+# the bytes must be those the n x n oracle tables gave.
+PINNED_WORKLOADS = {
+    "sparse": "3dc9c02c1efe5e2649a72991e041eb772aa3e780ce0c76a1f8d6828253992f7b",
+    "full": "f31e42e0ec73bd8af56d7b66b58971d214a63117e935564b5954990acd7127a4",
+}
+
+
+def test_label_files_pinned_at_workload_size():
+    got = {
+        "sparse": sha256(encode_sparse(gen_gnm(512, 1024, 401), 401)),
+        "full": sha256(encode_full(gen_gnm(1024, 2048, 401), PreservingParams(D=8, seed=401))),
+    }
+    assert got == PINNED_WORKLOADS
+
+
+def test_dumps_frames_records_as_the_bit_writer_does():
+    # the reference framing: the prologue, then per label gamma(id + 1),
+    # gamma(bits + 1) and the label's bits, written by one BitWriter
+    _, sets = all_scheme_labelsets(seed=1)
+    for ls in [*sets.values(), LabelSet("full", 0, {"D": 2, "levels": 0, "landmark_counts": []}, [])]:
+        w = BitWriter()
+        w.write_gamma(SCHEMES[ls.scheme].tag)
+        SCHEMES[ls.scheme].write_params(w, ls.params)
+        w.write_gamma(ls.n + 1)
+        for i, bits in enumerate(ls.labels):
+            w.write_gamma(i + 1)
+            w.write_gamma(bits.nbits + 1)
+            w.write_bits(bits)
+        assert dumps(ls) == MAGIC + w.getvalue().data, ls.scheme
 
 
 # --- set parsing ---------------------------------------------------------------

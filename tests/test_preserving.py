@@ -232,47 +232,55 @@ def test_classify_on_a_shared_graph_matches_a_fresh_graph(make):
             assert classify_nodes(g, sets[i], D=2) == classify_nodes(make(), sets[i], D=2)
 
 
-def test_certification_state_built_once_per_graph(monkeypatch):
+def _spy_builders(monkeypatch, names) -> dict:
+    """{name: [first argument of each call]} for the graph.py builders `names`."""
     import distlab.graph as G
 
-    # the contraction, the oracle tables and the DAG read off the contraction
-    built = {name: [] for name in ("_contract", "_apsp_tables", "_sp_dag")}
+    built = {name: [] for name in names}
     for name, log in built.items():
         real = getattr(G, name)
-        monkeypatch.setattr(G, name, lambda g, real=real, log=log: log.append(g) or real(g))
+        monkeypatch.setattr(G, name, lambda x, *rest, real=real, log=log: log.append(x) or real(x, *rest))
+    return built
+
+
+def test_certification_state_built_once_per_graph(monkeypatch):
+    # the contraction, the hop planes and the DAG read off the contraction;
+    # an encode never builds the oracle tables of Graph.tables()
+    built = _spy_builders(monkeypatch, ("_contract", "_hop_planes", "_sp_dag", "_apsp_tables"))
     g = gen_gnm(256, 512, seed=1)
     for _ in range(2):
         ls = encode_full(g, PreservingParams(D=4, seed=1))
     assert sum(lv["attempts"] for lv in ls.meta["levels"]) >= ls.params["levels"] == 7
-    assert all(log == [g] for log in built.values())
-    # on a split graph the hops table is read off the contraction as well
+    once = ("_contract", "_hop_planes", "_sp_dag")
+    assert all(built[name] == [g] for name in once) and built["_apsp_tables"] == []
+    # on a split graph the hop planes are read off the contraction as well
     split = _split_chains()
     for _ in range(2):
         encode_bounded_degree(split, split.max_degree(), seed=1)
-    assert all(log == [g, split] for log in built.values())
+    assert all(built[name] == [g, split] for name in once) and built["_apsp_tables"] == []
 
 
 def test_hop_bound_computed_once_per_graph(monkeypatch):
-    import distlab.graph as G
-
-    # the largest finite hop is one pass over the cached hops table, next to
-    # the contraction, the oracle tables and the DAG
-    built = {name: [] for name in ("_contract", "_apsp_tables", "_sp_dag", "_top_finite")}
-    for name, log in built.items():
-        real = getattr(G, name)
-        monkeypatch.setattr(G, name, lambda x, real=real, log=log: log.append(x) or real(x))
+    # the largest finite hop is the depth of the cached plane BFS: one BFS
+    # without 0-weight edges (the contraction's), one more on the split
+    # graph, and an encode unpacks only the contraction's weight table
+    built = _spy_builders(monkeypatch, ("_bfs", "_unpack", "_apsp_tables"))
     g = gen_gnm(256, 512, seed=1)
     for _ in range(2):
         encode_full(g, PreservingParams(D=4, seed=1))
     split = _split_chains()
     for _ in range(2):
         encode_bounded_degree(split, split.max_degree(), seed=1)
-    assert all(built[name] == [g, split] for name in ("_contract", "_apsp_tables", "_sp_dag"))
-    # on the split graph it is read off the hops table, not the weights
-    assert [id(t) for t in built["_top_finite"]] == [id(g.tables()[1]), id(split.tables()[1])]
+    ncomp = len(split._contraction().table)
+    assert ncomp < split.n
+    assert built["_bfs"] == [g.n, ncomp, split.n]
+    assert [len(planes.unreached) for planes in built["_unpack"]] == [g.n, ncomp]
+    assert built["_apsp_tables"] == []
+    assert g._hops() is g._contraction().planes and split._contraction().planes is None
     for graph in (g, split):
         w, h = all_pairs_with_hops(graph)
-        assert graph.top_hop() == h[h != INF].max()
+        assert graph.top_hop() == graph._hops().depth == h[h != INF].max()
+    # on the split graph it is the largest hop, not the largest weight
     w, h = all_pairs_with_hops(split)
     assert w[w != INF].max() < split.top_hop()
 
@@ -476,8 +484,8 @@ def _candidates(monkeypatch) -> list:
     made = []
 
     class Spy(P._Candidate):
-        def __init__(self, weight, hops, D, count, *rest):
-            super().__init__(weight, hops, D, count, *rest)
+        def __init__(self, g, D, count, *rest):
+            super().__init__(g, D, count, *rest)
             made.append([D, count, self])
     monkeypatch.setattr(P, "_Candidate", Spy)
     return made
