@@ -23,9 +23,8 @@ share.  `concat_ragged` then builds the labels one at a time: it joins
 each node's share of every piece, sliced lazily from one memoryview per
 piece, and packs the label once, so the pieces are never copied or cut up
 all at once and writing costs in proportion to the bits written.
-`join_bits` joins packed strings at any bit offset by shifting their bytes
-(the label file's records, each a `pack_shares` share of two gamma codes
-then a label), and `BitWriter` writes only the file prologue and stays the
+`BitWriter` writes only the label file's prologue (`labels.dumps` frames
+the records from `gamma_bits` codes and the labels' bits) and stays the
 tests' reference for the array encoders and the framing.
 
 Bulk readers parse many labels at once with `SetReader`: the payloads are
@@ -54,8 +53,6 @@ __all__ = [
     "gamma_bits",
     "id_set_bits",
     "concat_ragged",
-    "pack_shares",
-    "join_bits",
 ]
 
 
@@ -78,6 +75,8 @@ class Bits:
     def __init__(self, data: bytes, nbits: int):
         if nbits < 0 or len(data) != (nbits + 7) // 8:
             raise CodecError(f"payload of {len(data)} bytes cannot hold {nbits} bits")
+        if nbits & 7 and data[-1] & (0xFF >> (nbits & 7)):
+            raise CodecError(f"padding bits after bit {nbits} are not zero")
         self.data = bytes(data)
         self.nbits = nbits
 
@@ -124,20 +123,13 @@ class Bits:
         return f"Bits({self.nbits} bits: {head})"
 
 
-def _msb_columns(values: np.ndarray, nbytes: int) -> np.ndarray:
-    """(len(values), 8 * nbytes) bit matrix: the low 8 * nbytes bits of each
-    non-negative int64, MSB first."""
-    be = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
-    return np.unpackbits(be, axis=1)
-
-
 def fixed_bits(values, width: int) -> np.ndarray:
     """Bit array of `values` as consecutive `width`-bit big-endian fields, the
-    bits as many write_fixed(value, width) calls write.  Fields up to 16
-    bits wide are filled one bit column per shift, from the values in the
-    narrowest unsigned dtype that holds `width` bits (uint8 input stays as
-    it is), so a field costs about its own bits in scratch; wider fields go
-    through int64 byte columns."""
+    bits as many write_fixed(value, width) calls write.  The bits are filled
+    one column per shift, from the values in the narrowest unsigned dtype
+    that holds `width` bits (uint8 input stays as it is), so a field costs
+    about its own bits in scratch; a field wider than 64 bits keeps its
+    leading columns zero."""
     values = np.asarray(values).ravel()
     if values.dtype.kind != "u":
         values = values.astype(np.int64)
@@ -147,19 +139,12 @@ def fixed_bits(values, width: int) -> np.ndarray:
         if np.any(values):
             raise CodecError("cannot pack nonzero values into width 0")
         return np.zeros(0, dtype=np.uint8)
-    if values.min() < 0 or (width < 63 and int(values.max()) >> width):
+    if values.min() < 0 or int(values.max()) >> width:
         raise CodecError(f"packed value out of range for width {width}")
-    if width > 16:
-        nbytes = min(8, (width + 7) // 8)
-        cols = _msb_columns(values.astype(np.int64), nbytes)
-        lead = 8 * nbytes - width
-        if lead < 0:  # wider than 64 bits: leading zeros
-            cols = np.pad(cols, ((0, 0), (-lead, 0)))
-            lead = 0
-        return cols[:, lead:].ravel()
-    values = values.astype(np.min_scalar_type((1 << width) - 1), copy=False)
+    values = values.astype(np.min_scalar_type((1 << min(width, 64)) - 1), copy=False)
     out = np.empty((values.size, width), dtype=np.uint8)
-    for shift in range(width):
+    out[:, :max(width - 64, 0)] = 0  # columns above bit 63, if any
+    for shift in range(min(width, 64)):
         np.bitwise_and(values >> shift, 1, out=out[:, width - 1 - shift], casting="unsafe")
     return out.ravel()
 
@@ -251,74 +236,6 @@ def _slices(view: memoryview, lengths: list):
     for size in lengths:
         yield view[start:start + size]
         start += size
-
-
-def pack_shares(bits: np.ndarray, lengths) -> list:
-    """Each node's share of a (bits, lengths) piece (see concat_ragged),
-    packed on its own, MSB first with zero padding: one memoryview per node
-    into one bytes object."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    room = (lengths + 7) & ~7
-    padded = np.zeros(int(room.sum()), dtype=np.uint8)
-    padded[np.arange(bits.size) + np.repeat(np.cumsum(room - lengths) - (room - lengths), lengths)] = bits
-    view = memoryview(np.packbits(padded).tobytes())
-    ends = (np.cumsum(room) >> 3).tolist()
-    return [view[start:end] for start, end in zip([0, *ends], ends)]
-
-
-JOIN_BLOCK = 1 << 18  # input bytes that join_bits shifts at a time
-
-
-def join_bits(datas: list, nbits) -> bytes:
-    """The bit strings back to back, packed MSB first with zero padding:
-    string i is the first nbits[i] bits of datas[i], a bytes-like whose
-    padding bits are zero.  The strings are shifted as bytes, a block of
-    about JOIN_BLOCK input bytes at a time (a few bytes of scratch per input
-    byte, never a byte per bit); a block's unfinished last byte starts the
-    next block."""
-    nbits = np.asarray(nbits, dtype=np.int64)
-    ends = np.cumsum((nbits + 7) >> 3)
-    out, carry, spare = [], b"", 0  # the unfinished byte and its bits in use
-    i = 0
-    while i < len(datas):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] + JOIN_BLOCK, side="right")))
-        packed, total = _shifted(b"\0".join([carry, *datas[i:j], b""]), np.append(spare, nbits[i:j]))
-        whole = total >> 3
-        out.append(packed[:whole].tobytes())
-        carry, spare = packed[whole:].tobytes(), total & 7
-        i = j
-    return b"".join(out) + carry
-
-
-def _shifted(data: bytes, nbits: np.ndarray) -> tuple[np.ndarray, int]:
-    """Strings packed back to back, as (bytes, total bits): string i is the
-    first nbits[i] bits of the next (nbits[i] + 7) // 8 bytes of data, each
-    string followed by one zero byte.
-
-    Each byte is shifted right by its string's bit offset within a byte and
-    takes the bits the byte before it shifts out (the zero byte keeps one
-    string's bits out of the next), so each output byte is one shifted
-    byte: a string's bytes, and its zero byte when bits spill into it.  Only
-    a string that starts inside a byte shares that byte with the strings
-    before it; its first shifted byte is ORed into it."""
-    total = int(nbits.sum())
-    at = np.cumsum(nbits) - nbits  # each string's bit offset
-    shift = (at & 7).astype(np.uint8)
-    size = (nbits + 7) >> 3
-    cur = np.frombuffer(data, dtype=np.uint8)
-    per_byte = np.repeat(shift, size + 1)
-    out = cur >> per_byte
-    out[1:] |= (cur[:-1] << (7 - per_byte[1:])) << 1  # shifts stay below 8 bits
-    ends = np.cumsum(size + 1) - 1  # each string's zero byte
-    firsts = ends - size
-    own = np.ones(cur.size, dtype=bool)
-    own[ends[(shift + nbits - 1) >> 3 < size]] = False  # nothing spills into the zero byte
-    own[ends[nbits == 0]] = False
-    joins = (nbits > 0) & (shift != 0)
-    own[firsts[joins]] = False
-    packed = out[own]
-    np.bitwise_or.at(packed, at[joins] >> 3, out[firsts[joins]])
-    return packed, total
 
 
 class BitWriter:

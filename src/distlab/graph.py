@@ -525,11 +525,14 @@ def _apsp_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weights(g: Graph, rows, cols) -> np.ndarray:
-    """The weights from the nodes `rows` to the nodes `cols` (id arrays) as
-    a narrow (len(rows), len(cols)) block of tables()[0], read from the
-    contraction's table through comp."""
-    comp, _, table, _ = g._contraction()
-    return np.take(table, comp[cols], axis=1)[comp[rows]]
+    """The weights from the nodes `rows` to the nodes `cols` (id arrays or
+    slices) as a narrow block of tables()[0], read from the contraction's
+    table through comp.  Without 0-weight edges comp is the identity and
+    the table is read as it is, so a slice of it costs no copy."""
+    comp, _, table, planes = g._contraction()
+    if planes is None:
+        rows, cols = comp[rows], comp[cols]
+    return table[:, cols][rows]
 
 
 def _pair_weights(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

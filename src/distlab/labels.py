@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .bits import BitCursor, Bits, BitWriter, gamma_bits, join_bits, pack_shares
+from .bits import BitCursor, Bits, BitWriter, gamma_bits
 from .errors import CodecError, GraphError, LabelError
 
 __all__ = [
@@ -203,6 +202,9 @@ def decode_pair(scheme: str, a: Bits, b: Bits) -> int:
     return lookup(PAIR_DECODERS, scheme)(*lookup(SET_PARSERS, scheme)([a, b]))
 
 
+DUMP_BLOCK = 1 << 18  # label bits that dumps holds unpacked at a time
+
+
 def dumps(ls: LabelSet) -> bytes:
     scheme = lookup(SCHEMES, ls.scheme)
     if len(ls.labels) != ls.n:
@@ -211,15 +213,29 @@ def dumps(ls: LabelSet) -> bytes:
     w.write_gamma(scheme.tag)
     scheme.write_params(w, ls.params)
     w.write_gamma(ls.n + 1)
-    head = w.getvalue()
-    # each record: gamma(id + 1), gamma(bits + 1), then the label's bits
-    sizes = np.fromiter((b.nbits for b in ls.labels), dtype=np.int64, count=len(ls.labels))
-    fields = np.column_stack([np.arange(1, sizes.size + 1), sizes + 1])
-    codes, lengths = gamma_bits(fields)
-    lengths = lengths.reshape(fields.shape).sum(axis=1)
-    records = zip(pack_shares(codes, lengths), (b.data for b in ls.labels))
-    nbits = np.column_stack([lengths, sizes]).ravel()
-    return MAGIC + join_bits([head.data, *chain.from_iterable(records)], np.append(head.nbits, nbits))
+    # each record: gamma(id + 1), gamma(bits + 1), then the label's bits.
+    # A block of records is unpacked, joined through memoryviews (each
+    # label sliced to its bits, leaving its padding out) and packed at
+    # once; the bits past the block's last whole byte start the next block.
+    sizes = np.fromiter((b.nbits for b in ls.labels), dtype=np.int64, count=ls.n)
+    codes, lengths = gamma_bits(np.column_stack([np.arange(1, ls.n + 1), sizes + 1]))
+    codes = memoryview(codes)
+    code_at = np.cumsum(np.append(0, lengths.reshape(-1, 2).sum(axis=1))).tolist()
+    stops = np.searchsorted(np.cumsum(sizes), np.arange(DUMP_BLOCK, int(sizes.sum()), DUMP_BLOCK))
+    out, carry, start = [MAGIC], w.getvalue().to_array().tobytes(), 0
+    for stop in [*(stops + 1).tolist(), ls.n]:
+        block = ls.labels[start:stop]
+        unpacked = memoryview(np.unpackbits(np.frombuffer(b"".join(b.data for b in block), dtype=np.uint8)))
+        parts, at = [carry], 0
+        for i, label in enumerate(block, start):
+            parts += [codes[code_at[i]:code_at[i + 1]], unpacked[at:at + label.nbits]]
+            at += 8 * len(label.data)
+        bits = b"".join(parts)
+        whole = len(bits) & ~7
+        out.append(np.packbits(np.frombuffer(bits[:whole], dtype=np.uint8)).tobytes())
+        carry, start = bits[whole:], stop
+    out.append(np.packbits(np.frombuffer(carry, dtype=np.uint8)).tobytes())
+    return b"".join(out)
 
 
 def loads(buf: bytes) -> LabelSet:

@@ -404,7 +404,7 @@ class _Candidate:
         self.sick = sick[:count]
         self.pairs = _set_bits(unc, np.flatnonzero(~self.sick), count, g._hops(), 2 * D)
         self.sizes = np.bincount(self.pairs[0], minlength=count)
-        self.table = _weights(g, np.arange(count), self.rs)
+        self.table = _weights(g, slice(count), self.rs)
         self.present = _within(self.table, 2 * D)
         w = _w2d(D)
         c = self.sizes
@@ -571,7 +571,7 @@ def encode_warmup(g: Graph, p: PreservingParams, landmarks=None) -> LabelSet:
         draws = _warmup_draws(n, p.D)
         chosen, _, _, history = _sample(g, draws, p.D, p.seed, lambda sick, unc: not unc.any())
         attempts = len(history)
-    rows = _row_bits(_weights(g, np.arange(n), chosen), n)
+    rows = _row_bits(_weights(g, slice(None), chosen), n)
     labels = concat_ragged([_header_bits(n, n, len(chosen) + 1), rows])
     meta = {"landmarks": chosen, "draws": draws, "attempts": attempts}
     return LabelSet("warmup", n, {"D": p.D, "landmarks": len(chosen)}, labels, meta=meta)
@@ -656,8 +656,7 @@ def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
 def encode_trivial(g: Graph) -> LabelSet:
     """Each label stores the node's whole distance row; decoding is lookup."""
     n = g.n
-    every = np.arange(n)
-    labels = concat_ragged([_header_bits(n, n), _row_bits(_weights(g, every, every), n)])
+    labels = concat_ragged([_header_bits(n, n), _row_bits(_weights(g, slice(None), slice(None)), n)])
     return LabelSet("trivial", n, {"D": 1}, labels)
 
 

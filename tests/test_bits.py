@@ -17,8 +17,6 @@ from distlab.bits import (
     gamma_bits,
     gamma_length,
     id_set_bits,
-    join_bits,
-    pack_shares,
 )
 from distlab.errors import CodecError
 
@@ -206,6 +204,9 @@ def test_bits_padding_is_zero_and_equality_holds():
     assert b.data == bytes([0b10100000])
     assert b == Bits(bytes([0b10100000]), 3)
     assert b != Bits.from_int(0b101, 4)
+    for data, nbits in [(b"\xff", 1), (b"\x01", 7), (b"\x00\x08", 12)]:
+        with pytest.raises(CodecError, match="padding"):
+            Bits(data, nbits)
 
 
 def test_cursor_read_past_end():
@@ -294,6 +295,9 @@ def test_fixed_bits_out_of_range_rejected_like_pack_values():
             fixed_bits(vals, width)
     with pytest.raises(CodecError):
         fixed_bits([1], -1)
+    for width in (63, 16, 7):  # unsigned input one bit too wide
+        with pytest.raises(CodecError):
+            fixed_bits(np.array([1 << width], dtype=np.uint64), width)
 
 
 @pytest.mark.parametrize("sets", [
@@ -423,46 +427,6 @@ def test_concat_ragged_holds_about_one_label_at_a_time(monkeypatch):
     # the labels themselves take a few hundred KiB; cutting every piece into
     # per-node arrays before packing peaks at about 4 MiB
     assert unpacked > 1 << 20 and peak < 2 << 20, peak
-
-
-@pytest.mark.parametrize("block", [1, 3, 1 << 18])
-def test_join_bits_matches_writer(block, monkeypatch):
-    # strings of every length class (empty, shorter than a byte, whole
-    # bytes, one past) at every offset, in blocks from one string on
-    import distlab.bits as B
-
-    monkeypatch.setattr(B, "JOIN_BLOCK", block)
-    rng = random.Random(block)
-    for _ in range(200):
-        parts = []
-        for _ in range(rng.randrange(12)):
-            nbits = rng.choice([0, 1, 2, 7, 8, 9, 16, 17, rng.randrange(200)])
-            parts.append(Bits.from_int(rng.getrandbits(nbits) if nbits else 0, nbits))
-        expect = BitWriter()
-        for p in parts:
-            expect.write_bits(p)
-        assert join_bits([p.data for p in parts], [p.nbits for p in parts]) == expect.getvalue().data
-
-
-def test_join_bits_holds_a_block_at_a_time():
-    rng = np.random.default_rng(3)
-    parts = [Bits.from_array(rng.integers(0, 2, 8001, dtype=np.uint8)) for _ in range(1000)]
-    tracemalloc.start()
-    try:
-        out = join_bits([p.data for p in parts], [p.nbits for p in parts])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert Bits(out, 8001 * 1000).to_array().tolist() == np.concatenate([p.to_array() for p in parts]).tolist()
-    # 1 MB of output; a byte per bit would take 8 MB
-    assert peak < 4 << 20, peak
-
-
-def test_pack_shares_packs_each_share_alone():
-    bits = np.array([1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1], dtype=np.uint8)
-    shares = pack_shares(bits, [3, 0, 8])
-    assert [bytes(s) for s in shares] == [b"\xa0", b"", b"\x87"]
-    assert pack_shares(np.zeros(0, dtype=np.uint8), []) == []
 
 
 def test_bits_to_array_inverts_from_array():

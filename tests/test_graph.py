@@ -384,6 +384,26 @@ def test_hop_planes_compare_like_the_hops_table(make):
         assert np.array_equal(planes.at_most(h, slice(0, g.n // 2)), want[:g.n // 2])
 
 
+@pytest.mark.parametrize("make", HOP_PLANE_GRAPHS.values(), ids=HOP_PLANE_GRAPHS.keys())
+def test_weights_read_the_contraction_like_the_weight_table(make):
+    # the encoders' weight reads: blocks and pairs of tables()[0], taken from
+    # the contraction's table, which a graph without 0-weight edges reads
+    # as it is
+    from distlab.graph import _pair_weights, _weights
+
+    g = make()
+    weight = g.tables()[0]
+    rng = np.random.default_rng(g.n)
+    rows = rng.choice(g.n, size=max(1, g.n // 3), replace=False)
+    cols = [int(c) for c in rng.choice(g.n, size=max(1, g.n // 4), replace=False)]
+    for r, c in [(rows, cols), (slice(g.n // 2), cols), (slice(None), slice(None))]:
+        block = _weights(g, r, c)
+        assert block.dtype == weight.dtype and np.array_equal(block, weight[r][:, c])
+    assert np.array_equal(_pair_weights(g, rows, rows[::-1]), weight[rows, rows[::-1]])
+    every = _weights(g, slice(None), slice(None))
+    assert np.shares_memory(every, g._contraction()[2]) == (g.m == 0 or min(w for *_, w in g.edges) > 0)
+
+
 # --- generators ---------------------------------------------------------------
 
 def test_gnm_complete_graph_forced():

@@ -4,6 +4,8 @@ pinned file contents, and header parameters for every scheme."""
 import dataclasses
 import functools
 import hashlib
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from distlab import (
     verify_labels,
 )
 from distlab import harness
-from distlab.bits import BitCursor, BitWriter, gamma_length
+from distlab.bits import BitCursor, Bits, BitWriter, gamma_length
 from distlab.errors import CodecError, LabelError
 from distlab.labels import (
     MAGIC, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
@@ -275,11 +277,26 @@ def test_label_files_pinned_at_workload_size():
     assert got == PINNED_WORKLOADS
 
 
-def test_dumps_frames_records_as_the_bit_writer_does():
+def _random_label_sets(seed, count=50):
+    # labels of every length class: empty, shorter than a byte, whole bytes, one past
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [rng.choice([0, 1, 2, 7, 8, 9, 16, 17, rng.randrange(200)]) for _ in range(rng.randrange(12))]
+        labels = [Bits.from_int(rng.getrandbits(s) if s else 0, s) for s in sizes]
+        yield LabelSet("trivial", len(labels), {"D": 1}, labels)
+
+
+@pytest.mark.parametrize("block", [1, 9, 1 << 18])
+def test_dumps_frames_records_as_the_bit_writer_does(block, monkeypatch):
     # the reference framing: the prologue, then per label gamma(id + 1),
-    # gamma(bits + 1) and the label's bits, written by one BitWriter
+    # gamma(bits + 1) and the label's bits, written by one BitWriter; dumps
+    # frames DUMP_BLOCK label bits at a time, tried from one record on
+    import distlab.labels as L
+
+    monkeypatch.setattr(L, "DUMP_BLOCK", block)
     _, sets = all_scheme_labelsets(seed=1)
-    for ls in [*sets.values(), LabelSet("full", 0, {"D": 2, "levels": 0, "landmark_counts": []}, [])]:
+    empty = LabelSet("full", 0, {"D": 2, "levels": 0, "landmark_counts": []}, [])
+    for ls in [*sets.values(), empty, *_random_label_sets(block)]:
         w = BitWriter()
         w.write_gamma(SCHEMES[ls.scheme].tag)
         SCHEMES[ls.scheme].write_params(w, ls.params)
@@ -289,6 +306,21 @@ def test_dumps_frames_records_as_the_bit_writer_does():
             w.write_gamma(bits.nbits + 1)
             w.write_bits(bits)
         assert dumps(ls) == MAGIC + w.getvalue().data, ls.scheme
+
+
+def test_dumps_holds_a_block_at_a_time():
+    rng = np.random.default_rng(3)
+    labels = [Bits.from_array(rng.integers(0, 2, 8001, dtype=np.uint8)) for _ in range(1000)]
+    ls = LabelSet("trivial", len(labels), {"D": 1}, labels)
+    tracemalloc.start()
+    try:
+        buf = dumps(ls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loads(buf).labels == labels
+    # 1 MB of file; a byte per bit would take 8 MB
+    assert peak < 4 << 20, peak
 
 
 # --- set parsing ---------------------------------------------------------------
