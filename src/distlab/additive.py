@@ -35,7 +35,7 @@ from .graph import INF, Graph, _far, _integer, _node_ids, _within
 from .labels import LabelSet, Scheme, gamma_fields, register, required
 from .preserving import (
     FullLabel, PreservingParams, _full_labels, _full_pieces, _header_bits, _matrix, _mix, _pair,
-    _read_headers, _read_tables, _table_bits,
+    _read_headers, _read_tables, _route_values, _table_bits,
 )
 
 __all__ = [
@@ -175,7 +175,7 @@ class AdditiveLabel:
     t: int
     D: int
     high: bool
-    dom: np.ndarray  # int64 distances to the dominator list, INF if unreachable
+    dom: np.ndarray  # distances to the dominators, a view of the route table (_sentinel if absent)
     ball: dict       # node id -> induced distance (low-degree nodes only)
     full: FullLabel
 
@@ -235,13 +235,13 @@ def parse_additive_set(labels: list[Bits]) -> list[AdditiveLabel]:
             (1, "dominator count"))
         high = rd.fixed(1).astype(bool)
         present = rd.bitmap(ndom)
-        dom = np.full(present.shape, INF, dtype=np.int64)
-        dom[present] = rd.packed(present.sum(axis=1), max(1, n.bit_length()))
+        dom = _route_values(rd.packed(present.sum(axis=1), max(1, n.bit_length())), n)
         balls = _read_tables(rd, n, max(1, D.bit_length()), np.flatnonzero(~high))
-        full = _full_labels(rd)
+        # the dominator columns lead the route table, the levels follow
+        full, table = _full_labels(rd, n, [(present, dom)])
     return [
-        AdditiveLabel(n, i, r, t, D, h, row, ball, f)
-        for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), dom, balls, full)
+        AdditiveLabel(n, i, r, t, D, h, row[:ndom], ball, f)
+        for i, h, row, ball, f in zip(ids.tolist(), high.tolist(), table, balls, full)
     ]
 
 

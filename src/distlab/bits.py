@@ -33,7 +33,8 @@ call reads the same field (gamma, fixed, bitmap, packed or id set) of many
 labels with a few numpy operations.  Each read and each count is checked
 against that label's own end before anything is read or allocated, and a
 reader used as a context manager checks on exit that every label was read
-to its end.  `BitCursor` stays the scalar reader for the file framing and
+to its end.  `BitCursor` stays the scalar reader for the file prologue,
+the record codes `labels.loads` cannot read from its 128-bit window, and
 the tests.
 """
 

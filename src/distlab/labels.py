@@ -4,7 +4,9 @@ File layout: the ASCII magic ``DLAB1``, then a single bit stream holding the
 gamma-coded scheme tag, the scheme's gamma-coded parameters, the gamma-coded
 label count, and one record per node: gamma(id+1), gamma(bit length+1), and
 the raw label bits.  The final byte is zero-padded, and any other tail is a
-CodecError.  The same input always produces byte-identical files.
+CodecError.  The same input always produces byte-identical files.  `dumps`
+and `loads` move the label bits a block of records at a time through one
+unpacked buffer; `loads` reads each record's two gamma codes first.
 
 Each scheme is one `Scheme` record, which the module defining the scheme
 registers on import; everything else looks a scheme up by name.  Decoders
@@ -16,9 +18,11 @@ are dispatched through the tables the registry fills (`SET_PARSERS`,
 reads each field for all labels at once through `bits.SetReader`.  The
 labels of one encoding share one layout (n, level count, each level's D and
 size, scheme parameters); a set whose labels differ there raises LabelError.
-All landmark rows of a set are views of one label-major (n x total size)
-table, each level's rows a column block of it; window lists, near tables and
-balls are dicts.
+All route rows of a set (landmark rows, warmup and trivial rows, additive's
+dominator row) are views of one label-major route table, each level's rows
+a column block of it.  The table is narrow: its dtype and its "absent"
+sentinel 2n - 1 follow from the header's n alone (`preserving._sentinel`).
+Window lists, near tables and balls are dicts.
 """
 
 from __future__ import annotations
@@ -202,7 +206,7 @@ def decode_pair(scheme: str, a: Bits, b: Bits) -> int:
     return lookup(PAIR_DECODERS, scheme)(*lookup(SET_PARSERS, scheme)([a, b]))
 
 
-DUMP_BLOCK = 1 << 18  # label bits that dumps holds unpacked at a time
+DUMP_BLOCK = 1 << 18  # label bits that dumps and loads hold unpacked at a time
 
 
 def dumps(ls: LabelSet) -> bytes:
@@ -249,17 +253,69 @@ def loads(buf: bytes) -> LabelSet:
         raise LabelError(f"unknown scheme tag {tag}")
     params = scheme.read_params(cur)
     n = cur.read_gamma() - 1
-    labels: list[Bits] = []
-    for i in range(n):
-        ident = cur.read_gamma() - 1
-        if ident != i:
-            raise LabelError(f"record {i} carries id {ident}")
-        nbits = cur.read_gamma() - 1
-        labels.append(cur.read_bits(nbits))
+    starts, sizes = _frame(cur, payload, n)
     tail = cur.remaining
     if tail > 7 or cur.read(tail):
         raise CodecError(f"the {tail} bits after the last record are not zero padding")
-    return LabelSet(scheme.name, n, params, labels)
+    return LabelSet(scheme.name, n, params, _cut(payload, starts, sizes))
+
+
+def _frame(cur: BitCursor, data: bytes, n: int) -> tuple[list[int], list[int]]:
+    """The bit offset and bit length of the payloads of the n records from
+    the position of `cur` (a cursor over `data`) on; the cursor is left
+    after the last record.  A record's gamma(id + 1) and gamma(bits + 1) are read
+    from one 128-bit window of the bytes, through the cursor where they do
+    not both fit in it or it reaches past the stream."""
+    end, pos = cur.nbits, cur.pos
+    starts, sizes = [], []
+    for i in range(n):
+        room = 128 - (pos & 7)  # window bits from pos on
+        w = int.from_bytes(data[pos >> 3:(pos >> 3) + 16], "big") & ((1 << room) - 1)
+        a = 2 * w.bit_length() - room - 1  # window bits left after gamma(id + 1)
+        rest = w & ((1 << a) - 1) if a > 0 else 0
+        b = 2 * rest.bit_length() - a - 1 if a > 0 else -1  # ... and after gamma(bits + 1)
+        if b >= 0 and pos + room <= end:
+            ident, nbits, pos = (w >> a) - 1, (rest >> b) - 1, pos + room - b
+        else:
+            cur.pos = pos
+            ident, nbits, pos = cur.read_gamma() - 1, cur.read_gamma() - 1, cur.pos
+        if ident != i:
+            raise LabelError(f"record {i} carries id {ident}")
+        if pos + nbits > end:
+            raise CodecError(f"truncated bit stream: need {nbits} bits at position {pos}, "
+                             f"have {end - pos}")
+        starts.append(pos)
+        sizes.append(nbits)
+        pos += nbits
+    cur.pos = pos
+    return starts, sizes
+
+
+def _cut(data: bytes, starts: list[int], sizes: list[int]) -> list[Bits]:
+    """The payloads of `sizes[i]` bits at bit offsets `starts[i]` of `data`,
+    as Bits.  As in dumps, a block of records is unpacked, each payload is
+    sliced from it through a memoryview and padded to whole bytes, and the
+    block is packed at once; the packed bytes are then cut per payload."""
+    labels, pad, i = [], bytes(8), 0
+    while i < len(sizes):
+        j, bits = i + 1, sizes[i]
+        while j < len(sizes) and bits + sizes[j] <= DUMP_BLOCK:
+            bits += sizes[j]
+            j += 1
+        first, stop = starts[i] >> 3, (starts[j - 1] + sizes[j - 1] + 7) >> 3
+        unpacked = memoryview(np.unpackbits(np.frombuffer(data, np.uint8, stop - first, first)))
+        parts = []
+        for at, size in zip(starts[i:j], sizes[i:j]):
+            at -= 8 * first
+            parts += [unpacked[at:at + size], pad[:-size & 7]]
+        packed = np.packbits(np.frombuffer(b"".join(parts), dtype=np.uint8)).tobytes()
+        at = 0
+        for size in sizes[i:j]:
+            nbytes = (size + 7) >> 3
+            labels.append(Bits(packed[at:at + nbytes], size))
+            at += nbytes
+        i = j
+    return labels
 
 
 def save_labels(ls: LabelSet, path) -> None:

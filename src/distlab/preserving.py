@@ -248,14 +248,15 @@ class MediumLevel:
     D: int
     size: int
     sick: bool
-    lm: np.ndarray  # int64 distances to the level's landmark table, INF if absent
+    lm: np.ndarray  # distances to the level's landmarks, a view of the route table (_sentinel if absent)
     uc: dict        # uncovered node id -> weighted distance (healthy nodes only)
 
 
 @dataclass
 class RowLabel:
     """A parsed warmup or trivial label: the node's distances to the shared
-    landmark list (warmup) or to every node (trivial), INF if unreachable."""
+    landmark list (warmup) or to every node (trivial), a row of the set's
+    route table, _sentinel(n) if unreachable."""
 
     n: int
     id: int
@@ -462,6 +463,13 @@ def _row_bits(rows: np.ndarray, n: int):
 # the labels of one parsed set to agree.  Each parser reads inside
 # `with SetReader(...)`, so a label with bits left over after its last
 # field is a CodecError.
+#
+# The route values of a set (landmark rows, warmup and trivial rows, the
+# additive dominator row) go into one label-major route table, row u label
+# u's routes side by side, and each label's routes are views of its row.
+# Its dtype and its "absent" entry are fixed by the header's n alone, never
+# by the values (`_sentinel`, `_route_values`), so a one-label parse equals
+# the set parse field by field, dtype included.
 
 
 def _shared(values: np.ndarray, what: str) -> int:
@@ -485,6 +493,40 @@ def _read_headers(rd: SetReader, *extra: tuple[int, str]) -> tuple:
     return (n, ids, *(_shared(rd.gamma() - offset, what) for offset, what in extra))
 
 
+def _sentinel(n: int) -> int:
+    """The absent entry of the route tables of n-node labels, 2n - 1.  Every
+    stored distance is below n, so two entries sum below it exactly when
+    both are finite, and the table's dtype (_route_dtype) holds twice it,
+    so no sum wraps.  A set of n = 0 has no labels; it reads as n = 1."""
+    return 2 * max(n, 1) - 1
+
+
+def _route_dtype(n: int) -> np.dtype:
+    return np.min_scalar_type(2 * _sentinel(n))
+
+
+def _route_values(values: np.ndarray, n: int) -> np.ndarray:
+    """Route values as a SetReader reads them, in the route-table dtype of
+    n-node labels.  A value >= n is no distance between n nodes (the row
+    labels' all-ones marker, or a corrupt field) and reads as the sentinel;
+    `values` is overwritten there."""
+    values[values >= n] = _sentinel(n)
+    return values.astype(_route_dtype(n))
+
+
+def _route_table(n: int, count: int, blocks: list) -> np.ndarray:
+    """The route table of `count` labels of n nodes: each (present, values)
+    block, a (count x size) presence mask and the present values label by
+    label (from _route_values), fills the next size columns; the other
+    entries are _sentinel(n)."""
+    table = np.full((count, sum(p.shape[1] for p, _ in blocks)), _sentinel(n), _route_dtype(n))
+    at = 0
+    for present, values in blocks:
+        table[:, at:at + present.shape[1]][present] = values
+        at += present.shape[1]
+    return table
+
+
 def _read_tables(rd: SetReader, n: int, width: int, rows: np.ndarray) -> list[dict]:
     """Per label {id: value}: an id set, then one `width`-bit value per id.
     Only the labels in `rows` hold one; the others get an empty dict."""
@@ -500,47 +542,47 @@ def _read_tables(rd: SetReader, n: int, width: int, rows: np.ndarray) -> list[di
     return out
 
 
-def _read_levels(rd: SetReader, n: int, ids: np.ndarray, count: int) -> list[FullLabel]:
+def _read_levels(rd: SetReader, n: int, ids: np.ndarray, count: int,
+                 lead: tuple = ()) -> tuple[list[FullLabel], np.ndarray]:
     """`count` consecutive level bodies (layout in _level) of every label,
-    as one FullLabel per label (n and ids from its header).
+    as one FullLabel per label (n and ids from its header), plus the set's
+    route table.
 
-    All landmark rows go into one (labels x total size) table, a label's
-    levels side by side: pair decode reads a label's rows ~10% faster than
-    from one table per level, which spreads them over the memory."""
-    heads, blocks = [], []
+    The table holds the `lead` blocks first (see _route_table; additive's
+    dominators), then every level's landmark rows, a label's levels side by
+    side: pair decode reads a label's rows ~10% faster than from one table
+    per level, which spreads them over the memory."""
+    heads, blocks = [], list(lead)
     for _ in range(count):
         D = _shared(rd.gamma(), "level threshold")
         size = _shared(rd.gamma() - 1, "level landmark count")
         sick = rd.fixed(1).astype(bool)
         present = rd.bitmap(size)
-        values = rd.packed(present.sum(axis=1), _w2d(D))  # kept narrow until the table is built
-        blocks.append((present, values.astype(np.min_scalar_type(values.max(initial=0)))))
+        blocks.append((present, _route_values(rd.packed(present.sum(axis=1), _w2d(D)), n)))
         uc = _read_tables(rd, n, _w2d(D), np.flatnonzero(~sick))
         heads.append((D, size, sick.tolist(), uc))
-    lm = np.full((rd.pos.size, sum(h[1] for h in heads)), INF, dtype=np.int64)
-    cuts = np.cumsum([0] + [h[1] for h in heads]).tolist()
-    for at, stop, (present, values) in zip(cuts, cuts[1:], blocks):
-        lm[:, at:stop][present] = values
+    table = _route_table(n, rd.pos.size, blocks)
+    del blocks  # freed before the label objects are made
+    cuts = np.cumsum([sum(p.shape[1] for p, _ in lead)] + [h[1] for h in heads]).tolist()
     # the objects too are made label by label, so each label's sit together in memory
     return [
         FullLabel(n, i, [MediumLevel(D, size, sick[u], row[at:stop], uc[u])
                          for (D, size, sick, uc), at, stop in zip(heads, cuts, cuts[1:])])
-        for u, (i, row) in enumerate(zip(ids.tolist(), lm))
-    ]
+        for u, (i, row) in enumerate(zip(ids.tolist(), table))
+    ], table
 
 
 def _parse_rows(labels: list[Bits], *extra: tuple[int, str]) -> list[RowLabel]:
     """Row labels: the header, then one row of _row_width(n)-bit distances,
-    the all-ones marker read as INF.  A row holds as many entries as the one
-    `extra` header field says (warmup's landmark count), or n without one
-    (trivial)."""
+    the all-ones marker read as absent.  A row holds as many entries as the
+    one `extra` header field says (warmup's landmark count), or n without
+    one (trivial).  The rows are the set's route table."""
     with SetReader(labels) as rd:
         n, ids, *count = _read_headers(rd, *extra)
         size = count[0] if count else n
-        width = _row_width(n)
-        raw = rd.packed(np.full(len(labels), size), width).reshape(len(labels), size)
-    rows = np.where(raw == (1 << width) - 1, INF, raw)
-    return [RowLabel(n, i, row) for i, row in zip(ids.tolist(), rows)]
+        raw = rd.packed(np.full(len(labels), size), _row_width(n)).reshape(len(labels), size)
+    table = _route_values(raw, n)
+    return [RowLabel(n, i, row) for i, row in zip(ids.tolist(), table)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +642,7 @@ def encode_medium(g: Graph, p: PreservingParams) -> LabelSet:
 def parse_medium_set(labels: list[Bits]) -> list[FullLabel]:
     with SetReader(labels) as rd:
         n, ids = _read_headers(rd)
-        return _read_levels(rd, n, ids, 1)
+        return _read_levels(rd, n, ids, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +677,24 @@ def encode_full(g: Graph, p: PreservingParams) -> LabelSet:
     return LabelSet("full", g.n, params, concat_ragged(pieces), meta=meta)
 
 
-def _full_labels(rd: SetReader) -> list[FullLabel]:
-    """Every label's full scheme part, from the reader's current positions."""
+def _full_labels(rd: SetReader, outer: int | None = None,
+                 lead: tuple = ()) -> tuple[list[FullLabel], np.ndarray]:
+    """Every label's full scheme part, from the reader's current positions,
+    and the set's route table (see _read_levels).  Embedded in a label of
+    `outer` nodes, it must claim that n too: the decoders read the route
+    table's sentinel from the outer label's n."""
     n, ids, nlev = _read_headers(rd, (0, "level count"))
+    if outer is not None and n != outer:
+        raise CodecError(f"the embedded full label claims n={n}, its label n={outer}")
     room = rd.remaining()
     if room.size and nlev > room.min() // 3:  # a level body takes at least 3 bits
         raise CodecError(f"{nlev} levels cannot fit in {int(room.min())} bits")
-    return _read_levels(rd, n, ids, nlev)
+    return _read_levels(rd, n, ids, nlev, lead)
 
 
 def parse_full_set(labels: list[Bits]) -> list[FullLabel]:
     with SetReader(labels) as rd:
-        return _full_labels(rd)
+        return _full_labels(rd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +713,19 @@ def parse_trivial_set(labels: list[Bits]) -> list[RowLabel]:
 
 
 def _trivial_pair(a: RowLabel, b: RowLabel) -> int:
-    return int(min(a.row[b.id], b.row[a.id]))
+    d = int(min(a.row[b.id], b.row[a.id]))
+    return d if d < _sentinel(a.n) else INF
 
 
 # ---------------------------------------------------------------------------
 # Decoders.  Every scheme but trivial decodes a pair by one rule: the
 # minimum over two kinds of candidate, each an upper bound on the distance.
 #
-# * routes  -- int64 rows (INF where absent) whose columns are shared nodes:
-#   a level's landmarks, or the additive scheme's dominators.  Two labels
-#   route through column l at ra[l] + rb[l].
+# * routes  -- rows whose columns are shared nodes: a level's landmarks, or
+#   the additive scheme's dominators.  They are views of the set's route
+#   table (see "Set parsers"), narrow, with the sentinel s = 2n - 1 where
+#   absent.  Two labels route through column l at ra[l] + rb[l], which is
+#   below s exactly when both entries are finite.
 # * tables  -- {id: distance} dicts of a label's listed peers: a level's
 #   uncovered window, a near table, a ball.  A hit is ta[b.id] or tb[a.id].
 #
@@ -690,7 +741,9 @@ def _trivial_pair(a: RowLabel, b: RowLabel) -> int:
 # no caller needs the whole int64 matrix: exhaustive verify checks each
 # block as it comes, and `harness.decode_matrix` mirrors the blocks into
 # one matrix.  The state every block reads is built once per call: the
-# narrowed route table in `_minplus` and the sorted table hits (`_hits`).
+# route table narrowed again in `_minplus` and the sorted table hits
+# (`_hits`).  The bulk decoders read the table the set parser built
+# (`_set_routes`); no label's routes are copied.
 # Only `_matrix` skips the route columns that cannot give a smallest sum
 # (see `_minplus`): a set carries one landmark on several levels and split
 # copies with equal columns, and finding them is a pass over the whole set,
@@ -701,7 +754,8 @@ def _trivial_pair(a: RowLabel, b: RowLabel) -> int:
 
 def _pair(a, b) -> int:
     """The smallest table hit and route sum of two labels of one set; INF
-    when there is none."""
+    when there is none.  A route sum at or above the sentinel holds an
+    absent entry and is no route."""
     best = INF
     for ta, tb in zip(a.tables, b.tables):
         hit = ta.get(b.id, INF)
@@ -710,11 +764,12 @@ def _pair(a, b) -> int:
         hit = tb.get(a.id, INF)
         if hit < best:
             best = hit
+    cut = min(best, _sentinel(a.n))
     for ra, rb in zip(a.routes, b.routes):
         if ra.size:
             m = int(np.add(ra, rb).min())
-            if m < best:
-                best = m
+            if m < cut:
+                best = cut = m
     return best
 
 
@@ -722,18 +777,30 @@ def _matrix(parsed: list, rows: int):
     """`_pair` for every pair of a parsed set, in blocks of `rows` whole
     rows: yields (start, block) with block the int64 entries
     [start:start + rows, start:] of the decoded matrix.  One min-plus pass
-    runs over each label's routes side by side (the min over routes of the
-    min over a route's columns is the min over all columns); the table hits
-    are gathered once, as pairs sorted by their lower end, and each block is
-    lowered by the hits of its rows."""
+    runs over the set's route table, each label's routes side by side (the
+    min over routes of the min over a route's columns is the min over all
+    columns); the table hits are gathered once, as pairs sorted by their
+    lower end, and each block is lowered by the hits of its rows."""
     lo, hi, dist = _hits(parsed)
-    for start, block in _minplus([p.routes for p in parsed], rows):
+    for start, block in _minplus(*_set_routes(parsed), rows):
         first, last = np.searchsorted(lo, [start, start + len(block)])
         u, v, d = lo[first:last] - start, hi[first:last] - start, dist[first:last]
         np.minimum.at(block, (u, v), d)
         mirror = v < len(block)  # both ends among the block's rows
         np.minimum.at(block, (v[mirror], u[mirror]), d[mirror])
         yield start, block
+
+
+def _set_routes(parsed: list) -> tuple[np.ndarray, int]:
+    """The route table of a parsed set, which every label's routes view
+    (row u is label u's routes side by side), read as the base array of
+    label 0's first route, and its sentinel."""
+    if not parsed:
+        return np.empty((0, 0), dtype=np.uint8), 1
+    table = parsed[0].routes[0].base
+    if table is None or table.ndim != 2 or len(table) != len(parsed):
+        raise ValueError("the routes of the set do not view one route table of its labels")
+    return table, _sentinel(parsed[0].n)
 
 
 def _hits(parsed: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -751,18 +818,19 @@ def _hits(parsed: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo[order], hi[order], d[order]
 
 
-def _minplus(rows, step: int):
-    """out[u, v] = min over columns l of T[u, l] + T[v, l], where row u of the
-    int64 table T (INF entries) is the concatenation of the 1-D pieces in
-    rows[u]; INF where the smallest sum reaches INF (no column is finite in
-    both rows, or there is no column), as `_pair` reads it.  Yields
+def _minplus(table: np.ndarray, sentinel: int, step: int):
+    """out[u, v] = min over columns l of T[u, l] + T[v, l] for the route
+    table T of a set parser: its absent entries are `sentinel`, 2n - 1, and
+    its finite ones are below n.  INF where no column is finite in both
+    rows (or there is no column), as `_pair` reads it.  Yields
     (start, out[start:start + step, start:]) as int64 blocks, start = 0,
     step, 2 * step, ...
 
-    The table is built once, directly in the narrowest unsigned dtype that
-    holds twice the sentinel inf = 2 * top + 1, where top is the largest
-    finite entry: two finite entries sum below inf, and two sentinels do not
-    wrap.  Then the columns that cannot give a smallest sum are dropped
+    The table is narrowed once more, in one pass, by its values: into the
+    narrowest unsigned dtype that holds twice inf = 2 * top + 1, where top
+    is the largest finite entry, with inf where absent (inf <= sentinel):
+    two finite entries sum below inf, and two absent ones do not wrap.
+    Then the columns that cannot give a smallest sum are dropped
     (`_useful_columns`): exact duplicates (split copies in one 0-weight
     component, a landmark drawn twice), a landmark's column on a lower level
     (the higher level's column cut at 2D), and columns with no finite entry.
@@ -780,13 +848,11 @@ def _minplus(rows, step: int):
     tables (2-vCPU VM) the column loop was 2-10 % slower at 437-449 kept
     columns (sparse-split) and 7-14 % faster at 297-306 (additive-query).
     """
-    count = len(rows)
-    top = max((int(r.max(initial=0, where=r < INF)) for r in map(np.concatenate, rows)), default=0)
-    inf = 2 * top + 1
+    count = len(table)
+    inf = 2 * int(table.max(initial=0, where=table < sentinel)) + 1
     dtype = np.min_scalar_type(2 * inf)
-    A = np.empty((count, sum(x.size for x in rows[0]) if count else 0), dtype)
-    for u, row in enumerate(rows):
-        np.minimum(np.concatenate(row), inf, out=A[u], casting="unsafe")
+    A = np.empty(table.shape, dtype)
+    np.minimum(table, inf, out=A, casting="unsafe")
     A = np.take(A, _useful_columns(A, inf), axis=1)
     by_column = 3 * A.shape[1] < 2 * count
     if by_column:
@@ -842,13 +908,15 @@ def _useful_columns(A: np.ndarray, inf: int) -> np.ndarray:
 
 def trivial_matrix(parsed: list[RowLabel], rows: int):
     """`_trivial_pair` for every pair of the set, in the blocks `_matrix`
-    yields: each row cut to the set."""
+    yields: each row of the route table cut to the set."""
     count = len(parsed)
+    table, sentinel = _set_routes(parsed)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        mine = np.array([p.row[start:count] for p in parsed[start:stop]], dtype=np.int64)
-        theirs = np.array([p.row[start:stop] for p in parsed[start:]], dtype=np.int64)
-        yield start, np.minimum(mine, theirs.T)
+        block = np.minimum(table[start:stop, start:count], table[start:count, start:stop].T)
+        out = block.astype(np.int64)
+        out[block >= sentinel] = INF
+        yield start, out
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def parse_bounded_set(labels: list[Bits]) -> list[BoundedLabel]:
     with SetReader(labels) as rd:
         n, ids, delta, D = _read_headers(rd, (1, "degree bound"), (0, "threshold"))
         near = _read_tables(rd, n, max(1, (D - 1).bit_length() + 1), np.arange(len(labels)))
-        full = _full_labels(rd)
+        full = _full_labels(rd, n)[0]
     return [BoundedLabel(n, i, delta, D, d, f) for i, d, f in zip(ids.tolist(), near, full)]
 
 

@@ -34,7 +34,7 @@ from distlab.labels import (
     MAGIC, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
     save_labels,
 )
-from distlab.preserving import parse_full_set
+from distlab.preserving import _sentinel, parse_full_set
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -195,8 +195,9 @@ def test_label_files_pinned_every_scheme():
     assert {name: sha256(ls) for name, ls in sets.items()} == PINNED_SEED1
     _, sets = all_scheme_labelsets(seed=1, g=disconnected_graph())
     assert {name: sha256(ls) for name, ls in sets.items()} == PINNED_DISCONNECTED
-    assert all((p.row == INF).any() for name in ("trivial", "warmup") for p in sets[name].parsed())
-    assert sum((p.dom == INF).any() for p in sets["additive"].parsed()) == 6
+    assert all((p.row == _sentinel(p.n)).any()
+               for name in ("trivial", "warmup") for p in sets[name].parsed())
+    assert sum((p.dom == _sentinel(p.n)).any() for p in sets["additive"].parsed()) == 6
     assert len(sets["additive"].meta["high_degree"]) == 4
     assert sets["sparse"].meta["split_nodes"] == 86
 
@@ -308,6 +309,19 @@ def test_dumps_frames_records_as_the_bit_writer_does(block, monkeypatch):
         assert dumps(ls) == MAGIC + w.getvalue().data, ls.scheme
 
 
+@pytest.mark.parametrize("block", [1, 9, 1 << 18])
+def test_loads_cuts_records_a_block_at_a_time(block, monkeypatch):
+    # loads frames every record first, then cuts the payloads out of
+    # DUMP_BLOCK label bits at a time, tried from one record on
+    import distlab.labels as L
+
+    monkeypatch.setattr(L, "DUMP_BLOCK", block)
+    _, sets = all_scheme_labelsets(seed=1)
+    for ls in [*sets.values(), *_random_label_sets(block + 1)]:
+        back = loads(dumps(ls))
+        assert (back.scheme, back.n, back.params, back.labels) == (ls.scheme, ls.n, ls.params, ls.labels)
+
+
 def test_dumps_holds_a_block_at_a_time():
     rng = np.random.default_rng(3)
     labels = [Bits.from_array(rng.integers(0, 2, 8001, dtype=np.uint8)) for _ in range(1000)]
@@ -390,13 +404,13 @@ def test_set_parse_equals_per_label_parse(name):
     back = loads(dumps(ls))
     assert back.n == ls.n
     assert_same_parse(back.parsed(), [SET_PARSERS[ls.scheme]([b])[0] for b in ls.labels])
-    if name.endswith("disconnected"):  # unreachable entries are read as INF
+    if name.endswith("disconnected"):  # unreachable entries are read as the sentinel
         tables = {
             "trivial": lambda p: [p.row],
             "full": lambda p: [lv.lm for lv in p.levels],
             "additive": lambda p: [p.dom],
         }[ls.scheme]
-        assert any((t == INF).any() for p in back.parsed() for t in tables(p))
+        assert any((t == _sentinel(p.n)).any() for p in back.parsed() for t in tables(p))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -458,6 +472,8 @@ def test_set_parse_rows_are_views_of_one_table():
     parsed = loads(dumps(sets["full"])).parsed()
     table = parsed[0].levels[0].lm.base
     assert table.shape == (len(parsed), sum(lv.size for lv in parsed[0].levels))
+    # n = 24: the sentinel 47 and twice it fit in a byte, whatever the values
+    assert table.dtype == np.uint8 and _sentinel(24) == 47 and (table <= 47).all()
     for u, p in enumerate(parsed):  # row u holds label u's levels side by side
         assert np.array_equal(np.concatenate([lv.lm for lv in p.levels]), table[u])
         assert all(lv.lm.base is table for lv in p.levels)

@@ -36,8 +36,8 @@ from distlab import (
 )
 from distlab.bits import gamma_length
 from distlab.errors import GraphError, LabelError
-from distlab.labels import LabelSet, decode_pair
-from distlab.preserving import _matrix, _minplus, _pair, _useful_columns
+from distlab.labels import LabelSet, decode_pair, dumps, loads
+from distlab.preserving import _matrix, _minplus, _pair, _sentinel, _set_routes, _useful_columns
 
 from conftest import random_01_graph
 
@@ -849,9 +849,11 @@ def test_matrix_decoder_matches_pair_decoder(scheme, graph):
 
 def test_pair_and_matrix_read_the_second_labels_table():
     # genuine tables are symmetric, so only stand-ins where b's table alone
-    # names a reach the tb[a.id] read; the route sum (10) is the worse answer
-    a = SimpleNamespace(id=0, routes=[np.array([5, INF])], tables=[{}])
-    b = SimpleNamespace(id=1, routes=[np.array([5, 1])], tables=[{0: 3}])
+    # names a reach the tb[a.id] read; the route sum (10) is the worse answer.
+    # The routes are rows of one route table of n = 6 nodes, 11 where absent
+    table = np.array([[5, _sentinel(6)], [5, 1]], dtype=np.uint8)
+    a = SimpleNamespace(n=6, id=0, routes=[table[0]], tables=[{}])
+    b = SimpleNamespace(n=6, id=1, routes=[table[1]], tables=[{0: 3}])
     assert _pair(a, b) == _pair(b, a) == 3
     for rows in (1, 2):  # the hit in a block of its own row, and inside one block
         out = _assembled(_matrix([a, b], rows), 2, rows)
@@ -907,11 +909,72 @@ def test_minplus_matches_bruteforce(top, shape):
     if shape in _BY_COLUMN:
         kept = _useful_columns(*_narrow(T.T)).size
         assert (3 * kept < 2 * shape[0]) == _BY_COLUMN[shape]
+    # as a set parser builds it: the route table of n = top + 1 nodes
+    sentinel = _sentinel(top + 1)
     for table in (T, wide):
+        routes = np.where(table == INF, sentinel, table).astype(np.min_scalar_type(2 * sentinel))
         for rows in (1, 7, max(shape[0], 1)):
-            pieces = [np.array_split(row, 3) for row in table]  # rows given as pieces
-            got = _assembled(_minplus(pieces, rows), shape[0], rows)
+            got = _assembled(_minplus(routes, sentinel, rows), shape[0], rows)
             assert np.array_equal(got, _minplus_reference(T))
+
+
+# The route table's dtype follows from n alone: the sentinel 2n - 1 and
+# twice it fit in a byte up to n = 64, not at n = 65.  On a path every
+# distance up to n - 1 occurs; the disconnected graph adds unreachable pairs.
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("graph", ["path", "disconnected"])
+@pytest.mark.parametrize("scheme", ["warmup", "full", "additive", "trivial"])
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+def test_route_table_narrows_by_n_and_decoders_agree(scheme, graph, n):
+    if graph == "path":
+        g = gen_path(n)
+    else:  # a path of n - 2 nodes and one edge apart
+        g = Graph(n, [*((u, u + 1, 1) for u in range(n - 3)), (n - 2, n - 1, 1)])
+    ls = loads(dumps({
+        "warmup": lambda: encode_warmup(g, PreservingParams(D=3, seed=5)),
+        "full": lambda: encode_full(g, PreservingParams(D=2, seed=5)),
+        "additive": lambda: encode_additive(g, AdditiveParams(r=2, t=2, D=2, seed=5)),
+        "trivial": lambda: encode_trivial(g),
+    }[scheme]()))
+    table, sentinel = _set_routes(ls.parsed())
+    assert sentinel == _sentinel(n) == 2 * n - 1
+    assert table.dtype == (np.uint8 if n == 64 else np.uint16)
+    finite = table[table != sentinel]
+    assert finite.max() < n
+    if scheme == "trivial":
+        assert finite.max() == (n - 1 if graph == "path" else n - 3)
+    weight = all_pairs(g)
+    dec = decode_matrix(ls)
+    off = ~np.eye(n, dtype=bool)
+    pair = np.array([[ls.decode(u, v) if u != v else 0 for v in range(n)] for u in range(n)])
+    assert np.array_equal(dec[off], pair[off])
+    assert (dec[off] >= weight[off]).all()
+    assert (dec[weight == INF] == INF).all() and (graph == "path") == (weight != INF).all()
+    if scheme != "trivial":  # the min-plus kernel on the parsed table, against brute force
+        wide = np.where(table == sentinel, INF, table.astype(np.int64))
+        for rows in (7, n):
+            got = _assembled(_minplus(table, sentinel, rows), n, rows)
+            assert np.array_equal(got, _minplus_reference(wide))
+
+
+@pytest.mark.parametrize("scheme", ["full", "sparse", "additive"])
+@pytest.mark.filterwarnings("ignore:r=.*exceeds")
+def test_gnm_route_table_is_uint16_and_routes_view_it(scheme):
+    g = gen_gnm(100, 200, seed=6)
+    ls = loads(dumps({
+        "full": lambda: encode_full(g, PreservingParams(D=4, seed=6)),
+        "sparse": lambda: encode_sparse(g, 6),
+        "additive": lambda: encode_additive(g, AdditiveParams(r=2, t=4, D=2, seed=6)),
+    }[scheme]()))
+    parsed = ls.parsed()
+    table, sentinel = _set_routes(parsed)
+    assert table.dtype == np.uint16 and sentinel == 2 * parsed[0].n - 1
+    assert table.shape == (100, sum(r.size for r in parsed[0].routes))
+    for u, p in enumerate(parsed):  # row u is label u's routes side by side
+        assert all(r.base is table for r in p.routes)
+        assert np.array_equal(np.concatenate(p.routes), table[u])
+    if scheme == "additive":  # the dominator columns lead
+        assert all(np.shares_memory(p.dom, table[u, :p.dom.size]) for u, p in enumerate(parsed))
 
 
 def _narrow(columns):
