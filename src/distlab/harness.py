@@ -156,6 +156,19 @@ def _violations(contract, params, w, h, d, keep, pair, found: dict) -> None:
             slot[1].append((int(u), int(v), int(wide.flat[idx]), int(d.flat[idx]), kind))
 
 
+def _percentile(ordered: np.ndarray, q: int) -> float:
+    """np.percentile(ordered, q) of a sorted non-empty array, by the same
+    linear rule and float operations.  On NumPy 2, np.percentile calls
+    np.unique, which imports numpy.ma: that would cost a process's first
+    verify_labels more than its label statistics."""
+    at = (ordered.size - 1) * (q / 100)
+    lo = int(at)
+    if lo >= ordered.size - 1:
+        return float(ordered[-1])
+    a, b, t = ordered[lo], ordered[lo + 1], at - lo
+    return float(b - (b - a) * (1 - t)) if t >= 0.5 else float(a + (b - a) * t)
+
+
 def _upper_blocks(blocks, weight, hops):
     """The decoded blocks of _blocks as _violations reads them: each with
     its rectangle of the narrow oracle tables, the mask of its pairs u < v
@@ -201,8 +214,8 @@ def verify_labels(
     stats = dict(
         max_bits=int(sizes.max()) if sizes.size else 0,
         mean_bits=float(sizes.mean()) if sizes.size else 0.0,
-        p50_bits=float(np.percentile(sizes, 50)) if sizes.size else 0.0,
-        p95_bits=float(np.percentile(sizes, 95)) if sizes.size else 0.0,
+        p50_bits=_percentile(np.sort(sizes), 50) if sizes.size else 0.0,
+        p95_bits=_percentile(np.sort(sizes), 95) if sizes.size else 0.0,
     )
     checked, found = 0, {}
     try:

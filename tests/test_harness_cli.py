@@ -4,6 +4,9 @@ exit codes, determinism, CSV output, and fault injection."""
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -46,6 +49,34 @@ def test_verify_pass_and_stats():
     assert rep.pairs_checked == 64 * 63 // 2
     assert rep.max_bits >= rep.p95_bits >= rep.p50_bits > 0
     assert "PASS" in rep.to_text()
+
+
+def test_label_size_percentiles_match_numpy():
+    rng = np.random.default_rng(3)
+    arrays = [np.array([7]), np.array([3, 3]), np.array([1, 2]), np.arange(21),
+              *(rng.integers(0, 5000, size) for size in [2, 3, 7, 20, 21, 64, 65, 513, 1770])]
+    for sizes in arrays:
+        for q in (50, 95):
+            got = harness._percentile(np.sort(sizes), q)
+            assert type(got) is float
+            assert got == float(np.percentile(sizes, q)), (sizes.size, q)
+
+
+def test_first_verify_leaves_numpy_ma_unloaded():
+    # the label statistics of verify_labels do not go through np.percentile,
+    # whose np.unique imports numpy.ma on NumPy 2
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, distlab; g = distlab.gen_gnm(64, 128, 1); "
+            "ls = distlab.encode_full(g, distlab.PreservingParams(D=4, seed=1)); "
+            "before = 'numpy.ma' in sys.modules; distlab.verify_labels(g, ls); "
+            "print(before, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    before, after = out.stdout.split()
+    assert after == before
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert after == "False"
 
 
 def test_verify_sampled_mode():
