@@ -11,17 +11,15 @@ import tempfile
 from pathlib import Path
 
 import distlab as dl
-from distlab.bits import BitCursor, BitWriter
+from distlab.bits import Bits, SetReader, gamma_bits
 from distlab.labels import load_labels, save_labels
 
 # gamma code: floor(log2 x) zeros, then x in binary; decodable mid-stream
-w = BitWriter()
-for x in (1, 4, 5, 23):
-    w.write_gamma(x)
-bits = w.getvalue()
-print(f"gamma(1 4 5 23) -> {bits.to01()}  ({bits.nbits} bits)")
-cur = BitCursor(bits)
-print("decoded back:", [cur.read_gamma() for _ in range(4)])
+codes, lengths = gamma_bits([1, 4, 5, 23])
+bits = Bits.from_array(codes)
+print(f"gamma(1 4 5 23) -> {bits.to01()}  ({bits.nbits} bits, codes of {lengths.tolist()})")
+reader = SetReader([bits])  # reads one field of many bit strings at once; here, of one
+print("decoded back:", [int(reader.gamma()[0]) for _ in range(4)])
 
 # a whole scheme through a file
 g = dl.gen_cycle(12)

@@ -8,7 +8,7 @@ additive-error approximation.  A BFS-based oracle harness verifies every
 contract and measures label-size scaling.
 """
 
-from .bits import BitCursor, BitWriter, Bits
+from .bits import Bits
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .graph import (
     INF,

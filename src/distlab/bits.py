@@ -2,8 +2,8 @@
 
 Bit order is pinned: most-significant bit first within each field, fields
 appended left to right.  A label built on one platform is byte-identical on
-any other.  Writers are single-owner; `Bits` values are immutable and safe
-to share; cursors are independent per reader.
+any other.  `Bits` values are immutable and safe to share; readers are
+independent per caller.
 
 Field vocabulary used by the label schemes:
 
@@ -15,27 +15,24 @@ Field vocabulary used by the label schemes:
 * ``bitmap`` /  -- a run of 1-bit flags, then the flagged values packed as
   ``packed``       consecutive fixed-width fields.
 
-Every label encoder writes through the array encoders (`fixed_bits`,
-`gamma_bits`, `id_set_bits`).  Each builds one field for many labels at
-once as an unpacked bit array, one `uint8` 0/1 per bit, MSB first, holding
-exactly the bits the matching `BitWriter` calls write, plus each label's
-share.  `concat_ragged` then builds the labels one at a time: it joins
-each node's share of every piece, sliced lazily from one memoryview per
-piece, and packs the label once, so the pieces are never copied or cut up
-all at once and writing costs in proportion to the bits written.
-`BitWriter` writes only the label file's prologue (`labels.dumps` frames
-the records from `gamma_bits` codes and the labels' bits) and stays the
-tests' reference for the array encoders and the framing.
+This module is the one bit codec.  Everything is written through the array
+encoders (`fixed_bits`, `gamma_bits`, `id_set_bits`): each builds one field
+for many values at once as an unpacked bit array, one `uint8` 0/1 per bit,
+MSB first, plus each label's share.  `concat_ragged` then builds the labels
+one at a time: it joins each node's share of every piece, sliced lazily
+from one memoryview per piece, and packs the label once, so the pieces are
+never copied or cut up all at once and writing costs in proportion to the
+bits written.  The label file's prologue and record codes (`labels.dumps`)
+are `gamma_bits` codes too.
 
-Bulk readers parse many labels at once with `SetReader`: the payloads are
-joined into one buffer, each label keeps its own bit position, and every
-call reads the same field (gamma, fixed, bitmap, packed or id set) of many
-labels with a few numpy operations.  Each read and each count is checked
-against that label's own end before anything is read or allocated, and a
-reader used as a context manager checks on exit that every label was read
-to its end.  `BitCursor` stays the scalar reader for the file prologue,
-the record codes `labels.loads` cannot read from its 128-bit window, and
-the tests.
+Labels are read with `SetReader`: the payloads are joined into one buffer,
+each label keeps its own bit position, and every call reads the same field
+(gamma, fixed, bitmap, packed or id set) of many labels with a few numpy
+operations.  Each read and each count is checked against that label's own
+end before anything is read or allocated, and a reader used as a context
+manager checks on exit that every label was read to its end.  The label
+file's prologue, and any record code that `labels.loads` cannot read from
+its 128-bit window, are read by one scalar gamma reader, `labels._gamma`.
 """
 
 from __future__ import annotations
@@ -46,8 +43,6 @@ from .errors import CodecError
 
 __all__ = [
     "Bits",
-    "BitWriter",
-    "BitCursor",
     "SetReader",
     "gamma_length",
     "fixed_bits",
@@ -58,7 +53,7 @@ __all__ = [
 
 
 def gamma_length(x: int) -> int:
-    """Number of bits write_gamma(x) produces: 2*floor(log2 x) + 1."""
+    """Number of bits in the Elias gamma code of x: 2*floor(log2 x) + 1."""
     if x < 1:
         raise CodecError(f"gamma code requires x >= 1, got {x}")
     return 2 * (x.bit_length() - 1) + 1
@@ -82,13 +77,6 @@ class Bits:
         self.nbits = nbits
 
     @classmethod
-    def from_int(cls, value: int, nbits: int) -> "Bits":
-        if value < 0 or value.bit_length() > nbits:
-            raise CodecError(f"value {value} does not fit in {nbits} bits")
-        nbytes = (nbits + 7) // 8
-        return cls((value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), nbits)
-
-    @classmethod
     def from_array(cls, bits: np.ndarray) -> "Bits":
         """Pack an unpacked 0/1 `uint8` bit array, MSB first."""
         return cls(np.packbits(bits), int(bits.size))  # packbits zero-pads the last byte
@@ -96,11 +84,6 @@ class Bits:
     def to_array(self) -> np.ndarray:
         """The bits as an unpacked 0/1 `uint8` array, MSB first."""
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8), count=self.nbits)
-
-    def to_int(self) -> int:
-        if self.nbits == 0:
-            return 0
-        return int.from_bytes(self.data, "big") >> (8 * len(self.data) - self.nbits)
 
     def to01(self) -> str:
         """The bit string as '0'/'1' characters (handy in tests)."""
@@ -125,8 +108,8 @@ class Bits:
 
 
 def fixed_bits(values, width: int) -> np.ndarray:
-    """Bit array of `values` as consecutive `width`-bit big-endian fields, the
-    bits as many write_fixed(value, width) calls write.  The bits are filled
+    """Bit array of `values` as consecutive `width`-bit big-endian fields, MSB
+    first.  The bits are filled
     one column per shift, from the values in the narrowest unsigned dtype
     that holds `width` bits (uint8 input stays as it is), so a field costs
     about its own bits in scratch; a field wider than 64 bits keeps its
@@ -176,8 +159,10 @@ def gamma_bits(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def id_set_bits(ids, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Id-set codes (as write_id_set) of consecutive sets, set i being the next
-    counts[i] entries of `ids`, back to back; plus each set's length in bits."""
+    """Id-set codes of consecutive sets, set i being the next counts[i] entries
+    of `ids`, back to back; plus each set's length in bits.  A set's code is
+    gamma(count + 1), gamma(first + 1), then gamma of each gap to the next
+    (strictly increasing) id."""
     ids = np.asarray(ids, dtype=np.int64).ravel()
     counts = np.asarray(counts, dtype=np.intp).ravel()
     if counts.sum() != ids.size:
@@ -237,150 +222,6 @@ def _slices(view: memoryview, lengths: list):
     for size in lengths:
         yield view[start:start + size]
         start += size
-
-
-class BitWriter:
-    """Append-only bit sink; call getvalue() once to materialize the Bits."""
-
-    __slots__ = ("_parts", "_nbits")
-
-    def __init__(self):
-        self._parts: list[tuple[int, int]] = []
-        self._nbits = 0
-
-    @property
-    def nbits(self) -> int:
-        return self._nbits
-
-    def write(self, value: int, width: int) -> None:
-        """Append `value` as exactly `width` bits, MSB first."""
-        if width < 0:
-            raise CodecError("negative field width")
-        if value < 0 or value.bit_length() > width:
-            raise CodecError(f"value {value} does not fit in {width} bits")
-        if width:
-            self._parts.append((value, width))
-            self._nbits += width
-
-    def write_bit(self, bit: int) -> None:
-        self.write(1 if bit else 0, 1)
-
-    def write_gamma(self, x: int) -> None:
-        """Elias gamma: floor(log2 x) zeros, then the binary of x."""
-        if x < 1:
-            raise CodecError(f"gamma code requires x >= 1, got {x}")
-        nb = x.bit_length()
-        self.write(0, nb - 1)
-        self.write(x, nb)
-
-    def write_fixed(self, x: int, width: int) -> None:
-        """Exactly `width` bits, big-endian."""
-        self.write(x, width)
-
-    def write_id_set(self, ids) -> None:
-        """Gap-coded sorted id set: gamma(count+1), gamma(first+1), gamma gaps."""
-        ids = list(ids)
-        self.write_gamma(len(ids) + 1)
-        prev = None
-        for i in ids:
-            i = int(i)
-            if i < 0 or (prev is not None and i <= prev):
-                raise CodecError("id set must be strictly increasing and non-negative")
-            self.write_gamma(i + 1 if prev is None else i - prev)
-            prev = i
-
-    def write_bits(self, bits: Bits) -> None:
-        """Append an existing bit string verbatim."""
-        if bits.nbits:
-            self._parts.append((bits.to_int(), bits.nbits))
-            self._nbits += bits.nbits
-
-    def getvalue(self) -> Bits:
-        value, width = _fold(self._parts)
-        assert width == self._nbits
-        return Bits.from_int(value, width)
-
-
-def _fold(parts: list[tuple[int, int]]) -> tuple[int, int]:
-    # Pairwise tree fold keeps big-int concatenation near O(total * log n_parts).
-    if not parts:
-        return 0, 0
-    parts = list(parts)
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            v1, w1 = parts[i]
-            v2, w2 = parts[i + 1]
-            nxt.append(((v1 << w2) | v2, w1 + w2))
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
-
-
-class BitCursor:
-    """Sequential reader over a Bits value; every read advances by exactly
-    the bits consumed, so heterogeneous fields can be concatenated safely."""
-
-    __slots__ = ("_data", "nbits", "pos")
-
-    def __init__(self, bits: Bits):
-        self._data = bits.data
-        self.nbits = bits.nbits
-        self.pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.nbits - self.pos
-
-    def read(self, width: int) -> int:
-        """Read `width` bits as a big-endian unsigned integer."""
-        if width < 0:
-            raise CodecError("negative field width")
-        if self.pos + width > self.nbits:
-            raise CodecError(
-                f"truncated bit stream: need {width} bits at position {self.pos}, "
-                f"have {self.remaining}"
-            )
-        if width == 0:
-            return 0
-        start, end = self.pos >> 3, (self.pos + width + 7) >> 3
-        chunk = int.from_bytes(self._data[start:end], "big")
-        shift = 8 * (end - start) - (self.pos - 8 * start) - width
-        self.pos += width
-        return (chunk >> shift) & ((1 << width) - 1)
-
-    def read_bit(self) -> int:
-        return self.read(1)
-
-    def read_gamma(self) -> int:
-        # the zero run is found 64 bits at a time; the value is then read
-        # from its leading 1 bit
-        zeros = 0
-        while True:
-            width = min(64, self.remaining)
-            chunk = self.read(max(width, 1))  # past the end: a truncation error
-            if chunk:
-                run = width - chunk.bit_length()
-                self.pos -= width - run
-                return self.read(zeros + run + 1)
-            zeros += width
-
-    def read_fixed(self, width: int) -> int:
-        return self.read(width)
-
-    def read_id_set(self) -> list[int]:
-        count = self.read_gamma() - 1
-        ids: list[int] = []
-        prev = -1
-        for i in range(count):
-            gap = self.read_gamma()
-            prev = gap - 1 if i == 0 else prev + gap
-            ids.append(prev)
-        return ids
-
-    def read_bits(self, width: int) -> Bits:
-        return Bits.from_int(self.read(width), width)
 
 
 _WINDOW = 57  # bits a 64-bit read holds past any bit offset within its first byte
@@ -484,7 +325,7 @@ class SetReader:
         return self._peek(at, width)
 
     def id_sets(self, limit: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """One id set (see write_id_set) per row, each id below `limit`: the
+        """One id set (see id_set_bits) per row, each id below `limit`: the
         set sizes plus all ids back to back."""
         rows = np.arange(self.pos.size)[rows]
         counts = self.gamma(rows) - 1

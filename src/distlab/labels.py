@@ -5,8 +5,10 @@ gamma-coded scheme tag, the scheme's gamma-coded parameters, the gamma-coded
 label count, and one record per node: gamma(id+1), gamma(bit length+1), and
 the raw label bits.  The final byte is zero-padded, and any other tail is a
 CodecError.  The same input always produces byte-identical files.  `dumps`
-and `loads` move the label bits a block of records at a time through one
-unpacked buffer; `loads` reads each record's two gamma codes first.
+writes the prologue and the record codes with `bits.gamma_bits`, and
+`dumps` and `loads` move the label bits a block of records at a time
+through one unpacked buffer.  `loads` reads the prologue with the scalar
+`_gamma`, then each record's two gamma codes from one 128-bit window.
 
 Each scheme is one `Scheme` record, which the module defining the scheme
 registers on import; everything else looks a scheme up by name.  Decoders
@@ -33,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import BitCursor, Bits, BitWriter, gamma_bits
+from .bits import Bits, gamma_bits
 from .errors import CodecError, GraphError, LabelError
 
 __all__ = [
@@ -50,8 +52,10 @@ class Scheme:
     """Everything the codec, the harness and the CLI know about one scheme.
 
     encode(g, seed, opts) -> LabelSet reads the encode/bench options by name
-    (D, r, t, dd, delta; None means unset).  write_params / read_params are
-    the file-header codec.  contract(params, w, h, d) maps each violation
+    (D, r, t, dd, delta; None means unset).  write_params(params) -> list[int]
+    and read_params(gamma) -> dict are the file-header codec: the header's
+    gamma-coded values in order, and the params rebuilt from them, gamma()
+    returning the next value.  contract(params, w, h, d) maps each violation
     kind of the scheme's own window to a bool mask over pairs of true weight
     w, hops h and decoded d (int64 arrays); universal soundness is the
     harness's.  pair(a, b) decodes two parsed labels; matrix(parsed, rows)
@@ -103,14 +107,15 @@ def lookup(table: dict, name: str):
 def header_value(key: str, value, offset: int) -> int:
     """`value` + `offset`, the gamma-coded number a file header stores for
     the param `key`; LabelError when the value is None (the param is
-    missing), is not an integer, or leaves that number below 1."""
+    missing), is not an integer, or leaves that number below 1 or at or
+    above 2^63."""
     if value is None:
         raise LabelError(f"header param {key} is missing")
     try:
         x = operator.index(value) + offset
     except TypeError:
         raise LabelError(f"header param {key}={value!r} is not an integer") from None
-    if x < 1:
+    if not 1 <= x < 1 << 63:  # gamma_bits codes int64 values
         raise LabelError(f"header param {key}={value!r} is out of range")
     return x
 
@@ -119,12 +124,11 @@ def gamma_fields(*spec: tuple[str, int]) -> tuple[Callable, Callable]:
     """Header codec (write_params, read_params) storing each param `key` of
     (key, offset) in `spec` as gamma(params[key] + offset), in order."""
 
-    def write(w: BitWriter, params: dict) -> None:
-        for key, offset in spec:
-            w.write_gamma(header_value(key, params.get(key), offset))
+    def write(params: dict) -> list[int]:
+        return [header_value(key, params.get(key), offset) for key, offset in spec]
 
-    def read(cur: BitCursor) -> dict:
-        return {key: cur.read_gamma() - offset for key, offset in spec}
+    def read(gamma: Callable[[], int]) -> dict:
+        return {key: gamma() - offset for key, offset in spec}
 
     return write, read
 
@@ -213,20 +217,21 @@ def dumps(ls: LabelSet) -> bytes:
     scheme = lookup(SCHEMES, ls.scheme)
     if len(ls.labels) != ls.n:
         raise LabelError(f"label set claims n={ls.n} but holds {len(ls.labels)} labels")
-    w = BitWriter()
-    w.write_gamma(scheme.tag)
-    scheme.write_params(w, ls.params)
-    w.write_gamma(ls.n + 1)
-    # each record: gamma(id + 1), gamma(bits + 1), then the label's bits.
+    # the prologue's gamma codes, then each record's gamma(id + 1) and
+    # gamma(bits + 1), all from one gamma_bits call; record i's codes are
+    # bits code_at[i]:code_at[i + 1] of it, and the label's bits follow.
     # A block of records is unpacked, joined through memoryviews (each
     # label sliced to its bits, leaving its padding out) and packed at
     # once; the bits past the block's last whole byte start the next block.
+    head = [scheme.tag, *scheme.write_params(ls.params), ls.n + 1]
     sizes = np.fromiter((b.nbits for b in ls.labels), dtype=np.int64, count=ls.n)
-    codes, lengths = gamma_bits(np.column_stack([np.arange(1, ls.n + 1), sizes + 1]))
+    records = np.column_stack([np.arange(1, ls.n + 1), sizes + 1]).ravel()
+    codes, lengths = gamma_bits(np.append(np.array(head, dtype=np.int64), records))
     codes = memoryview(codes)
-    code_at = np.cumsum(np.append(0, lengths.reshape(-1, 2).sum(axis=1))).tolist()
+    code_at = np.cumsum(np.append(lengths[:len(head)].sum(),
+                                  lengths[len(head):].reshape(-1, 2).sum(axis=1))).tolist()
     stops = np.searchsorted(np.cumsum(sizes), np.arange(DUMP_BLOCK, int(sizes.sum()), DUMP_BLOCK))
-    out, carry, start = [MAGIC], w.getvalue().to_array().tobytes(), 0
+    out, carry, start = [MAGIC], codes[:code_at[0]], 0
     for stop in [*(stops + 1).tolist(), ls.n]:
         block = ls.labels[start:stop]
         unpacked = memoryview(np.unpackbits(np.frombuffer(b"".join(b.data for b in block), dtype=np.uint8)))
@@ -246,27 +251,55 @@ def loads(buf: bytes) -> LabelSet:
     if buf[: len(MAGIC)] != MAGIC:
         raise LabelError("not a label file: bad magic")
     payload = buf[len(MAGIC):]
-    cur = BitCursor(Bits(payload, 8 * len(payload)))
-    tag = cur.read_gamma()
+    pos = 0
+
+    def gamma() -> int:
+        nonlocal pos
+        value, pos = _gamma(payload, pos, 8 * len(payload))
+        return value
+
+    tag = gamma()
     scheme = next((s for s in SCHEMES.values() if s.tag == tag), None)
     if scheme is None:
         raise LabelError(f"unknown scheme tag {tag}")
-    params = scheme.read_params(cur)
-    n = cur.read_gamma() - 1
-    starts, sizes = _frame(cur, payload, n)
-    tail = cur.remaining
-    if tail > 7 or cur.read(tail):
+    params = scheme.read_params(gamma)
+    n = gamma() - 1
+    starts, sizes, pos = _frame(payload, pos, n)
+    tail = 8 * len(payload) - pos
+    if tail > 7 or payload[-1] & ((1 << tail) - 1):
         raise CodecError(f"the {tail} bits after the last record are not zero padding")
     return LabelSet(scheme.name, n, params, _cut(payload, starts, sizes))
 
 
-def _frame(cur: BitCursor, data: bytes, n: int) -> tuple[list[int], list[int]]:
-    """The bit offset and bit length of the payloads of the n records from
-    the position of `cur` (a cursor over `data`) on; the cursor is left
-    after the last record.  A record's gamma(id + 1) and gamma(bits + 1) are read
-    from one 128-bit window of the bytes, through the cursor where they do
-    not both fit in it or it reaches past the stream."""
-    end, pos = cur.nbits, cur.pos
+def _gamma(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """The Elias gamma code at bit `pos` of `data`, which ends at bit `end`
+    (at most 8 * len(data)): its value and the bit position after it.  The
+    zero run is found 64 bits at a time, so a code of any length is read;
+    CodecError when the code does not end by `end`."""
+    one, bits = pos, 0
+    while not bits:  # `bits`: the 64-bit word from `one` on, masked to start there
+        if one >= end:
+            raise CodecError(f"truncated bit stream: gamma code at position {pos} has no 1 bit")
+        at = one >> 3
+        word = data[at:at + 8]
+        bits = int.from_bytes(word, "big") & ((1 << 8 * len(word) - (one & 7)) - 1)
+        one = 8 * (at + len(word))
+    one -= bits.bit_length()  # the code's leading 1 bit
+    stop = 2 * one - pos + 1
+    if stop > end:
+        raise CodecError(f"truncated bit stream: gamma code at position {pos} needs "
+                         f"{stop - pos} bits, have {end - pos}")
+    value = int.from_bytes(data[one >> 3:(stop + 7) >> 3], "big") >> (-stop & 7)
+    return value & ((1 << (stop - one)) - 1), stop
+
+
+def _frame(data: bytes, pos: int, n: int) -> tuple[list[int], list[int], int]:
+    """The bit offset and bit length of the payloads of the n records of
+    `data` from bit `pos` on, and the position after the last record.  A
+    record's gamma(id + 1) and gamma(bits + 1) are read from one 128-bit
+    window of the bytes, through `_gamma` where they do not both fit in it
+    or it reaches past the stream."""
+    end = 8 * len(data)
     starts, sizes = [], []
     for i in range(n):
         room = 128 - (pos & 7)  # window bits from pos on
@@ -277,8 +310,9 @@ def _frame(cur: BitCursor, data: bytes, n: int) -> tuple[list[int], list[int]]:
         if b >= 0 and pos + room <= end:
             ident, nbits, pos = (w >> a) - 1, (rest >> b) - 1, pos + room - b
         else:
-            cur.pos = pos
-            ident, nbits, pos = cur.read_gamma() - 1, cur.read_gamma() - 1, cur.pos
+            ident, pos = _gamma(data, pos, end)
+            nbits, pos = _gamma(data, pos, end)
+            ident, nbits = ident - 1, nbits - 1
         if ident != i:
             raise LabelError(f"record {i} carries id {ident}")
         if pos + nbits > end:
@@ -287,8 +321,7 @@ def _frame(cur: BitCursor, data: bytes, n: int) -> tuple[list[int], list[int]]:
         starts.append(pos)
         sizes.append(nbits)
         pos += nbits
-    cur.pos = pos
-    return starts, sizes
+    return starts, sizes, pos
 
 
 def _cut(data: bytes, starts: list[int], sizes: list[int]) -> list[Bits]:

@@ -57,10 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bits import (
-    BitCursor, BitWriter, Bits, SetReader, _bit_length, concat_ragged, fixed_bits, gamma_bits,
-    id_set_bits,
-)
+from .bits import Bits, SetReader, _bit_length, concat_ragged, fixed_bits, gamma_bits, id_set_bits
 from .errors import CodecError, EncodingFailure, GraphError, LabelError
 from .graph import (
     INF, Graph, _bitset, _far, _integer, _node_ids, _pair_weights, _tail, _unbits, _weights, _within,
@@ -932,17 +929,16 @@ def _header(key, params, many=False):
     gamma(D), gamma(k + 1), then gamma(c + 1) for each of the k landmark
     counts c of the param `key` (none without a key; one, or with `many` a
     list of them); params(D, counts) rebuilds the params on read."""
-    def write(w: BitWriter, p: dict) -> None:
+    def write(p: dict) -> list[int]:
         listed = p.get(key, [None]) if many else [p.get(key)] if key else []
         if not isinstance(listed, list):
             raise LabelError(f"header param {key}={listed!r} is not a list")
-        for x in (header_value("D", p.get("D"), 0), len(listed) + 1,
-                  *(header_value(key, c, 1) for c in listed)):
-            w.write_gamma(x)
+        return [header_value("D", p.get("D"), 0), len(listed) + 1,
+                *(header_value(key, c, 1) for c in listed)]
 
-    def read(cur: BitCursor) -> dict:
-        D = cur.read_gamma()
-        return params(D, [cur.read_gamma() - 1 for _ in range(cur.read_gamma() - 1)])
+    def read(gamma) -> dict:
+        D = gamma()
+        return params(D, [gamma() - 1 for _ in range(gamma() - 1)])
     return write, read
 
 

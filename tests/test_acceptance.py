@@ -281,7 +281,7 @@ def test_criterion_8_codec_suite():
     """>= 10^4 randomized codec round trips plus byte-identical label files."""
     import random
 
-    from distlab.bits import BitCursor, BitWriter
+    from bitref import BitCursor, BitWriter
 
     rng = random.Random(99)
     cases = 0

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from distlab.bits import (
-    BitCursor,
-    BitWriter,
     Bits,
     SetReader,
     concat_ragged,
@@ -19,6 +17,8 @@ from distlab.bits import (
     id_set_bits,
 )
 from distlab.errors import CodecError
+
+from bitref import BitCursor, BitWriter, bits_from_int
 
 
 def written(fn) -> Bits:
@@ -200,24 +200,24 @@ def test_concatenated_heterogeneous_fields_roundtrip():
 # --- Bits / serialization -----------------------------------------------------
 
 def test_bits_padding_is_zero_and_equality_holds():
-    b = Bits.from_int(0b101, 3)
+    b = bits_from_int(0b101, 3)
     assert b.data == bytes([0b10100000])
     assert b == Bits(bytes([0b10100000]), 3)
-    assert b != Bits.from_int(0b101, 4)
+    assert b != bits_from_int(0b101, 4)
     for data, nbits in [(b"\xff", 1), (b"\x01", 7), (b"\x00\x08", 12)]:
         with pytest.raises(CodecError, match="padding"):
             Bits(data, nbits)
 
 
 def test_cursor_read_past_end():
-    cur = BitCursor(Bits.from_int(3, 2))
+    cur = BitCursor(bits_from_int(3, 2))
     cur.read(2)
     with pytest.raises(CodecError):
         cur.read(1)
 
 
 def test_write_then_read_bits_slice():
-    inner = Bits.from_int(0b110101, 6)
+    inner = bits_from_int(0b110101, 6)
     w = BitWriter()
     w.write_gamma(9)
     w.write_bits(inner)
@@ -228,7 +228,7 @@ def test_write_then_read_bits_slice():
     assert cur.read_fixed(3) == 2
 
 
-# --- array encoders: bit for bit what the scalar writer writes ---------------
+# --- array encoders: bit for bit what the reference writer writes ------------
 
 def as_bits(arr) -> Bits:
     return Bits.from_array(np.asarray(arr, dtype=np.uint8))
@@ -350,7 +350,7 @@ def test_concat_ragged_interleaves_in_node_order():
     labels = concat_ragged([a, b])
     assert [x.to01() for x in labels] == ["100", "11", "1010"]
     # a piece may also give each node's bits as its own array
-    tails = [Bits.from_int(5, 3), Bits(b"", 0), Bits.from_int(1, 9)]
+    tails = [bits_from_int(5, 3), Bits(b"", 0), bits_from_int(1, 9)]
     labels = concat_ragged([a, (t.to_array() for t in tails), b])
     assert [x.to01() for x in labels] == ["1" + "101" + "00", "11", "101" + "000000001" + "0"]
     with pytest.raises(CodecError):
@@ -495,7 +495,7 @@ def test_set_reader_rejects_what_does_not_fit():
         lambda rd: rd.packed(np.array([1, 0]), 3),
         lambda rd: rd.packed(np.array([1 << 60, 0]), 57),  # a huge count, before allocating
     ):
-        rd = SetReader([Bits.from_int(0b10, 2), long_])
+        rd = SetReader([bits_from_int(0b10, 2), long_])
         with pytest.raises(CodecError, match="truncated"):
             read(rd)
     with pytest.raises(CodecError, match="truncated"):

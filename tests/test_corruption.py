@@ -71,3 +71,20 @@ def test_corrupted_file_raises_only_typed_errors(scheme, op, at, value):
         decode_matrix(ls)
     except (LabelError, CodecError):
         pass
+
+
+@pytest.mark.parametrize("scheme", list(ENCODERS))
+def test_every_bit_flip_near_the_prologue_raises_only_typed_errors(scheme):
+    # the first 16 payload bytes hold the prologue (scheme tag, header
+    # params, label count) and the first records' codes
+    blob = label_file(scheme)
+    refused = 0
+    for at in range(min(16, len(blob) - 5)):
+        for bit in range(8):
+            try:
+                ls = loads(mutate(blob, "flip", at, bit))
+                ls.parsed()
+                decode_matrix(ls)
+            except (LabelError, CodecError):
+                refused += 1
+    assert refused

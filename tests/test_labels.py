@@ -28,13 +28,15 @@ from distlab import (
     verify_labels,
 )
 from distlab import harness
-from distlab.bits import BitCursor, Bits, BitWriter, gamma_length
+from distlab.bits import Bits, gamma_length
 from distlab.errors import CodecError, LabelError
 from distlab.labels import (
-    MAGIC, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, decode_pair, dumps, load_labels, loads,
-    save_labels,
+    MAGIC, PAIR_DECODERS, SCHEMES, SET_PARSERS, LabelSet, _gamma, decode_pair, dumps, load_labels,
+    loads, save_labels,
 )
 from distlab.preserving import _sentinel, parse_full_set
+
+from bitref import BitCursor, BitWriter, bits_from_int
 
 pytestmark = pytest.mark.filterwarnings("ignore:r=.*exceeds")
 
@@ -139,6 +141,7 @@ BAD_HEADER_PARAMS = [  # (scheme, param, value or None to drop it, error)
     ("full", "landmark_counts", [4, -1], "out of range"),
     ("bdeg", "delta", -2, "out of range"),
     ("sparse", "k", 0, "out of range"),
+    ("medium", "D", 1 << 63, "out of range"),
 ]
 
 
@@ -152,6 +155,81 @@ def test_dumps_refuses_a_bad_header_param(name, key, value, message):
         params[key] = value
     with pytest.raises(LabelError, match=message):
         dumps(LabelSet(ls.scheme, ls.n, params, ls.labels))
+
+
+@pytest.mark.parametrize("n", [24, 0])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_header_codec_round_trips(scheme, n):
+    # write_params gives the header's gamma values in order; read_params
+    # rebuilds the params from them and takes every one
+    ls = all_scheme_labelsets(seed=1, g=None if n else Graph(0, []))[1][scheme]
+    values = SCHEMES[scheme].write_params(ls.params)
+    assert values and all(isinstance(x, int) and x >= 1 for x in values)
+    left = iter(values)
+    assert SCHEMES[scheme].read_params(lambda: next(left)) == ls.params
+    assert next(left, None) is None
+    # they are the codes that follow the tag in the file
+    payload = dumps(ls)[len(MAGIC):]
+    cur = BitCursor(Bits(payload, 8 * len(payload)))
+    assert cur.read_gamma() == SCHEMES[scheme].tag
+    assert [cur.read_gamma() for _ in values] == values
+
+
+# --- the scalar gamma reader of the file prologue ------------------------------
+
+@pytest.mark.parametrize("run", [0, 1, 63, 64, 65, 127, 200])
+@pytest.mark.parametrize("lead", [0, 1, 7, 8, 13])
+def test_gamma_reader_matches_the_reference(run, lead):
+    # a code whose zero run is `run` bits long, after `lead` one bits and
+    # before more bits, read as the reference cursor reads it
+    for x in {1 << run, (1 << run) + 1 if run else 1, (1 << run + 1) - 1}:
+        w = BitWriter()
+        w.write((1 << lead) - 1, lead)
+        w.write_gamma(x)
+        w.write(5, 3)
+        bits = w.getvalue()
+        cur = BitCursor(bits)
+        cur.read(lead)
+        stop = lead + 2 * run + 1
+        assert _gamma(bits.data, lead, bits.nbits) == (cur.read_gamma(), cur.pos) == (x, stop)
+        assert _gamma(bits.data, lead, stop) == (x, stop)  # a code ending exactly at `end`
+        # truncated inside the zero run, at its 1 bit, and inside the value
+        for end in {lead, lead + run // 2, lead + run, lead + run + 1 + run // 2, stop - 1}:
+            if end < stop:
+                with pytest.raises(CodecError, match="truncated"):
+                    _gamma(bits.data, lead, end)
+        # the stream's bytes themselves end inside the code
+        cut = bits.data[:(stop - 1) // 8]
+        with pytest.raises(CodecError, match="truncated"):
+            _gamma(cut, lead, 8 * len(cut))
+
+
+@pytest.mark.parametrize("run", [0, 5, 63, 64, 65, 127, 200])
+def test_gamma_reader_code_ending_at_the_last_byte(run):
+    # the code fills the stream to its last bit, at the end of a byte
+    lead = -(2 * run + 1) % 8
+    w = BitWriter()
+    w.write((1 << lead) - 1, lead)
+    w.write_gamma((1 << run + 1) - 1)
+    bits = w.getvalue()
+    assert bits.nbits % 8 == 0
+    cur = BitCursor(bits)
+    cur.read(lead)
+    assert _gamma(bits.data, lead, bits.nbits) == (cur.read_gamma(), bits.nbits)
+
+
+def test_gamma_reader_reads_a_stream_as_the_reference():
+    rng = random.Random(29)
+    values = [rng.randrange(1, 1 << rng.randrange(1, 90)) for _ in range(500)]
+    w = BitWriter()
+    for x in values:
+        w.write_gamma(x)
+    bits = w.getvalue()
+    got, pos = [], 0
+    while pos < bits.nbits:
+        x, pos = _gamma(bits.data, pos, bits.nbits)
+        got.append(x)
+    assert got == values and pos == bits.nbits
 
 
 # --- pinned file contents ----------------------------------------------------
@@ -283,7 +361,7 @@ def _random_label_sets(seed, count=50):
     rng = random.Random(seed)
     for _ in range(count):
         sizes = [rng.choice([0, 1, 2, 7, 8, 9, 16, 17, rng.randrange(200)]) for _ in range(rng.randrange(12))]
-        labels = [Bits.from_int(rng.getrandbits(s) if s else 0, s) for s in sizes]
+        labels = [bits_from_int(rng.getrandbits(s) if s else 0, s) for s in sizes]
         yield LabelSet("trivial", len(labels), {"D": 1}, labels)
 
 
@@ -300,7 +378,8 @@ def test_dumps_frames_records_as_the_bit_writer_does(block, monkeypatch):
     for ls in [*sets.values(), empty, *_random_label_sets(block)]:
         w = BitWriter()
         w.write_gamma(SCHEMES[ls.scheme].tag)
-        SCHEMES[ls.scheme].write_params(w, ls.params)
+        for x in SCHEMES[ls.scheme].write_params(ls.params):
+            w.write_gamma(x)
         w.write_gamma(ls.n + 1)
         for i, bits in enumerate(ls.labels):
             w.write_gamma(i + 1)
